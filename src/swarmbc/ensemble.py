@@ -13,14 +13,17 @@ aligned actions in states the data never covered. The deployed action is
 the member mean (continuous, clipped to env bounds) or the argmax of the
 mean probability vector (discrete).
 
-The pairwise sum is raw by default. ``normalize_swarm`` divides it by
-K * N(N-1)/2 so one tau transfers across ensemble sizes; it is off by
-default because the raw form is the reference definition.
+Training evaluates the pairwise sum in its centred form,
+N * sum_i ||h_ik - mean_j h_jk||^2, which equals it in real arithmetic and
+costs O(N) instead of O(N^2); ``swarm_loss`` keeps the pairwise double loop
+as the reference. The pairwise sum is raw by default. ``normalize_swarm``
+divides it by K * N(N-1)/2 so one tau transfers across ensemble sizes; it
+is off by default because the raw form is the reference definition.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -42,6 +45,16 @@ class LossBreakdown:
 
 @dataclass
 class Ensemble:
+    """N same-shape policies plus the state normalisation and action bounds.
+
+    The constructor copies the members' parameters into one flat buffer,
+    ``params`` (layout in ``nn``), and replaces ``members`` by policies whose
+    arrays are views into it; ``weights[k]``/``biases[k]`` are the stacked
+    ``(N, in, out)``/``(N, out)`` views the engine runs on. Writing into a
+    member's arrays therefore updates the buffer; putting a different policy
+    into ``members`` does not (build a new Ensemble instead).
+    """
+
     members: list[nn.MlpPolicy]
     tau: float
     action_kind: str  # "continuous" | "discrete"
@@ -51,6 +64,9 @@ class Ensemble:
     action_high: np.ndarray = None
     normalize_swarm: bool = False
     meta: dict = field(default_factory=dict)
+    params: np.ndarray = field(init=False, repr=False, compare=False)
+    weights: list = field(init=False, repr=False, compare=False)
+    biases: list = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if not self.members:
@@ -70,6 +86,19 @@ class Ensemble:
         if self.obs_mean is None:
             self.obs_mean = np.zeros(dims[0])
             self.obs_std = np.ones(dims[0])
+        self.params, self.weights, self.biases = nn.stacked_buffer(dims, len(self.members))
+        for i, m in enumerate(self.members):
+            for w, b, mw, mb in zip(self.weights, self.biases, m.weights, m.biases):
+                w[i], b[i] = mw, mb
+        self.members = [
+            replace(
+                m,
+                layer_dims=list(dims),
+                weights=[w[i] for w in self.weights],
+                biases=[b[i] for b in self.biases],
+            )
+            for i, m in enumerate(self.members)
+        ]
 
     @property
     def n_members(self) -> int:
@@ -87,29 +116,27 @@ class Ensemble:
         return (np.asarray(s, dtype=np.float64) - self.obs_mean) / self.obs_std
 
     def member_traces(self, s) -> list[nn.ForwardTrace]:
+        """Per-member forward traces (the reference path of the loss oracles)."""
         z = self.normalize(s)
         return [nn.forward(m, z) for m in self.members]
 
     def predict_members(self, s) -> np.ndarray:
         """Raw member outputs for one state: (N, action_dim). Discrete heads
         yield probability vectors (no argmax, no clipping)."""
-        return np.stack([t.output for t in self.member_traces(s)])
+        x = self.normalize(s)[None, :]
+        head = self.members[0].output_activation
+        return nn.stacked_forward(self.weights, self.biases, x, head)[1][:, 0]
 
     def act(self, s):
         """The deployed ensemble action for one state."""
         return ensemble_action(self, s)
 
 
-def _swarm_pair_count(n_members: int, n_hidden: int) -> int:
-    return n_hidden * (n_members * (n_members - 1)) // 2
-
-
 def _swarm_scale(ensemble: Ensemble) -> float:
     """1 for the raw pairwise sum, 1/(K * pairs) in normalized mode."""
-    if not ensemble.normalize_swarm:
-        return 1.0
-    pairs = _swarm_pair_count(ensemble.n_members, ensemble.members[0].n_hidden_layers)
-    return 1.0 / pairs if pairs else 1.0
+    n = ensemble.n_members
+    pairs = ensemble.members[0].n_hidden_layers * (n * (n - 1)) // 2
+    return 1.0 / pairs if ensemble.normalize_swarm and pairs else 1.0
 
 
 def _check_sample(ensemble: Ensemble, s, a):
@@ -174,6 +201,36 @@ def ensemble_action(ensemble: Ensemble, s):
     return mean
 
 
+def _loss_and_grads(ensemble: Ensemble, states, actions, dweights, dbiases) -> LossBreakdown:
+    """The stacked training kernel: mean per-sample loss over a 2-D batch,
+    with the gradient of every member written into ``dweights``/``dbiases``
+    (views shaped like ``ensemble.weights``/``ensemble.biases``)."""
+    n_batch = len(states)
+    n = ensemble.n_members
+    head = ensemble.members[0].output_activation
+    x = ensemble.normalize(states)
+    hiddens, output = nn.stacked_forward(ensemble.weights, ensemble.biases, x, head)
+    err = output - actions  # (N, B, action_dim)
+    bc = sum(np.square(err).reshape(n, -1).sum(axis=1).tolist()) / n_batch  # as swarm_loss
+
+    # sum_{i<j} ||h_i - h_j||^2 = N sum_i ||h_i - h_mean||^2, with gradient
+    # 2N (h_i - h_mean) w.r.t. h_i
+    scale = _swarm_scale(ensemble)
+    centred = [h - h.sum(axis=0) / n for h in hiddens]
+    swarm = n * sum(np.sum(d * d) for d in centred) * scale / n_batch
+    total = bc + ensemble.tau * swarm
+
+    hidden_grads = None
+    if ensemble.tau > 0 and n > 1:
+        coef = 2.0 * ensemble.tau * scale / n_batch
+        hidden_grads = [coef * (n * d) for d in centred]
+    nn.stacked_backward(
+        ensemble.weights, x, hiddens, output, 2.0 * err / n_batch, hidden_grads,
+        dweights, dbiases, head,
+    )
+    return LossBreakdown(bc_term=float(bc), swarm_term=float(swarm), total=float(total))
+
+
 def batch_loss_and_grads(ensemble: Ensemble, states, actions):
     """Mean per-sample loss over a batch, plus per-member parameter grads.
 
@@ -184,40 +241,13 @@ def batch_loss_and_grads(ensemble: Ensemble, states, actions):
     """
     states = np.atleast_2d(np.asarray(states, dtype=np.float64))
     actions = np.atleast_2d(np.asarray(actions, dtype=np.float64))
-    n_batch = len(states)
-    n = ensemble.n_members
-    traces = ensemble.member_traces(states)
-    K = ensemble.members[0].n_hidden_layers
-    scale = _swarm_scale(ensemble)
-
-    bc = sum(np.sum((t.output - actions) ** 2) for t in traces) / n_batch
-    swarm = 0.0
-    hidden_sums = []
-    for k in range(K):
-        hs = np.stack([t.hiddens[k] for t in traces])  # (N, B, m)
-        hidden_sums.append(hs.sum(axis=0))
-        for i in range(n):
-            for j in range(i + 1, n):
-                d = hs[i] - hs[j]
-                swarm += np.sum(d * d)
-    swarm = swarm * scale / n_batch
-    total = bc + ensemble.tau * swarm
-
-    seeds = []
-    coef = 2.0 * ensemble.tau * scale / n_batch
-    for i, t in enumerate(traces):
-        out_seed = 2.0 * (t.output - actions) / n_batch
-        hid_seeds = None
-        if ensemble.tau > 0 and n > 1:
-            # d/dh_i sum_{a<b} ||h_a - h_b||^2 = 2 (N h_i - sum_j h_j)
-            hid_seeds = [
-                coef * (n * t.hiddens[k] - hidden_sums[k]) for k in range(K)
-            ]
-        seeds.append((out_seed, hid_seeds))
-
-    raw = nn.backward(ensemble.members, traces, seeds)
-    grads = [nn.policy_gradients(dw, db) for dw, db in raw]
-    return LossBreakdown(bc_term=float(bc), swarm_term=float(swarm), total=float(total)), grads
+    _, dweights, dbiases = nn.stacked_buffer(ensemble.members[0].layer_dims, ensemble.n_members)
+    breakdown = _loss_and_grads(ensemble, states, actions, dweights, dbiases)
+    grads = [
+        [g[i] for pair in zip(dweights, dbiases) for g in pair]
+        for i in range(ensemble.n_members)
+    ]
+    return breakdown, grads
 
 
 def evaluate_loss(ensemble: Ensemble, states, actions) -> LossBreakdown:
@@ -255,7 +285,9 @@ def train(
 ):
     """Train a fresh ensemble on a dataset; returns ``(ensemble, history)``.
 
-    All members update jointly from the single coupled loss each minibatch.
+    All members update jointly from the single coupled loss each minibatch:
+    one stacked forward and backward, then one Adam step over the flat
+    parameter buffer.
     States are normalized with the dataset statistics. Training stops at the
     epoch budget or once the epoch loss has stopped improving for
     ``patience`` epochs. ``history`` holds one mean LossBreakdown per epoch.
@@ -307,54 +339,38 @@ def train(
         },
     )
 
-    opt_states = [
-        nn.adam_init(
-            nn.policy_parameters(m),
-            lr=config.learning_rate,
-            beta1=config.beta1,
-            beta2=config.beta2,
-            eps=config.eps,
-        )
-        for m in members
-    ]
+    grad, dweights, dbiases = nn.stacked_buffer(layer_dims, n_members)
+    opt = nn.adam_init(
+        [ens.params],
+        lr=config.learning_rate,
+        beta1=config.beta1,
+        beta2=config.beta2,
+        eps=config.eps,
+    )
 
     n_samples = len(dataset)
     history: list[LossBreakdown] = []
     best_total = np.inf
     best_epoch = -1
-    last_finite = [m.copy() for m in ens.members]
+    last_finite = ens.params.copy()
 
     for epoch in range(config.epochs):
         order = shuffle_rng.permutation(n_samples)
         sum_bc = sum_swarm = sum_total = 0.0
         for start in range(0, n_samples, config.batch_size):
             idx = order[start : start + config.batch_size]
-            breakdown, grads = batch_loss_and_grads(
-                ens, dataset.states[idx], dataset.actions[idx]
+            breakdown = _loss_and_grads(
+                ens, dataset.states[idx], dataset.actions[idx], dweights, dbiases
             )
             if not np.isfinite(breakdown.total):
+                payload = replace(ens, meta=dict(ens.meta))  # copies the buffer
+                payload.params[:] = last_finite
                 raise TrainingDivergedError(
                     f"non-finite loss in epoch {epoch}",
                     epoch=epoch,
-                    last_finite_ensemble=Ensemble(
-                        members=last_finite,
-                        tau=ens.tau,
-                        action_kind=ens.action_kind,
-                        obs_mean=ens.obs_mean,
-                        obs_std=ens.obs_std,
-                        action_low=ens.action_low,
-                        action_high=ens.action_high,
-                        normalize_swarm=ens.normalize_swarm,
-                        meta=dict(ens.meta),
-                    ),
+                    last_finite_ensemble=payload,
                 )
-            new_members = []
-            for i, member in enumerate(ens.members):
-                params, opt_states[i] = nn.adam_step(
-                    nn.policy_parameters(member), grads[i], opt_states[i]
-                )
-                new_members.append(nn.with_parameters(member, params))
-            ens.members = new_members
+            nn.adam_update([ens.params], [grad], opt)
             w = len(idx)
             sum_bc += breakdown.bc_term * w
             sum_swarm += breakdown.swarm_term * w
@@ -365,7 +381,7 @@ def train(
             total=sum_total / n_samples,
         )
         history.append(epoch_loss)
-        last_finite = [m.copy() for m in ens.members]
+        last_finite[:] = ens.params
 
         if np.isfinite(best_total):
             threshold = config.min_rel_improvement * max(1.0, abs(best_total))
@@ -468,9 +484,10 @@ def random_tiny_ensemble(rng, tau, n_members=None, discrete=None) -> Ensemble:
 
 
 def gradient_max_rel_error(n_trials=100, seed=0, taus=(0.0, 0.25, 1.0), step=1e-5):
-    """Compare analytic gradients of the full loss against central finite
-    differences on random tiny ensembles; returns the worst relative error
-    (absolute floor 1e-7 in the denominator)."""
+    """Compare the stacked kernel's analytic gradients of the full loss against
+    central finite differences of the double-loop ``swarm_loss`` on random
+    tiny ensembles; returns the worst relative error (absolute floor 1e-7 in
+    the denominator)."""
     rng = np.random.default_rng(seed)
     worst = 0.0
     for trial in range(n_trials):
@@ -483,27 +500,14 @@ def gradient_max_rel_error(n_trials=100, seed=0, taus=(0.0, 0.25, 1.0), step=1e-
         else:
             a = rng.normal(size=ens.action_dim)
 
-        _, grads = batch_loss_and_grads(ens, s[None, :], a[None, :])
+        grad, dweights, dbiases = nn.stacked_buffer(ens.members[0].layer_dims, ens.n_members)
+        _loss_and_grads(ens, s[None, :], a[None, :], dweights, dbiases)
 
-        counts = [len(nn.policy_parameters(m)) for m in ens.members]
+        def loss_fn(flat):
+            ens.params[:] = flat[0]  # the members are views of this buffer
+            return swarm_loss(ens, s, a).total
 
-        def loss_fn(flat_params):
-            rebuilt, at = [], 0
-            for m, c in zip(ens.members, counts):
-                rebuilt.append(nn.with_parameters(m, flat_params[at : at + c]))
-                at += c
-            probe = Ensemble(
-                members=rebuilt,
-                tau=ens.tau,
-                action_kind=ens.action_kind,
-                normalize_swarm=ens.normalize_swarm,
-            )
-            return swarm_loss(probe, s, a).total
-
-        flat = [p for m in ens.members for p in nn.policy_parameters(m)]
-        fd = nn.finite_diff_grad(loss_fn, flat, step=step)
-        analytic = [g for gs in grads for g in gs]
-        for ga, gf in zip(analytic, fd):
-            denom = np.maximum(np.maximum(np.abs(ga), np.abs(gf)), 1e-7)
-            worst = max(worst, float(np.max(np.abs(ga - gf) / denom)))
+        (fd,) = nn.finite_diff_grad(loss_fn, [ens.params], step=step)
+        denom = np.maximum(np.maximum(np.abs(grad), np.abs(fd)), 1e-7)
+        worst = max(worst, float(np.max(np.abs(grad - fd) / denom)))
     return worst

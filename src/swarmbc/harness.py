@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import csv
 import hashlib
+import warnings
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -223,12 +224,24 @@ class ResultsStore:
             self._load()
 
     def _load(self):
-        with open(self.path, newline="") as f:
-            first = f.readline().strip()
-            if first != f"# schema={RESULTS_SCHEMA}":
-                raise ConfigError(f"{self.path}: unexpected schema line {first!r}")
-            reader = csv.DictReader(f)
-            for row in reader:
+        """Read every complete row. An unterminated last row is what an
+        interrupted append leaves: it is dropped with a warning and cut from
+        the file, so its cell reruns and the next append starts a fresh line."""
+        text = self.path.read_bytes().decode()
+        first = text.split("\n", 1)[0].strip()
+        if first != f"# schema={RESULTS_SCHEMA}":
+            raise ConfigError(f"{self.path}: unexpected schema line {first!r}")
+        complete = text[: text.rfind("\n") + 1]
+        if len(complete) < len(text):
+            warnings.warn(
+                f"{self.path}: dropping unterminated last row "
+                f"{text[len(complete):]!r} (interrupted write)",
+                RuntimeWarning,
+            )
+            with open(self.path, "r+b") as f:
+                f.truncate(len(complete.encode()))
+        for row in csv.DictReader(complete.splitlines()[1:]):
+            try:
                 rec = RunRecord(
                     env=row["env"],
                     method=row["method"],
@@ -239,8 +252,10 @@ class ResultsStore:
                     scaled_return=float(row["scaled_return"]),
                     action_diff=float(row["action_diff"]) if row["action_diff"] else None,
                 )
-                self.records.append(rec)
-                self._keys.add(self._key(rec))
+            except (KeyError, TypeError, ValueError) as exc:
+                raise ConfigError(f"{self.path}: malformed row {row}: {exc}") from None
+            self.records.append(rec)
+            self._keys.add(self._key(rec))
 
     @staticmethod
     def _key(rec: RunRecord):
@@ -290,8 +305,14 @@ class ResultsStore:
 
 
 def load_or_compute_baselines(cfg: ExperimentConfig, out_dir: Path) -> dict:
-    """Per-env (r_random, r_expert), cached in baselines.csv."""
+    """Per-env (r_random, r_expert), cached in baselines.csv. A cached row is
+    used only if its episode count and seed are the ones this config would
+    use; any other env is recomputed and the file rewritten."""
     path = Path(out_dir) / "baselines.csv"
+
+    def seed_of(env_id):
+        return fan_out_seed(cfg.master_seed, "baseline", env_id)
+
     cache = {}
     if path.exists():
         with open(path, newline="") as f:
@@ -299,12 +320,13 @@ def load_or_compute_baselines(cfg: ExperimentConfig, out_dir: Path) -> dict:
             if first != f"# schema={BASELINES_SCHEMA}":
                 raise ConfigError(f"{path}: unexpected schema line {first!r}")
             for row in csv.DictReader(f):
-                cache[row["env"]] = (float(row["r_random"]), float(row["r_expert"]))
+                key = (int(row["n_episodes"]), int(row["seed"]))
+                if key == (cfg.eval_episodes, seed_of(row["env"])):
+                    cache[row["env"]] = (float(row["r_random"]), float(row["r_expert"]))
     missing = [e for e in cfg.envs if e not in cache]
     for env_id in missing:
-        seed = fan_out_seed(cfg.master_seed, "baseline", env_id)
         cache[env_id] = baseline_returns(
-            make_env(env_id), n_episodes=cfg.eval_episodes, seed=seed
+            make_env(env_id), n_episodes=cfg.eval_episodes, seed=seed_of(env_id)
         )
     if missing:
         with open(path, "w", newline="") as f:
@@ -317,7 +339,7 @@ def load_or_compute_baselines(cfg: ExperimentConfig, out_dir: Path) -> dict:
                     [
                         env_id,
                         cfg.eval_episodes,
-                        fan_out_seed(cfg.master_seed, "baseline", env_id),
+                        seed_of(env_id),
                         repr(r_rand),
                         repr(r_exp),
                     ]

@@ -1,11 +1,18 @@
 """Dense feed-forward policies with hand-written analytic gradients.
 
-Everything here is float64 and purely functional: forward passes return a
-trace of every intermediate value, the backward pass consumes a trace plus
-gradient seeds (including seeds injected directly on hidden activations),
-and the optimizer returns fresh arrays instead of mutating. This keeps
-training bit-reproducible and the gradient math checkable against finite
-differences.
+Everything here is float64. The single-policy functions are purely
+functional: forward passes return a trace of every intermediate value, the
+backward pass consumes a trace plus gradient seeds (including seeds injected
+directly on hidden activations), and ``adam_step`` returns fresh arrays
+instead of mutating. They are the reference the stacked engine is tested
+against, bit for bit.
+
+The stacked engine runs N same-shape policies as one: their parameters live
+in one flat buffer, laid out layer by layer as ``W_k`` of shape
+``(N, in, out)`` followed by ``b_k`` of shape ``(N, out)``, so that one
+``np.matmul`` per layer serves every member and ``adam_update`` rewrites the
+whole buffer in place. Member i's ``W_k[i]`` is a contiguous block, so each
+member can still be handed out as an ``MlpPolicy`` of views.
 """
 
 from __future__ import annotations
@@ -195,20 +202,64 @@ def backward_policy(policy, trace, output_grad, hidden_grads=None):
     return dweights, dbiases
 
 
-def backward(policies, traces, seeds):
-    """Per-policy gradients for a list of policies sharing one scalar loss.
+def stacked_buffer(layer_dims, n_members: int):
+    """A zeroed flat buffer for ``n_members`` policies and its per-layer views:
+    ``(flat, weights, biases)`` with ``weights[k]`` of shape ``(N, in, out)``
+    and ``biases[k]`` of shape ``(N, out)``."""
+    dims = list(zip(layer_dims[:-1], layer_dims[1:]))
+    flat = np.zeros(n_members * sum((fan_in + 1) * fan_out for fan_in, fan_out in dims))
+    weights, biases, at = [], [], 0
+    for fan_in, fan_out in dims:
+        size = n_members * fan_in * fan_out
+        weights.append(flat[at : at + size].reshape(n_members, fan_in, fan_out))
+        at += size
+        biases.append(flat[at : at + n_members * fan_out].reshape(n_members, fan_out))
+        at += n_members * fan_out
+    return flat, weights, biases
 
-    ``seeds[i]`` is ``(output_grad, hidden_grads)`` for policy i, with
-    ``hidden_grads`` either None or a list with one entry per hidden layer.
+
+def stacked_forward(weights, biases, x: np.ndarray, output_activation: str):
+    """Every member on one shared batch ``x`` of shape ``(B, in)``.
+
+    Returns ``(hiddens, output)``: post-tanh activations ``(N, B, width)``
+    per hidden layer and the head output ``(N, B, out)``.
     """
-    if not (len(policies) == len(traces) == len(seeds)):
+    if x.shape[-1] != weights[0].shape[1]:
         raise DimensionMismatchError(
-            f"got {len(policies)} policies, {len(traces)} traces, {len(seeds)} seeds"
+            f"input layer: state dim {x.shape[-1]}, expected {weights[0].shape[1]}"
         )
-    return [
-        backward_policy(p, t, out_g, hid_g)
-        for p, t, (out_g, hid_g) in zip(policies, traces, seeds)
-    ]
+    hiddens = []
+    a = x
+    for w, b in zip(weights[:-1], biases[:-1]):
+        a = np.tanh(np.matmul(a, w) + b[:, None, :])
+        hiddens.append(a)
+    z = np.matmul(a, weights[-1]) + biases[-1][:, None, :]
+    return hiddens, _softmax(z) if output_activation == "softmax" else z
+
+
+def stacked_backward(weights, x, hiddens, output, output_grad, hidden_grads,
+                     dweights, dbiases, output_activation: str) -> None:
+    """``backward_policy`` for every member at once, written into the
+    gradient views ``dweights``/``dbiases`` (shaped like ``weights``/``biases``).
+
+    ``output_grad`` is ``(N, B, out)``; ``hidden_grads`` is None or one
+    ``(N, B, width)`` seed per hidden layer.
+    """
+    if output_activation == "softmax":
+        dz = output * (output_grad - (output_grad * output).sum(axis=-1, keepdims=True))
+    else:
+        dz = output_grad
+    acts = [x] + hiddens  # inputs to each affine layer
+    for k in range(len(weights) - 1, -1, -1):
+        np.matmul(acts[k].swapaxes(-1, -2), dz, out=dweights[k])
+        dz.sum(axis=1, out=dbiases[k])
+        if k == 0:
+            break
+        da = np.matmul(dz, weights[k].swapaxes(-1, -2))
+        if hidden_grads is not None:
+            da += hidden_grads[k - 1]
+        h = hiddens[k - 1]
+        dz = da * (1.0 - h * h)
 
 
 @dataclass
@@ -254,6 +305,21 @@ def adam_step(params, grads, state: AdamState):
         new_v.append(v)
         new_params.append(p - state.lr * (m / c1) / (np.sqrt(v / c2) + state.eps))
     return new_params, replace(state, m=new_m, v=new_v, step=t)
+
+
+def adam_update(params, grads, state: AdamState) -> None:
+    """``adam_step`` in place: the same arithmetic, bit for bit, written into
+    ``params``, ``state.m`` and ``state.v``."""
+    t = state.step + 1
+    c1 = 1.0 - state.beta1**t
+    c2 = 1.0 - state.beta2**t
+    for p, g, m, v in zip(params, grads, state.m, state.v):
+        m *= state.beta1
+        m += (1.0 - state.beta1) * g
+        v *= state.beta2
+        v += (1.0 - state.beta2) * (g * g)
+        p -= state.lr * (m / c1) / (np.sqrt(v / c2) + state.eps)
+    state.step = t
 
 
 def policy_parameters(policy: MlpPolicy) -> list[np.ndarray]:

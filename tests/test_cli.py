@@ -187,3 +187,20 @@ def test_sweep_rejects_unknown_config_key(tmp_path, capsys):
     cfg_path = tmp_path / "bad.cfg"
     cfg_path.write_text("tau_gird = 0.1\n")
     assert run_cli("sweep", "--config", cfg_path) == 1
+
+
+def test_sweep_malformed_results_exits_1(tmp_path, capsys):
+    cfg_path = tmp_path / "sweep.cfg"
+    cfg_path.write_text(
+        "envs = point_reach\nmethods = bc\nepisode_counts = 1\nn_seeds = 1\n"
+        "eval_episodes = 1\nablations = false\nepochs = 2\nhidden_dims = 4\n"
+    )
+    out_dir = tmp_path / "out"
+    out_dir.mkdir()
+    (out_dir / "results.csv").write_text(
+        "# schema=swarmbc.results.v1\n"
+        "env,method,n_expert_episodes,tau,n_members,seed,scaled_return,action_diff\n"
+        "point_reach,bc,1,0.0,1,0,not-a-number,\n"
+    )
+    assert run_cli("sweep", "--config", cfg_path, "--out", out_dir) == 1
+    assert "malformed row" in capsys.readouterr().err

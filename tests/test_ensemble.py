@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -18,7 +20,7 @@ from swarmbc.ensemble import (
     train,
 )
 from swarmbc.envs import generate_dataset, make_env
-from swarmbc.errors import ConfigError, DimensionMismatchError
+from swarmbc.errors import ConfigError, DimensionMismatchError, TrainingDivergedError
 
 
 def fixed_output_policy(obs_dim, outputs):
@@ -197,16 +199,149 @@ def test_joint_gradient_coupling():
         assert np.array_equal(x, y)
 
 
-def _toy_dataset(n=60, seed=0, obs_dim=3, action_dim=2):
+def _reference_batch(ens, states, actions):
+    """The per-member reference for ``batch_loss_and_grads``: one
+    ``nn.forward`` and ``nn.backward_policy`` per member, hidden seeds in the
+    raw pairwise form 2 (N h_i - sum_j h_j), bc summed member by member."""
+    n, n_batch = ens.n_members, len(states)
+    traces = [nn.forward(m, ens.normalize(states)) for m in ens.members]
+    bc = sum(np.sum((t.output - actions) ** 2) for t in traces) / n_batch
+    scale = 1.0
+    if ens.normalize_swarm and n > 1:
+        scale = 1.0 / (ens.members[0].n_hidden_layers * n * (n - 1) // 2)
+    coef = 2.0 * ens.tau * scale / n_batch
+    grads = []
+    for t, m in zip(traces, ens.members):
+        hidden_grads = None
+        if ens.tau > 0 and n > 1:
+            hidden_grads = [
+                coef * (n * t.hiddens[k] - np.stack([u.hiddens[k] for u in traces]).sum(axis=0))
+                for k in range(m.n_hidden_layers)
+            ]
+        dw, db = nn.backward_policy(m, t, 2.0 * (t.output - actions) / n_batch, hidden_grads)
+        grads.append(nn.policy_gradients(dw, db))
+    return bc, grads
+
+
+@pytest.mark.parametrize("normalize_swarm", [False, True])
+@pytest.mark.parametrize("discrete", [False, True])
+@pytest.mark.parametrize("n_members", [1, 2, 3, 5, 8])
+def test_stacked_kernel_matches_per_member_reference(n_members, discrete, normalize_swarm):
+    rng = np.random.default_rng(100 * n_members + 10 * discrete + normalize_swarm)
+    for tau in (0.0, 0.7):
+        for _ in range(5):
+            ens = random_tiny_ensemble(rng, tau, n_members=n_members, discrete=discrete)
+            ens = replace(ens, normalize_swarm=normalize_swarm)
+            n_batch = int(rng.integers(1, 8))
+            states = rng.normal(size=(n_batch, ens.obs_dim))
+            actions = rng.normal(size=(n_batch, ens.action_dim))
+
+            loss, grads = batch_loss_and_grads(ens, states, actions)
+            per_sample = [swarm_loss(ens, s, a) for s, a in zip(states, actions)]
+            for term in ("bc_term", "swarm_term", "total"):
+                want = np.mean([getattr(p, term) for p in per_sample])
+                assert getattr(loss, term) == pytest.approx(want, rel=1e-12, abs=1e-12)
+            plain = np.mean([standard_loss(ens, s, a).total for s, a in zip(states, actions)])
+            assert loss.bc_term == pytest.approx(plain, rel=1e-12, abs=1e-12)
+
+            ref_bc, ref_grads = _reference_batch(ens, states, actions)
+            assert loss.bc_term == ref_bc
+            # the centred seed N (h_i - h_mean) rounds exactly like the raw
+            # N h_i - sum_j h_j when N is a power of two
+            exact = n_members in (1, 2, 4, 8)
+            for got_member, want_member in zip(grads, ref_grads):
+                for got, want in zip(got_member, want_member):
+                    if exact:
+                        assert np.array_equal(got, want)
+                    else:
+                        np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-12)
+
+
+def test_predict_members_matches_per_member_forward():
+    rng = np.random.default_rng(12)
+    for discrete in (False, True):
+        ens = random_tiny_ensemble(rng, 0.0, n_members=4, discrete=discrete)
+        s = rng.normal(size=ens.obs_dim)
+        want = np.stack([t.output for t in ens.member_traces(s)])
+        assert np.array_equal(ens.predict_members(s), want)
+
+
+def test_members_are_views_into_the_parameter_buffer():
+    rng = np.random.default_rng(13)
+    ens = random_tiny_ensemble(rng, 0.5, n_members=3)
+    assert ens.params.size == sum(
+        w.size + b.size for m in ens.members for w, b in zip(m.weights, m.biases)
+    )
+    for m in ens.members:
+        for a in m.weights + m.biases:
+            assert np.shares_memory(a, ens.params)
+    ens.members[1].biases[0][0] = 42.0
+    assert ens.biases[0][1, 0] == 42.0
+
+
+def _toy_dataset(n=60, seed=0, obs_dim=3, action_dim=2, discrete=False):
     rng = np.random.default_rng(seed)
     states = rng.normal(size=(n, obs_dim))
     w = rng.normal(size=(obs_dim, action_dim))
     actions = np.tanh(states @ w)
+    if discrete:
+        actions = np.eye(action_dim)[np.argmax(actions, axis=1)]
     meta = DatasetMeta(
         env="toy", episodes=1, seed=seed, obs_dim=obs_dim,
-        action_dim=action_dim, action_kind="continuous",
+        action_dim=action_dim, action_kind="discrete" if discrete else "continuous",
     )
     return Dataset(states=states, actions=actions, meta=meta)
+
+
+def _reference_train(dataset, n_members, tau, cfg, seed):
+    """``train`` rebuilt from the single-policy primitives: per minibatch,
+    ``nn.forward`` -> ``nn.backward_policy`` -> ``nn.adam_step`` per member.
+    Returns the final members and the per-epoch mean total loss."""
+    head = "softmax" if dataset.meta.action_kind == "discrete" else "identity"
+    dims = [dataset.meta.obs_dim, *cfg.hidden_dims, dataset.meta.action_dim]
+    streams = np.random.SeedSequence(seed).spawn(n_members + 1)
+    members = [
+        nn.init_policy(dims, np.random.default_rng(streams[i]), output_activation=head)
+        for i in range(n_members)
+    ]
+    shuffle_rng = np.random.default_rng(streams[n_members])
+    opts = [
+        nn.adam_init(nn.policy_parameters(m), lr=cfg.learning_rate, beta1=cfg.beta1,
+                     beta2=cfg.beta2, eps=cfg.eps)
+        for m in members
+    ]
+    history = []
+    for _ in range(cfg.epochs):
+        order = shuffle_rng.permutation(len(dataset))
+        epoch_total = 0.0
+        for start in range(0, len(dataset), cfg.batch_size):
+            idx = order[start : start + cfg.batch_size]
+            x = (dataset.states[idx] - dataset.obs_mean) / dataset.obs_std
+            a = dataset.actions[idx]
+            traces = [nn.forward(m, x) for m in members]
+            sums = [np.stack([t.hiddens[k] for t in traces]).sum(axis=0)
+                    for k in range(len(cfg.hidden_dims))]
+            bc = sum(np.sum((t.output - a) ** 2) for t in traces)
+            swarm = sum(
+                np.sum((traces[i].hiddens[k] - traces[j].hiddens[k]) ** 2)
+                for k in range(len(cfg.hidden_dims))
+                for i in range(n_members) for j in range(i + 1, n_members)
+            )
+            epoch_total += bc + tau * swarm
+            coef = 2.0 * tau / len(idx)
+            for i, t in enumerate(traces):
+                hidden_grads = None
+                if tau > 0 and n_members > 1:
+                    hidden_grads = [coef * (n_members * h - hs) for h, hs in zip(t.hiddens, sums)]
+                dw, db = nn.backward_policy(
+                    members[i], t, 2.0 * (t.output - a) / len(idx), hidden_grads
+                )
+                params, opts[i] = nn.adam_step(
+                    nn.policy_parameters(members[i]), nn.policy_gradients(dw, db), opts[i]
+                )
+                members[i] = nn.with_parameters(members[i], params)
+        history.append(epoch_total / len(dataset))
+    return members, history
 
 
 def test_train_validates_inputs():
@@ -349,3 +484,50 @@ def test_ensemble_rejects_mismatched_members():
     b = nn.init_policy([2, 4, 1], np.random.default_rng(1))
     with pytest.raises(DimensionMismatchError):
         Ensemble(members=[a, b], tau=0.0, action_kind="continuous")
+
+
+@pytest.mark.parametrize("discrete", [False, True])
+def test_train_matches_single_policy_reference_loop(discrete):
+    dataset = _toy_dataset(n=50, discrete=discrete, action_dim=3)
+    cfg = TrainConfig(epochs=6, hidden_dims=(8, 6), batch_size=16, learning_rate=1e-2)
+    ens, history = train(dataset, 4, 0.25, cfg, seed=21)
+    ref_members, ref_history = _reference_train(dataset, 4, 0.25, cfg, seed=21)
+    for got, want in zip(ens.members, ref_members):
+        for a, b in zip(got.weights + got.biases, want.weights + want.biases):
+            assert np.array_equal(a, b)
+    assert len(history) == len(ref_history)
+    for h, ref in zip(history, ref_history):
+        assert h.total == pytest.approx(ref, rel=1e-12)
+
+
+def test_train_divergence_payload_is_last_epoch_end_and_detached(monkeypatch):
+    # three minibatches per epoch; after the first update of epoch 2 the live
+    # buffer is poisoned, so the loss of that epoch's second batch is NaN
+    dataset = _toy_dataset()
+    cfg = TrainConfig(epochs=10, hidden_dims=(8,), batch_size=20)
+    live = []
+    adam_update = nn.adam_update
+
+    def poisoning_update(params, grads, state):
+        adam_update(params, grads, state)
+        live.append(params[0])
+        if len(live) == 7:
+            params[0][:] = np.nan
+
+    monkeypatch.setattr(nn, "adam_update", poisoning_update)
+    with pytest.raises(TrainingDivergedError) as info:
+        train(dataset, 2, 0.25, cfg, seed=1)
+    monkeypatch.undo()
+    assert info.value.epoch == 2
+    payload = info.value.last_finite_ensemble
+
+    expected, _ = train(dataset, 2, 0.25, replace(cfg, epochs=2), seed=1)
+    assert np.array_equal(payload.params, expected.params)
+    for got, want in zip(payload.members, expected.members):
+        for a, b in zip(got.weights + got.biases, want.weights + want.biases):
+            assert np.array_equal(a, b)
+
+    snapshot = [a.copy() for m in payload.members for a in m.weights + m.biases]
+    live[-1][:] = 7.0  # the live training buffer is written after the raise
+    after = [a for m in payload.members for a in m.weights + m.biases]
+    assert all(np.array_equal(a, b) for a, b in zip(after, snapshot))

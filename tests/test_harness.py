@@ -14,7 +14,8 @@ from swarmbc.harness import (
     parse_config_text,
     run_sweep,
 )
-from swarmbc.metrics import RunRecord
+from swarmbc.envs import make_env
+from swarmbc.metrics import RunRecord, baseline_returns
 
 
 def tiny_config(**overrides):
@@ -156,6 +157,54 @@ def test_results_store_rejects_foreign_file(tmp_path):
     path.write_text("env,method\n")
     with pytest.raises(ConfigError):
         ResultsStore(path)
+
+
+def test_results_store_drops_torn_tail(tmp_path):
+    path = tmp_path / "results.csv"
+    store = ResultsStore(path)
+    rec = RunRecord(
+        env="point_reach", method="swarm", n_expert_episodes=1, tau=0.25,
+        n_members=4, seed=0, scaled_return=0.5, action_diff=0.04,
+    )
+    store.append(rec)
+    complete = path.read_bytes()
+    with open(path, "a") as f:  # an append cut short after "-0."
+        f.write("point_reach,ensemble,1,0.0,4,0,-0.")
+    with pytest.warns(RuntimeWarning, match="unterminated"):
+        loaded = ResultsStore(path)
+    assert len(loaded.records) == 1
+    assert not loaded.has(Cell("point_reach", "ensemble", 1, 0.0, 4, 0))
+    assert path.read_bytes() == complete
+    torn_again = RunRecord(
+        env="point_reach", method="ensemble", n_expert_episodes=1, tau=0.0,
+        n_members=4, seed=0, scaled_return=-0.25, action_diff=0.1,
+    )
+    loaded.append(torn_again)
+    reread = ResultsStore(path)
+    assert [r.scaled_return for r in reread.records] == [0.5, -0.25]
+
+
+def test_results_store_non_numeric_field_is_config_error(tmp_path):
+    path = tmp_path / "results.csv"
+    ResultsStore(path).append(RunRecord(
+        env="point_reach", method="bc", n_expert_episodes=1, tau=0.0,
+        n_members=1, seed=0, scaled_return=0.5, action_diff=None,
+    ))
+    text = path.read_text().replace("0.5", "abc")
+    path.write_text(text)
+    with pytest.raises(ConfigError, match="malformed row"):
+        ResultsStore(path)
+
+
+def test_baselines_recomputed_when_cache_key_differs(tmp_path):
+    load_or_compute_baselines(tiny_config(eval_episodes=2), tmp_path)
+    cfg = tiny_config(eval_episodes=5)
+    cached = load_or_compute_baselines(cfg, tmp_path)
+    seed = fan_out_seed(cfg.master_seed, "baseline", "point_reach")
+    fresh = baseline_returns(make_env("point_reach"), n_episodes=5, seed=seed)
+    assert cached["point_reach"] == fresh
+    lines = (tmp_path / "baselines.csv").read_text().splitlines()
+    assert lines[2].split(",")[:3] == ["point_reach", "5", str(seed)]
 
 
 def test_baselines_cached(tmp_path):

@@ -124,14 +124,6 @@ def test_backward_matches_hand_derived_221_net():
     assert dbs[1] == pytest.approx(db2_hand, rel=1e-12)
 
 
-def test_backward_list_version_checks_counts():
-    rng = np.random.default_rng(6)
-    policy = nn.init_policy([2, 2, 1], rng)
-    trace = nn.forward(policy, np.zeros(2))
-    with pytest.raises(DimensionMismatchError):
-        nn.backward([policy, policy], [trace], [(np.zeros(1), None)])
-
-
 def test_backward_softmax_head_matches_finite_differences():
     rng = np.random.default_rng(7)
     policy = nn.init_policy([2, 3, 3], rng, output_activation="softmax")
@@ -193,6 +185,20 @@ def test_adam_first_step_magnitude_is_learning_rate():
     expected = -1e-3 * 0.5 / (0.5 + 1e-8)
     assert update == pytest.approx(expected, rel=1e-12)
     assert abs(update) == pytest.approx(1e-3, rel=1e-7)
+
+
+def test_adam_update_in_place_matches_adam_step_bitwise():
+    rng = np.random.default_rng(8)
+    params = [rng.normal(size=(3, 2)), rng.normal(size=2)]
+    state = nn.adam_init(params, lr=0.05)
+    flat = np.concatenate([p.ravel() for p in params])
+    flat_state = nn.adam_init([flat], lr=0.05)
+    for _ in range(5):
+        grads = [rng.normal(size=p.shape) for p in params]
+        params, state = nn.adam_step(params, grads, state)
+        nn.adam_update([flat], [np.concatenate([g.ravel() for g in grads])], flat_state)
+        assert np.array_equal(flat, np.concatenate([p.ravel() for p in params]))
+    assert flat_state.step == state.step == 5
 
 
 def test_finite_diff_on_quadratic():
