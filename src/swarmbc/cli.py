@@ -11,8 +11,6 @@ import csv
 import sys
 from pathlib import Path
 
-import numpy as np
-
 from . import harness, theory
 from .data import load_dataset, save_dataset
 from .ensemble import TrainConfig, load_ensemble, save_ensemble, train
@@ -26,7 +24,7 @@ from .errors import (
     TiedModeError,
     TrainingDivergedError,
 )
-from .metrics import rollout, scaled_return, write_trajectory_csv
+from .metrics import write_trajectory_csv
 
 USAGE_EXIT = 1
 NUMERICAL_EXIT = 2
@@ -153,23 +151,14 @@ def cmd_eval(args) -> int:
         envs=(env_id,), eval_episodes=args.episodes, master_seed=args.seed
     )
     baselines = harness.load_or_compute_baselines(cfg, out_dir)
-    r_random, r_expert = baselines[env_id]
-
-    record_members = ens is not None and ens.n_members >= 2
-    episode_seeds = np.random.SeedSequence(
-        harness.fan_out_seed(args.seed, "eval", env_id)
-    ).spawn(args.episodes)
-    returns, diffs = [], []
-    for i, ep_seed in enumerate(episode_seeds):
-        policy = env.expert_action if ens is None else ens
-        traj = rollout(env, policy, ep_seed, record_members=record_members)
-        returns.append(scaled_return(traj.episode_return, r_random, r_expert))
-        if traj.action_diffs is not None:
-            diffs.append(traj.mean_action_difference)
+    policy = ens if ens is not None else (lambda obs, _: env.expert_action(obs))
+    trajs, mean_return, mean_diff = harness.evaluate(
+        env, policy, harness.fan_out_seed(args.seed, "eval", env_id), args.episodes,
+        baselines[env_id], record_members=ens is not None and ens.n_members >= 2,
+    )
+    for i, traj in enumerate(trajs):
         write_trajectory_csv(traj, out_dir / f"traj_ep{i:03d}.csv")
 
-    mean_return = float(np.mean(returns))
-    mean_diff = float(np.mean(diffs)) if diffs else None
     if ens is None:
         method, tau, n, n_ep = "expert", 0.0, 1, 0
     else:

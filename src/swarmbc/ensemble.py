@@ -121,11 +121,19 @@ class Ensemble:
         return [nn.forward(m, z) for m in self.members]
 
     def predict_members(self, s) -> np.ndarray:
-        """Raw member outputs for one state: (N, action_dim). Discrete heads
-        yield probability vectors (no argmax, no clipping)."""
-        x = self.normalize(s)[None, :]
+        """Raw member outputs: (N, action_dim) for one state, (E, N,
+        action_dim) for a batch of E states. Discrete heads yield probability
+        vectors (no argmax, no clipping).
+
+        Every (state, member) pair is its own (1, in) @ (in, out) product, so
+        a batch row is bit-identical to the single-state call (a (E, in)
+        product rounds differently).
+        """
+        x = self.normalize(s)
+        weights = [w[None] for w in self.weights]  # (1, N, in, out)
         head = self.members[0].output_activation
-        return nn.stacked_forward(self.weights, self.biases, x, head)[1][:, 0]
+        out = nn.stacked_forward(weights, self.biases, x[..., None, None, :], head)[1]
+        return out[..., 0, :] if x.ndim > 1 else out[0, :, 0]
 
     def act(self, s):
         """The deployed ensemble action for one state."""
@@ -190,15 +198,23 @@ def swarm_loss(ensemble: Ensemble, s, a) -> LossBreakdown:
     return LossBreakdown(bc_term=bc, swarm_term=swarm, total=bc + ensemble.tau * swarm)
 
 
-def ensemble_action(ensemble: Ensemble, s):
-    """Member-mean action: componentwise mean clipped to the env bounds for
-    continuous heads, argmax of the mean probability vector for discrete."""
-    mean = ensemble.predict_members(s).mean(axis=0)
+def deployed_action(ensemble: Ensemble, outputs):
+    """The action for member outputs of shape (..., N, action_dim): the
+    componentwise member mean clipped to the env bounds for continuous
+    heads, the argmax of the mean probability vector for discrete."""
+    # outputs.mean(axis=-2) and np.clip, bit for bit, minus their Python overhead
+    mean = np.add.reduce(outputs, axis=-2) / outputs.shape[-2]
     if ensemble.action_kind == "discrete":
-        return int(np.argmax(mean))
+        return mean.argmax(axis=-1)
     if ensemble.action_low is not None:
-        mean = np.clip(mean, ensemble.action_low, ensemble.action_high)
+        mean = np.minimum(np.maximum(mean, ensemble.action_low), ensemble.action_high)
     return mean
+
+
+def ensemble_action(ensemble: Ensemble, s):
+    """The deployed action for one state (an int for discrete heads)."""
+    action = deployed_action(ensemble, ensemble.predict_members(s))
+    return int(action) if ensemble.action_kind == "discrete" else action
 
 
 def _loss_and_grads(ensemble: Ensemble, states, actions, dweights, dbiases) -> LossBreakdown:

@@ -10,8 +10,15 @@ Three tasks, all integrated with semi-implicit Euler at a fixed dt:
 * ``cart_balance`` -- linearized cart-pole with a discrete left/right
   force; +1 reward per step the pole stays up and the cart stays in bounds.
 
+Each env writes its physics once, over a batch of E states of shape
+``(E, state_dim)``: ``observe`` maps states to observations, ``advance``
+maps states and actions to ``(states, rewards, failed)``, and the scripted
+expert takes one observation or a batch. ``reset``/``step`` run a single
+episode as the E = 1 case; ``metrics.rollouts`` steps many at once.
+
 Dynamics are deterministic; the only randomness is the seeded start state,
-so identical (state, action) pairs always produce bit-identical successors.
+so identical (state, action) pairs always produce bit-identical successors,
+whatever batch they are stepped in.
 """
 
 from __future__ import annotations
@@ -27,9 +34,14 @@ from .errors import ConfigError, EpisodeDoneError
 DT = 0.05
 
 
-def wrap_angle(theta: float) -> float:
-    """Map any angle onto [-pi, pi)."""
+def wrap_angle(theta):
+    """Map any angle (or array of angles) onto [-pi, pi)."""
     return (theta + math.pi) % (2.0 * math.pi) - math.pi
+
+
+def _clip(x, low, high, out=None):
+    """``np.clip`` without its Python-level overhead (same values)."""
+    return np.minimum(np.maximum(x, low, out=out), high, out=out)
 
 
 @dataclass(frozen=True)
@@ -46,7 +58,13 @@ class EnvSpec:
 
 
 class DeskEnv:
-    """Common reset/step bookkeeping; subclasses implement the physics."""
+    """The batched physics hooks, plus reset/step bookkeeping for one episode.
+
+    Subclasses implement ``_sample_start`` (one start state from a
+    generator), ``observe(states)``, ``advance(states, actions)`` and
+    ``expert_action(obs)``. Batched actions are ``(E, action_dim)`` floats
+    or ``(E,)`` integer indices for discrete envs.
+    """
 
     spec: EnvSpec
 
@@ -55,9 +73,12 @@ class DeskEnv:
         self._steps = 0
         self._done = True
 
+    def start_states(self, seeds) -> np.ndarray:
+        """One seeded start state per seed, stacked to ``(E, state_dim)``."""
+        return np.stack([self._sample_start(np.random.default_rng(s)) for s in seeds])
+
     def reset(self, seed) -> np.ndarray:
-        rng = np.random.default_rng(seed)
-        self._state = self._sample_start(rng)
+        self._state = self.start_states([seed])[0]
         self._steps = 0
         self._done = False
         return self._observe()
@@ -75,20 +96,24 @@ class DeskEnv:
             raise EpisodeDoneError(f"{self.spec.env_id}: step() before reset()")
         if self._done:
             raise EpisodeDoneError(f"{self.spec.env_id}: episode already done")
-        reward, failed = self._advance(action)
+        states, rewards, failed = self.advance(self._state[None], np.asarray(action)[None])
+        self._state = states[0]
         self._steps += 1
-        if failed or self._steps >= self.spec.max_steps:
+        if failed[0] or self._steps >= self.spec.max_steps:
             self._done = True
-        return self._observe(), reward, self._done
+        return self._observe(), float(rewards[0]), self._done
+
+    def _observe(self) -> np.ndarray:
+        return self.observe(self._state[None])[0]
 
     # subclass hooks
     def _sample_start(self, rng):
         raise NotImplementedError
 
-    def _observe(self) -> np.ndarray:
+    def observe(self, states) -> np.ndarray:
         raise NotImplementedError
 
-    def _advance(self, action):
+    def advance(self, states, actions):
         raise NotImplementedError
 
     def expert_action(self, obs):
@@ -131,24 +156,27 @@ class PointReach(DeskEnv):
         vel = rng.uniform(-self.START_VEL, self.START_VEL, size=2)
         return np.concatenate([pos, vel])
 
-    def _observe(self):
-        return self._state.copy()
+    def observe(self, states):
+        return states.copy()
 
-    def _advance(self, action):
-        u = np.clip(np.asarray(action, dtype=np.float64), -1.0, 1.0)
-        pos, vel = self._state[:2], self._state[2:]
-        vel = np.clip(vel + DT * u, -self.VMAX, self.VMAX)
-        pos = pos + DT * vel
-        for i in range(2):
-            if abs(pos[i]) > self.ARENA:
-                pos[i] = math.copysign(self.ARENA, pos[i])
-                vel[i] = 0.0
-        self._state = np.concatenate([pos, vel])
-        return -float(np.linalg.norm(pos)), False
+    def advance(self, states, actions):
+        u = _clip(np.asarray(actions, dtype=np.float64), -1.0, 1.0)
+        new = np.empty_like(states)
+        pos, vel = new[:, :2], new[:, 2:]
+        _clip(states[:, 2:] + DT * u, -self.VMAX, self.VMAX, out=vel)
+        np.add(states[:, :2], DT * vel, out=pos)
+        wall = np.abs(pos) > self.ARENA
+        if wall.any():
+            np.copysign(self.ARENA, pos, out=pos, where=wall)
+            vel[wall] = 0.0
+        # |pos| as sqrt of a (1, 2) @ (2, 1) product rounds like np.linalg.norm
+        # of one position; norm(axis=1) and sqrt(x*x + y*y) do not
+        reward = -np.sqrt(np.matmul(pos[:, None, :], pos[:, :, None])[:, 0, 0])
+        return new, reward, np.zeros(len(states), dtype=bool)
 
     def expert_action(self, obs):
-        pos, vel = obs[:2], obs[2:]
-        return np.clip(-self.KP * pos - self.KD * vel, -1.0, 1.0)
+        pos, vel = obs[..., :2], obs[..., 2:]
+        return _clip(-self.KP * pos - self.KD * vel, -1.0, 1.0)
 
 
 class PendulumSwing(DeskEnv):
@@ -191,40 +219,46 @@ class PendulumSwing(DeskEnv):
         omega = rng.uniform(-0.5, 0.5)
         return np.array([theta, omega])
 
-    def _observe(self):
-        theta, omega = self._state
-        return np.array([math.cos(theta), math.sin(theta), omega])
+    def observe(self, states):
+        obs = np.empty((len(states), 3))
+        np.cos(states[:, 0], out=obs[:, 0])
+        np.sin(states[:, 0], out=obs[:, 1])
+        obs[:, 2] = states[:, 1]
+        return obs
 
-    def _advance(self, action):
-        u = float(np.clip(np.asarray(action, dtype=np.float64).reshape(-1)[0],
-                          -self.U_MAX, self.U_MAX))
-        theta, omega = self._state
+    def advance(self, states, actions):
+        u = np.asarray(actions, dtype=np.float64).reshape(len(states), -1)[:, 0]
+        u = _clip(u, -self.U_MAX, self.U_MAX)
+        new = np.empty_like(states)
+        theta, omega = new[:, 0], new[:, 1]
         ml2 = self.MASS * self.LENGTH**2
-        omega += DT * ((self.GRAVITY / self.LENGTH) * math.sin(theta) + u / ml2)
-        omega = float(np.clip(omega, -self.OMEGA_MAX, self.OMEGA_MAX))
-        theta = theta + DT * omega
-        self._state = np.array([theta, omega])
+        accel = (self.GRAVITY / self.LENGTH) * np.sin(states[:, 0]) + u / ml2
+        _clip(states[:, 1] + DT * accel, -self.OMEGA_MAX, self.OMEGA_MAX, out=omega)
+        np.add(states[:, 0], DT * omega, out=theta)
         a = wrap_angle(theta)
         reward = -(a * a + 0.1 * omega * omega + 0.001 * u * u)
-        return reward, False
+        return new, reward, np.zeros(len(states), dtype=bool)
 
     def expert_action(self, obs):
-        theta = math.atan2(obs[1], obs[0])
-        omega = obs[2]
-        if abs(theta) <= self.CATCH_ANGLE and abs(omega) <= self.CATCH_OMEGA:
-            u = -self.KP * theta - self.KD * omega
-        else:
-            # Pump mechanical energy toward the upright level (E = 0);
-            # dE/dt = omega * u, so push along omega while energy is short.
-            energy = (
-                0.5 * self.MASS * self.LENGTH**2 * omega * omega
-                + self.MASS * self.GRAVITY * self.LENGTH * (math.cos(theta) - 1.0)
-            )
-            if abs(omega) < 0.05:
-                u = self.U_MAX  # kick off the hanging rest point
-            else:
-                u = -self.K_ENERGY * omega * energy
-        return np.clip(np.array([u]), -self.U_MAX, self.U_MAX)
+        obs = np.asarray(obs, dtype=np.float64)
+        rows = obs.reshape(-1, 3)
+        # math.atan2 per state: np.arctan2 rounds differently on some inputs
+        theta = np.array([
+            math.atan2(y, x) for x, y in zip(rows[:, 0].tolist(), rows[:, 1].tolist())
+        ])
+        omega = rows[:, 2]
+        # Pump mechanical energy toward the upright level (E = 0); dE/dt =
+        # omega * u, so push along omega while energy is short, kick off the
+        # hanging rest point, and catch the pendulum near the top.
+        energy = (
+            0.5 * self.MASS * self.LENGTH**2 * omega * omega
+            + self.MASS * self.GRAVITY * self.LENGTH * (np.cos(theta) - 1.0)
+        )
+        u = -self.K_ENERGY * omega * energy
+        u[np.abs(omega) < 0.05] = self.U_MAX
+        catch = (np.abs(theta) <= self.CATCH_ANGLE) & (np.abs(omega) <= self.CATCH_OMEGA)
+        u[catch] = (-self.KP * theta - self.KD * omega)[catch]
+        return _clip(u, -self.U_MAX, self.U_MAX).reshape(obs.shape[:-1] + (1,))
 
 
 class CartBalance(DeskEnv):
@@ -266,27 +300,27 @@ class CartBalance(DeskEnv):
     def _sample_start(self, rng):
         return rng.uniform(-self.START, self.START, size=4)
 
-    def _observe(self):
-        return self._state.copy()
+    def observe(self, states):
+        return states.copy()
 
-    def _advance(self, action):
-        a = int(np.asarray(action).reshape(()))
-        if a not in (0, 1):
-            raise ConfigError(f"cart_balance: action must be 0 or 1, got {action!r}")
-        force = self.FORCE if a == 1 else -self.FORCE
-        x, x_dot, theta, theta_dot = self._state
-        theta_acc = (self.GRAVITY * theta - force / self._total) / self._l_eff
-        x_acc = force / self._total - (self.M_POLE * self.POLE_HALF / self._total) * theta_acc
-        theta_dot += DT * theta_acc
-        theta += DT * theta_dot
-        x_dot += DT * x_acc
-        x += DT * x_dot
-        self._state = np.array([x, x_dot, theta, theta_dot])
-        failed = abs(theta) > self.ANGLE_LIMIT or abs(x) > self.X_LIMIT
-        return (0.0 if failed else 1.0), failed
+    def advance(self, states, actions):
+        a = np.reshape(actions, len(states))
+        if not set(a.tolist()) <= {0, 1}:
+            raise ConfigError(f"cart_balance: action must be 0 or 1, got {actions!r}")
+        push = np.where(a == 1, self.FORCE, -self.FORCE) / self._total
+        theta_acc = (self.GRAVITY * states[:, 2] - push) / self._l_eff
+        x_acc = push - (self.M_POLE * self.POLE_HALF / self._total) * theta_acc
+        new = np.empty_like(states)
+        x, x_dot, theta, theta_dot = new.T
+        np.add(states[:, 3], DT * theta_acc, out=theta_dot)
+        np.add(states[:, 2], DT * theta_dot, out=theta)
+        np.add(states[:, 1], DT * x_acc, out=x_dot)
+        np.add(states[:, 0], DT * x_dot, out=x)
+        failed = (np.abs(theta) > self.ANGLE_LIMIT) | (np.abs(x) > self.X_LIMIT)
+        return new, 1.0 - failed, failed
 
     def expert_action(self, obs):
-        return 1 if obs[2] + self.EXPERT_BLEND * obs[3] > 0.0 else 0
+        return (obs[..., 2] + self.EXPERT_BLEND * obs[..., 3] > 0.0).astype(np.int64)
 
 
 ENV_IDS = ("point_reach", "pendulum_swing", "cart_balance")
@@ -318,31 +352,23 @@ def random_action(spec: EnvSpec, rng):
     return rng.uniform(spec.action_low, spec.action_high)
 
 
-def one_hot(index: int, n: int) -> np.ndarray:
-    v = np.zeros(n)
-    v[index] = 1.0
-    return v
-
-
 def generate_dataset(env: DeskEnv, n_episodes: int, seed: int) -> Dataset:
-    """Roll the scripted expert for seeded episodes, recording every
-    (observation, expert action) pair. Discrete actions are stored one-hot."""
+    """Roll the scripted expert for seeded episodes (in lockstep), recording
+    every (observation, expert action) pair. Discrete actions are stored
+    one-hot."""
+    from .metrics import rollouts  # metrics imports this module
+
     if n_episodes < 1:
         raise ConfigError(f"n_episodes must be >= 1, got {n_episodes}")
     spec = env.spec
-    states, actions = [], []
-    episode_seeds = np.random.SeedSequence(seed).spawn(n_episodes)
-    for ep_seed in episode_seeds:
-        obs = env.reset(ep_seed)
-        done = False
-        while not done:
-            act = env.expert_action(obs)
-            states.append(obs)
-            if spec.action_kind == "discrete":
-                actions.append(one_hot(act, spec.action_dim))
-            else:
-                actions.append(np.asarray(act, dtype=np.float64))
-            obs, _, done = env.step(act)
+    episodes = rollouts(
+        env,
+        lambda obs, _: env.expert_action(obs),
+        np.random.SeedSequence(seed).spawn(n_episodes),
+    )
+    actions = np.concatenate([t.actions for t in episodes])
+    if spec.action_kind == "discrete":
+        actions = np.eye(spec.action_dim)[actions]
     meta = DatasetMeta(
         env=spec.env_id,
         episodes=n_episodes,
@@ -352,5 +378,7 @@ def generate_dataset(env: DeskEnv, n_episodes: int, seed: int) -> Dataset:
         action_kind=spec.action_kind,
     )
     return Dataset(
-        states=np.array(states), actions=np.array(actions), meta=meta
+        states=np.concatenate([t.observations for t in episodes]),
+        actions=actions,
+        meta=meta,
     )

@@ -24,10 +24,11 @@ from . import svg
 from .ensemble import METHODS, TrainConfig, train
 from .envs import ENV_IDS, generate_dataset, make_env
 from .errors import ConfigError
-from .metrics import RunRecord, baseline_returns, rollout, scaled_return
+from .metrics import RunRecord, baseline_returns, rollouts, scaled_return
 
 RESULTS_SCHEMA = "swarmbc.results.v1"
 BASELINES_SCHEMA = "swarmbc.baselines.v1"
+FINGERPRINT_FILE = "config.sha256"
 RESULTS_COLUMNS = (
     "env",
     "method",
@@ -97,6 +98,12 @@ class Cell:
             self.n_members,
             self.seed_index,
         )
+
+
+def config_fingerprint(cfg: ExperimentConfig) -> str:
+    """sha256 of the config's dataclass repr: every field, training
+    hyperparameters included, floats written exactly."""
+    return hashlib.sha256(repr(cfg).encode("utf-8")).hexdigest()
 
 
 def fan_out_seed(master_seed: int, *parts) -> int:
@@ -172,6 +179,18 @@ def _wants_trace(cfg: ExperimentConfig, cell: Cell) -> bool:
     )
 
 
+def evaluate(env, policy, eval_seed: int, n_episodes: int, baseline, record_members: bool):
+    """The evaluation loop of sweep cells and ``swarmbc eval``: ``n_episodes``
+    seeded episodes in lockstep. Returns ``(trajectories, mean scaled
+    return, mean action difference or None)``."""
+    seeds = np.random.SeedSequence(eval_seed).spawn(n_episodes)
+    trajs = rollouts(env, policy, seeds, record_members=record_members)
+    r_random, r_expert = baseline
+    returns = [scaled_return(t.episode_return, r_random, r_expert) for t in trajs]
+    diffs = [t.mean_action_difference for t in trajs if t.action_diffs is not None]
+    return trajs, float(np.mean(returns)), float(np.mean(diffs)) if diffs else None
+
+
 def run_cell(cfg: ExperimentConfig, cell: Cell, baselines: dict):
     """Train and evaluate one cell. Returns ``(RunRecord, d_trace | None)``
     where the trace is the per-timestep mean d over the eval episodes."""
@@ -180,17 +199,10 @@ def run_cell(cfg: ExperimentConfig, cell: Cell, baselines: dict):
     dataset = generate_dataset(env, cell.n_episodes, data_seed)
     ens, _ = train(dataset, cell.n_members, cell.tau, cfg.train, train_seed)
 
-    r_random, r_expert = baselines[cell.env]
-    record_members = cell.n_members >= 2
-    episode_seeds = np.random.SeedSequence(eval_seed).spawn(cfg.eval_episodes)
-    returns, diffs, d_traces = [], [], []
-    for ep_seed in episode_seeds:
-        traj = rollout(env, ens, ep_seed, record_members=record_members)
-        returns.append(scaled_return(traj.episode_return, r_random, r_expert))
-        if traj.action_diffs is not None:
-            diffs.append(traj.mean_action_difference)
-            d_traces.append(traj.action_diffs)
-
+    trajs, mean_return, mean_diff = evaluate(
+        env, ens, eval_seed, cfg.eval_episodes, baselines[cell.env],
+        record_members=cell.n_members >= 2,
+    )
     record = RunRecord(
         env=cell.env,
         method=cell.method,
@@ -198,10 +210,11 @@ def run_cell(cfg: ExperimentConfig, cell: Cell, baselines: dict):
         tau=cell.tau,
         n_members=cell.n_members,
         seed=cell.seed_index,
-        scaled_return=float(np.mean(returns)),
-        action_diff=float(np.mean(diffs)) if diffs else None,
+        scaled_return=mean_return,
+        action_diff=mean_diff,
     )
 
+    d_traces = [t.action_diffs for t in trajs if t.action_diffs is not None]
     trace = None
     if d_traces and _wants_trace(cfg, cell):
         t_max = max(len(d) for d in d_traces)
@@ -220,6 +233,9 @@ class ResultsStore:
         self.path = Path(path)
         self.records: list[RunRecord] = []
         self._keys = set()
+        if self.path.exists() and self.path.stat().st_size == 0:
+            # what a crash leaves before the first buffered header reaches disk
+            self.path.unlink()
         if self.path.exists():
             self._load()
 
@@ -373,17 +389,31 @@ def _cell_worker(args):
 def run_sweep(cfg: ExperimentConfig, out_dir, workers: int = 1,
               force: bool = False, log=None) -> ResultsStore:
     """Run every cell of the sweep into ``out_dir`` (resumable), then write
-    summary tables and SVG charts. Returns the populated store."""
+    summary tables and SVG charts. Returns the populated store.
+
+    ``out_dir`` keeps the config's fingerprint beside ``results.csv``;
+    resuming under a different config is a ``ConfigError``. At the end,
+    ``failures.csv`` keeps only the cells that still have no result.
+    """
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     results_path = out_dir / "results.csv"
+    fingerprint_path = out_dir / FINGERPRINT_FILE
     if force:
-        for p in [results_path, out_dir / "baselines.csv", out_dir / "failures.csv"]:
+        for p in [results_path, out_dir / "baselines.csv", out_dir / "failures.csv",
+                  fingerprint_path]:
             p.unlink(missing_ok=True)
         for p in (out_dir / "traces").glob("*.csv"):
             p.unlink()
 
+    fingerprint = config_fingerprint(cfg)
+    if fingerprint_path.exists() and fingerprint_path.read_text().strip() != fingerprint:
+        raise ConfigError(
+            f"{out_dir} holds a sweep run under a different config; rerun with "
+            "--force to replace its results, or choose a new --out"
+        )
     store = ResultsStore(results_path)
+    fingerprint_path.write_text(fingerprint + "\n")
     baselines = load_or_compute_baselines(cfg, out_dir)
     cells = enumerate_cells(cfg)
     pending = [c for c in cells if not store.has(c)]
@@ -417,8 +447,12 @@ def run_sweep(cfg: ExperimentConfig, out_dir, workers: int = 1,
         for cell in pending:
             handle(_cell_worker((cfg, cell, baselines)))
 
+    _prune_failures(out_dir, store)
     write_summaries(cfg, store, out_dir)
     return store
+
+
+FAILURE_COLUMNS = ("env", "method", "n_episodes", "tau", "n_members", "seed", "error")
 
 
 def _record_failure(out_dir: Path, cell: Cell, message: str):
@@ -427,13 +461,33 @@ def _record_failure(out_dir: Path, cell: Cell, message: str):
     with open(path, "a", newline="") as f:
         writer = csv.writer(f, lineterminator="\n")
         if new_file:
-            writer.writerow(
-                ["env", "method", "n_episodes", "tau", "n_members", "seed", "error"]
-            )
+            writer.writerow(FAILURE_COLUMNS)
         writer.writerow(
             [cell.env, cell.method, cell.n_episodes, repr(float(cell.tau)),
              cell.n_members, cell.seed_index, message]
         )
+
+
+def _prune_failures(out_dir: Path, store: ResultsStore):
+    """Drop the failure rows of cells that have since succeeded; delete the
+    file once no row is left."""
+    path = Path(out_dir) / "failures.csv"
+    if not path.exists():
+        return
+    with open(path, newline="") as f:
+        rows = list(csv.DictReader(f))
+    open_rows = [
+        r for r in rows
+        if not store.has(Cell(r["env"], r["method"], int(r["n_episodes"]), float(r["tau"]),
+                              int(r["n_members"]), int(r["seed"])))
+    ]
+    if not open_rows:
+        path.unlink()
+    elif len(open_rows) < len(rows):
+        with open(path, "w", newline="") as f:
+            writer = csv.DictWriter(f, FAILURE_COLUMNS, lineterminator="\n")
+            writer.writeheader()
+            writer.writerows(open_rows)
 
 
 def _mean_std(values):

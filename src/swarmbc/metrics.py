@@ -8,6 +8,11 @@ L2 distance (not squared):
 
 Returns are undiscounted sums over an episode. Scaled return maps the
 random-policy level to 0 and the expert level to 1.
+
+``rollouts`` runs E episodes in lockstep: one policy call and one batched
+env step per timestep for all episodes still running. An episode that
+fails leaves the live set (a done-mask, as in Gymnasium's
+``SyncVectorEnv``), and the set is compacted only at such steps.
 """
 
 from __future__ import annotations
@@ -18,7 +23,7 @@ from typing import Optional
 
 import numpy as np
 
-from .ensemble import Ensemble
+from .ensemble import Ensemble, deployed_action
 from .envs import DeskEnv, random_action
 from .errors import ConfigError, DegenerateBaselineError, DimensionMismatchError
 
@@ -41,10 +46,19 @@ def mean_action_difference(actions) -> float:
         raise ConfigError(
             f"pairwise action difference needs >= 2 actions, got {n}"
         )
-    diffs = a[:, None, :] - a[None, :, :]
+    return float(action_differences(a))
+
+
+def action_differences(actions: np.ndarray) -> np.ndarray:
+    """d for every leading index of an ``(..., N, action_dim)`` array, e.g.
+    the per-timestep trace of an episode's ``(T, N, action_dim)`` outputs."""
+    n = actions.shape[-2]
+    diffs = actions[..., :, None, :] - actions[..., None, :, :]
     dists = np.sqrt(np.sum(diffs * diffs, axis=-1))
     iu = np.triu_indices(n, k=1)
-    return float(dists[iu].mean())
+    # each row of pair distances is summed as one contiguous vector, the way
+    # a single state's pair vector is
+    return np.ascontiguousarray(dists[..., iu[0], iu[1]]).mean(axis=-1)
 
 
 @dataclass
@@ -53,7 +67,7 @@ class Trajectory:
     rollout recorded them; ``action_diffs`` is None unless N >= 2."""
 
     observations: np.ndarray
-    actions: list
+    actions: np.ndarray  # (T, action_dim), or (T,) action indices
     rewards: np.ndarray
     episode_return: float
     member_actions: Optional[np.ndarray] = None
@@ -83,57 +97,72 @@ class RunRecord:
     action_diff: Optional[float]  # episode-averaged d; None when N = 1
 
 
-def rollout(env: DeskEnv, policy, seed, record_members: bool = False) -> Trajectory:
-    """Run one full episode.
+def rollouts(env: DeskEnv, policy, seeds, record_members: bool = False) -> list[Trajectory]:
+    """Run one episode per seed, all in lockstep; returns their Trajectories.
 
-    ``policy`` is either a plain callable obs -> action or an Ensemble.
-    With ``record_members`` and an Ensemble, every member's raw output and
-    the per-step disagreement d_t are stored alongside the episode.
+    ``policy`` is an Ensemble or a callable ``(obs, episodes) -> actions``
+    on a batch: ``obs`` is ``(E_live, obs_dim)`` and ``episodes`` holds the
+    indices into ``seeds`` of those rows. Each timestep makes one policy
+    call and one ``env.advance`` for the live episodes. With
+    ``record_members`` and an Ensemble, every member's raw output is stored
+    and each episode gets its per-step disagreement trace d_t. Every number
+    equals what stepping each episode alone produces.
     """
     is_ensemble = isinstance(policy, Ensemble)
     if record_members and not is_ensemble:
         raise ConfigError("record_members requires an Ensemble policy")
-
-    obs = env.reset(seed)
-    observations, actions, rewards = [], [], []
-    member_actions = [] if record_members else None
-    done = False
-    while not done:
+    seeds = list(seeds)
+    horizon = env.spec.max_steps
+    states = env.start_states(seeds)
+    live = np.arange(len(seeds))
+    pieces = [[] for _ in seeds]  # per episode: one column tuple per segment
+    steps = []
+    for t in range(1, horizon + 1):
+        obs = env.observe(states)
         if is_ensemble:
-            if record_members:
-                outputs = policy.predict_members(obs)
-                member_actions.append(outputs)
-                mean = outputs.mean(axis=0)
-                if policy.action_kind == "discrete":
-                    action = int(np.argmax(mean))
-                else:
-                    action = mean
-                    if policy.action_low is not None:
-                        action = np.clip(mean, policy.action_low, policy.action_high)
-            else:
-                action = policy.act(obs)
+            outputs = policy.predict_members(obs)  # (E_live, N, action_dim)
+            actions = deployed_action(policy, outputs)
         else:
-            action = policy(obs)
-        observations.append(obs)
-        actions.append(action)
-        obs, reward, done = env.step(action)
-        rewards.append(reward)
+            actions = np.asarray(policy(obs, live))
+        states, rewards, failed = env.advance(states, actions)
+        steps.append((obs, actions, rewards, outputs) if record_members else (obs, actions, rewards))
+        if t < horizon and not failed.any():
+            continue
+        # close the segment: every live episode takes its column
+        segment = [np.stack(column) for column in zip(*steps)]
+        for j, episode in enumerate(live):
+            pieces[episode].append([column[:, j] for column in segment])
+        steps = []
+        live, states = live[~failed], states[~failed]
+        if not live.size:
+            break
+    return [_trajectory(p, record_members) for p in pieces]
 
-    rewards = np.array(rewards)
+
+def _trajectory(pieces, record_members: bool) -> Trajectory:
+    observations, actions, rewards, *outputs = (np.concatenate(c) for c in zip(*pieces))
     traj = Trajectory(
-        observations=np.array(observations),
+        observations=observations,
         actions=actions,
         rewards=rewards,
         episode_return=float(rewards.sum()),
     )
     if record_members:
-        stacked = np.stack(member_actions)  # (T, N, action_dim)
-        traj.member_actions = stacked
-        if stacked.shape[1] >= 2:
-            traj.action_diffs = np.array(
-                [mean_action_difference(step) for step in stacked]
-            )
+        traj.member_actions = outputs[0]  # (T, N, action_dim)
+        if traj.member_actions.shape[1] >= 2:
+            traj.action_diffs = action_differences(traj.member_actions)
     return traj
+
+
+def rollout(env: DeskEnv, policy, seed, record_members: bool = False) -> Trajectory:
+    """Run one full episode: ``rollouts`` with one seed.
+
+    ``policy`` is either a plain callable obs -> action on one observation
+    or an Ensemble.
+    """
+    if isinstance(policy, Ensemble):
+        return rollouts(env, policy, [seed], record_members)[0]
+    return rollouts(env, lambda obs, _: [policy(obs[0])], [seed], record_members)[0]
 
 
 def scaled_return(episode_return, r_random, r_expert) -> float:
@@ -151,19 +180,19 @@ def baseline_returns(env: DeskEnv, n_episodes: int = 20, seed: int = 0):
     expert over seeded episodes: returns ``(r_random, r_expert)``."""
     if n_episodes < 1:
         raise ConfigError(f"n_episodes must be >= 1, got {n_episodes}")
-    root = np.random.SeedSequence(seed)
-    episode_seeds = root.spawn(2 * n_episodes)
-    random_returns, expert_returns = [], []
-    for i in range(n_episodes):
-        act_rng = np.random.default_rng(episode_seeds[2 * i + 1])
-        traj = rollout(
-            env, lambda obs: random_action(env.spec, act_rng), episode_seeds[2 * i]
-        )
-        random_returns.append(traj.episode_return)
-    for i in range(n_episodes):
-        traj = rollout(env, env.expert_action, episode_seeds[2 * i])
-        expert_returns.append(traj.episode_return)
-    return float(np.mean(random_returns)), float(np.mean(expert_returns))
+    episode_seeds = np.random.SeedSequence(seed).spawn(2 * n_episodes)
+    starts = episode_seeds[0::2]
+    # one action generator per episode, so lockstep draws match solo ones
+    rngs = [np.random.default_rng(s) for s in episode_seeds[1::2]]
+    spec = env.spec
+    random_eps = rollouts(
+        env, lambda obs, episodes: [random_action(spec, rngs[e]) for e in episodes], starts
+    )
+    expert_eps = rollouts(env, lambda obs, _: env.expert_action(obs), starts)
+    return (
+        float(np.mean([t.episode_return for t in random_eps])),
+        float(np.mean([t.episode_return for t in expert_eps])),
+    )
 
 
 def write_trajectory_csv(traj: Trajectory, path) -> None:

@@ -222,11 +222,13 @@ def stacked_forward(weights, biases, x: np.ndarray, output_activation: str):
     """Every member on one shared batch ``x`` of shape ``(B, in)``.
 
     Returns ``(hiddens, output)``: post-tanh activations ``(N, B, width)``
-    per hidden layer and the head output ``(N, B, out)``.
+    per hidden layer and the head output ``(N, B, out)``. Leading axes
+    broadcast as in ``np.matmul``: weights ``(1, N, in, out)`` and ``x`` of
+    shape ``(E, 1, 1, in)`` give ``(E, N, 1, out)``.
     """
-    if x.shape[-1] != weights[0].shape[1]:
+    if x.shape[-1] != weights[0].shape[-2]:
         raise DimensionMismatchError(
-            f"input layer: state dim {x.shape[-1]}, expected {weights[0].shape[1]}"
+            f"input layer: state dim {x.shape[-1]}, expected {weights[0].shape[-2]}"
         )
     hiddens = []
     a = x

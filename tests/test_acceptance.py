@@ -120,6 +120,7 @@ def paired_sweep():
     return cfg, records, elapsed
 
 
+@pytest.mark.slow
 def test_criterion_4_swarm_reduces_action_difference(paired_sweep):
     cfg, records, elapsed = paired_sweep
     reductions = {}
@@ -135,6 +136,7 @@ def test_criterion_4_swarm_reduces_action_difference(paired_sweep):
     ), f"reductions {detail}; sweep took {elapsed:.0f}s (limit 600s)"
 
 
+@pytest.mark.slow
 def test_criterion_5_swarm_return_never_much_worse(paired_sweep):
     cfg, records, _ = paired_sweep
     margins = {}
@@ -156,6 +158,7 @@ def test_criterion_5_swarm_return_never_much_worse(paired_sweep):
     )
 
 
+@pytest.mark.slow
 def test_paired_eval_point_reach_strict_reduction(paired_sweep):
     # the worked cmd_eval example: paired swarm-vs-ensemble evaluation on
     # point_reach with a single expert episode

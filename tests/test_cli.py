@@ -204,3 +204,24 @@ def test_sweep_malformed_results_exits_1(tmp_path, capsys):
     )
     assert run_cli("sweep", "--config", cfg_path, "--out", out_dir) == 1
     assert "malformed row" in capsys.readouterr().err
+
+
+def test_sweep_refuses_resume_under_changed_config(tmp_path, capsys):
+    cfg_path = tmp_path / "sweep.cfg"
+    base = (
+        "envs = point_reach\nmethods = bc\nepisode_counts = 1\nn_seeds = 1\n"
+        "eval_episodes = 1\nablations = false\nhidden_dims = 4\n"
+    )
+    cfg_path.write_text(base + "epochs = 2\n")
+    out_dir = tmp_path / "out"
+    assert run_cli("sweep", "--config", cfg_path, "--out", out_dir) == 0
+    results = (out_dir / "results.csv").read_bytes()
+
+    cfg_path.write_text(base + "epochs = 3\n")
+    assert run_cli("sweep", "--config", cfg_path, "--out", out_dir) == 1
+    err = capsys.readouterr().err
+    assert "different config" in err and "--force" in err and "--out" in err
+    assert (out_dir / "results.csv").read_bytes() == results
+
+    assert run_cli("sweep", "--config", cfg_path, "--out", out_dir, "--force") == 0
+    assert (out_dir / "results.csv").read_bytes() != results

@@ -14,6 +14,7 @@ from swarmbc.harness import (
     parse_config_text,
     run_sweep,
 )
+from swarmbc.harness import _record_failure
 from swarmbc.envs import make_env
 from swarmbc.metrics import RunRecord, baseline_returns
 
@@ -274,3 +275,36 @@ def test_sweep_trace_files_written(tmp_path):
     lines = (out / "traces" / traces[0]).read_text().splitlines()
     assert lines[0] == "t,d_mean"
     assert len(lines) == 201  # header + one row per timestep
+
+
+def test_failures_csv_keeps_only_cells_still_without_result(tmp_path):
+    cfg = tiny_config(n_seeds=1)
+    out = tmp_path / "run"
+    out.mkdir()
+    # an earlier attempt failed on a cell of this sweep and on one outside it
+    _record_failure(out, Cell("point_reach", "ensemble", 1, 0.0, 4, 0), "Boom: a, b")
+    _record_failure(out, Cell("cart_balance", "bc", 2, 0.0, 1, 3), "Boom: c")
+    run_sweep(cfg, out)
+    lines = (out / "failures.csv").read_text().splitlines()
+    assert lines == [
+        "env,method,n_episodes,tau,n_members,seed,error",
+        "cart_balance,bc,2,0.0,1,3,Boom: c",
+    ]
+
+    out2 = tmp_path / "run2"
+    out2.mkdir()
+    _record_failure(out2, Cell("point_reach", "swarm", 1, 0.25, 4, 0), "Boom")
+    run_sweep(cfg, out2)
+    assert not (out2 / "failures.csv").exists()
+
+
+def test_zero_byte_results_file_is_treated_as_absent(tmp_path):
+    cfg = tiny_config(n_seeds=1)
+    fresh = tmp_path / "fresh"
+    run_sweep(cfg, fresh)
+    crashed = tmp_path / "crashed"
+    crashed.mkdir()
+    (crashed / "results.csv").write_bytes(b"")
+    store = run_sweep(cfg, crashed)
+    assert len(store.records) == 2
+    assert (crashed / "results.csv").read_bytes() == (fresh / "results.csv").read_bytes()

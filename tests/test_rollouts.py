@@ -1,0 +1,124 @@
+"""Lockstep evaluation against the recorded outputs of the scalar loop it
+replaced (``golden_rollouts.json``, see ``golden_cases.py``), bit for bit,
+and against itself: E episodes in one ``rollouts`` call equal E separate
+calls."""
+
+import json
+
+import numpy as np
+import pytest
+
+import golden_cases as gc
+from swarmbc.cli import main as cli_main
+from swarmbc.envs import ENV_IDS, generate_dataset, make_env
+from swarmbc.errors import ConfigError
+from swarmbc.metrics import baseline_returns, rollout, rollouts
+
+GOLDEN = json.loads(gc.GOLDEN_PATH.read_text())
+
+
+@pytest.mark.parametrize("n_episodes", (1, 3, 6))
+@pytest.mark.parametrize("n_members", gc.MEMBER_COUNTS)
+@pytest.mark.parametrize("env_id", ENV_IDS)
+def test_lockstep_ensemble_rollouts_match_golden(env_id, n_members, n_episodes):
+    env = make_env(env_id)
+    ens = gc.golden_ensemble(env_id, n_members)
+    seeds = gc.episode_seeds(env_id)[:n_episodes]
+    want = GOLDEN["rollouts"][f"{env_id}/N={n_members}"][:n_episodes]
+    got = rollouts(env, ens, seeds, record_members=True)
+    assert [gc.trajectory_record(t) for t in got] == want
+    # the acting path without recording steps through the same episodes
+    plain = rollouts(env, ens, seeds)
+    assert [repr(t.episode_return) for t in plain] == [w["return"] for w in want]
+    assert all(t.member_actions is None and t.action_diffs is None for t in plain)
+
+
+def test_golden_cart_episodes_end_at_different_steps():
+    lengths = {w["length"] for w in GOLDEN["rollouts"]["cart_balance/N=4"]}
+    assert len(lengths) >= 4 and max(lengths) < 200
+    assert {w["length"] for w in GOLDEN["mixed"]["cart_balance"]} >= {200, 4, 6, 7}
+
+
+@pytest.mark.parametrize("n_episodes", (1, 3, 6))
+@pytest.mark.parametrize("env_id", ENV_IDS)
+def test_lockstep_callable_policy_matches_golden(env_id, n_episodes):
+    # per-episode policies: expert on even episodes, random on odd ones
+    env = make_env(env_id)
+    policies = [gc.mixed_policy(env, i) for i in range(n_episodes)]
+
+    def policy(obs, episodes):
+        return [policies[e](o) for o, e in zip(obs, episodes)]
+
+    got = rollouts(env, policy, gc.episode_seeds(env_id)[:n_episodes])
+    want = GOLDEN["mixed"][env_id][:n_episodes]
+    assert [gc.trajectory_record(t) for t in got] == want
+
+
+@pytest.mark.parametrize("n_members", (2, 3))
+@pytest.mark.parametrize("env_id", ENV_IDS)
+def test_rollouts_equal_separate_single_episode_calls(env_id, n_members):
+    env = make_env(env_id)
+    ens = gc.golden_ensemble(env_id, n_members)
+    seeds = np.random.SeedSequence(99).spawn(5)
+    together = rollouts(env, ens, seeds, record_members=True)
+    for seed, traj in zip(seeds, together):
+        (alone,) = rollouts(env, ens, [seed], record_members=True)
+        assert traj.episode_return == alone.episode_return
+        for name in ("observations", "actions", "rewards", "member_actions", "action_diffs"):
+            assert np.array_equal(getattr(traj, name), getattr(alone, name)), name
+
+
+@pytest.mark.parametrize("env_id", ENV_IDS)
+def test_baselines_and_datasets_match_golden(env_id):
+    env = make_env(env_id)
+    assert [repr(r) for r in baseline_returns(env, 6, seed=5)] == GOLDEN["baselines"][env_id]
+    data = generate_dataset(env, 3, seed=9)
+    assert gc.digest(data.states, data.actions) == GOLDEN["datasets"][env_id]
+
+
+@pytest.mark.parametrize("env_id", ENV_IDS)
+def test_single_steps_and_experts_match_golden(env_id):
+    assert gc.step_records(env_id) == GOLDEN["steps"][env_id]
+
+
+@pytest.mark.parametrize("env_id", ENV_IDS)
+def test_batched_step_and_expert_match_golden(env_id):
+    env = make_env(env_id)
+    states, actions = gc.probe_states(env_id)
+    experts = env.expert_action(env.observe(states))
+    new_states, rewards, failed = env.advance(states, actions)
+    assert gc.digest(env.observe(new_states), rewards, failed) == GOLDEN["steps"][env_id]["step"]
+    assert gc.digest(experts) == GOLDEN["steps"][env_id]["expert"]
+
+
+def test_eval_outputs_match_golden(tmp_path):
+    for name, argv in gc.eval_cases(tmp_path):
+        assert cli_main(argv) == 0
+        assert gc.output_digests(tmp_path / argv[-1]) == GOLDEN["eval"][name], name
+
+
+@pytest.mark.parametrize("n_members", gc.MEMBER_COUNTS)
+def test_batched_predict_members_rows_equal_single_state_calls(n_members):
+    ens = gc.golden_ensemble("pendulum_swing", n_members)
+    states = np.random.default_rng(3).normal(size=(7, 3))
+    batch = ens.predict_members(states)
+    assert batch.shape == (7, n_members, 1)
+    for s, row in zip(states, batch):
+        assert np.array_equal(ens.predict_members(s), row)
+
+
+def test_batched_cart_step_rejects_non_binary_action():
+    env = make_env("cart_balance")
+    states = env.start_states([0, 1, 2])
+    with pytest.raises(ConfigError):
+        env.advance(states, np.array([0, 2, 1]))
+    with pytest.raises(ConfigError):
+        rollouts(env, lambda obs, episodes: np.full(len(obs), -1), [0, 1])
+
+
+def test_record_members_with_plain_callable_raises():
+    env = make_env("point_reach")
+    with pytest.raises(ConfigError):
+        rollout(env, env.expert_action, 0, record_members=True)
+    with pytest.raises(ConfigError):
+        rollouts(env, lambda obs, _: env.expert_action(obs), [0, 1], record_members=True)
