@@ -24,7 +24,7 @@ from .errors import (
     TiedModeError,
     TrainingDivergedError,
 )
-from .metrics import write_trajectory_csv
+from .metrics import RunRecord, write_trajectory_csv
 
 USAGE_EXIT = 1
 NUMERICAL_EXIT = 2
@@ -49,7 +49,11 @@ def _train_config(args) -> TrainConfig:
     if args.patience is not None:
         kwargs["patience"] = args.patience
     if args.hidden_dims is not None:
-        kwargs["hidden_dims"] = tuple(int(t) for t in args.hidden_dims.split(","))
+        parse, _ = harness.CONFIG_KEYS["hidden_dims"]  # as in a sweep config
+        try:
+            kwargs["hidden_dims"] = parse(args.hidden_dims)
+        except ValueError as exc:
+            raise ConfigError(f"--hidden-dims: {exc}") from None
     if args.normalize_swarm:
         kwargs["normalize_swarm"] = True
     return TrainConfig(**kwargs)
@@ -68,23 +72,21 @@ def cmd_gen_data(args) -> int:
 
 
 def _resolve_method_params(method, tau, n):
+    """``--tau`` and ``--n``, defaulting to what a sweep uses for ``method``."""
+    default_tau, default_n = harness.method_params(harness.ExperimentConfig(), method)
+    tau = default_tau if tau is None else tau
+    n = default_n if n is None else n
     if method == "bc":
-        tau = 0.0 if tau is None else tau
-        n = 1 if n is None else n
         if n != 1:
             raise ConfigError("bc trains a single policy; use --method ensemble for N > 1")
         if tau != 0.0:
             raise ConfigError("bc does not take a regularizer; tau must be 0")
     elif method == "ensemble":
-        tau = 0.0 if tau is None else tau
-        n = 4 if n is None else n
         if tau != 0.0:
             raise ConfigError("ensemble uses tau = 0; use --method swarm for tau > 0")
         if n < 2:
             raise ConfigError("ensemble needs --n >= 2")
     elif method == "swarm":
-        tau = 0.25 if tau is None else tau
-        n = 4 if n is None else n
         if tau <= 0.0:
             raise ConfigError("swarm requires tau > 0; use --method ensemble for tau = 0")
         if n < 2:
@@ -166,17 +168,10 @@ def cmd_eval(args) -> int:
         tau, n = ens.tau, ens.n_members
         n_ep = int(ens.meta.get("n_expert_episodes", 0))
 
-    results_path = out_dir / "eval_results.csv"
-    new_file = not results_path.exists()
-    with open(results_path, "a", newline="") as f:
-        writer = csv.writer(f, lineterminator="\n")
-        if new_file:
-            f.write(f"# schema={harness.RESULTS_SCHEMA}\n")
-            writer.writerow(harness.RESULTS_COLUMNS)
-        writer.writerow(
-            [env_id, method, n_ep, repr(float(tau)), n, args.seed,
-             repr(mean_return), "" if mean_diff is None else repr(mean_diff)]
-        )
+    harness.append_result(out_dir / "eval_results.csv", RunRecord(
+        env=env_id, method=method, n_expert_episodes=n_ep, tau=tau, n_members=n,
+        seed=args.seed, scaled_return=mean_return, action_diff=mean_diff,
+    ))
 
     d_text = "" if mean_diff is None else f", mean action difference {mean_diff:.6f}"
     print(

@@ -290,6 +290,10 @@ class TrainConfig:
             raise ConfigError("epochs and batch_size must be >= 1")
         if not self.hidden_dims:
             raise ConfigError("need at least one hidden layer")
+        if any(width < 1 for width in self.hidden_dims):
+            raise ConfigError(f"hidden_dims widths must be >= 1, got {self.hidden_dims}")
+        if not self.learning_rate > 0:
+            raise ConfigError(f"learning_rate must be > 0, got {self.learning_rate}")
 
 
 def train(

@@ -13,9 +13,12 @@ from __future__ import annotations
 
 import csv
 import hashlib
+import os
 import warnings
 from concurrent.futures import ProcessPoolExecutor
+from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass, field
+from operator import attrgetter
 from pathlib import Path
 
 import numpy as np
@@ -215,14 +218,35 @@ def run_cell(cfg: ExperimentConfig, cell: Cell, baselines: dict):
     )
 
     d_traces = [t.action_diffs for t in trajs if t.action_diffs is not None]
-    trace = None
-    if d_traces and _wants_trace(cfg, cell):
-        t_max = max(len(d) for d in d_traces)
-        padded = np.full((len(d_traces), t_max), np.nan)
-        for i, d in enumerate(d_traces):
-            padded[i, : len(d)] = d
-        trace = np.nanmean(padded, axis=0)
+    trace = _ragged_mean(d_traces) if d_traces and _wants_trace(cfg, cell) else None
     return record, trace
+
+
+def _ragged_mean(traces) -> np.ndarray:
+    """Per-timestep mean of traces of different lengths: each timestep
+    averages the traces that reach it."""
+    padded = np.full((len(traces), max(len(t) for t in traces)), np.nan)
+    for i, t in enumerate(traces):
+        padded[i, : len(t)] = t
+    return np.nanmean(padded, axis=0)
+
+
+def _record_key(rec: RunRecord):
+    return Cell(rec.env, rec.method, rec.n_expert_episodes, rec.tau, rec.n_members,
+                rec.seed).key()
+
+
+def append_result(path: Path, rec: RunRecord):
+    """Append one row to a results CSV (sweep or ``swarmbc eval``), writing
+    the schema line and the header first if the file is new."""
+    new_file = not path.exists()
+    with open(path, "a", newline="") as f:
+        writer = csv.writer(f, lineterminator="\n")
+        if new_file:
+            f.write(f"# schema={RESULTS_SCHEMA}\n")
+            writer.writerow(RESULTS_COLUMNS)
+        diff = "" if rec.action_diff is None else repr(float(rec.action_diff))
+        writer.writerow([*_record_key(rec), repr(float(rec.scaled_return)), diff])
 
 
 class ResultsStore:
@@ -271,44 +295,16 @@ class ResultsStore:
             except (KeyError, TypeError, ValueError) as exc:
                 raise ConfigError(f"{self.path}: malformed row {row}: {exc}") from None
             self.records.append(rec)
-            self._keys.add(self._key(rec))
-
-    @staticmethod
-    def _key(rec: RunRecord):
-        return (
-            rec.env,
-            rec.method,
-            rec.n_expert_episodes,
-            repr(float(rec.tau)),
-            rec.n_members,
-            rec.seed,
-        )
+            self._keys.add(_record_key(rec))
 
     def has(self, cell: Cell) -> bool:
         return cell.key() in self._keys
 
     def append(self, rec: RunRecord):
-        key = self._key(rec)
+        key = _record_key(rec)
         if key in self._keys:
             return  # completed cells are a no-op
-        new_file = not self.path.exists()
-        with open(self.path, "a", newline="") as f:
-            writer = csv.writer(f, lineterminator="\n")
-            if new_file:
-                f.write(f"# schema={RESULTS_SCHEMA}\n")
-                writer.writerow(RESULTS_COLUMNS)
-            writer.writerow(
-                [
-                    rec.env,
-                    rec.method,
-                    rec.n_expert_episodes,
-                    repr(float(rec.tau)),
-                    rec.n_members,
-                    rec.seed,
-                    repr(float(rec.scaled_return)),
-                    "" if rec.action_diff is None else repr(float(rec.action_diff)),
-                ]
-            )
+        append_result(self.path, rec)
         self.records.append(rec)
         self._keys.add(key)
 
@@ -323,7 +319,8 @@ class ResultsStore:
 def load_or_compute_baselines(cfg: ExperimentConfig, out_dir: Path) -> dict:
     """Per-env (r_random, r_expert), cached in baselines.csv. A cached row is
     used only if its episode count and seed are the ones this config would
-    use; any other env is recomputed and the file rewritten."""
+    use; any other env, and any row that is unterminated or does not parse
+    (a torn write), is recomputed and the file rewritten atomically."""
     path = Path(out_dir) / "baselines.csv"
 
     def seed_of(env_id):
@@ -331,21 +328,26 @@ def load_or_compute_baselines(cfg: ExperimentConfig, out_dir: Path) -> dict:
 
     cache = {}
     if path.exists():
-        with open(path, newline="") as f:
-            first = f.readline().strip()
-            if first != f"# schema={BASELINES_SCHEMA}":
-                raise ConfigError(f"{path}: unexpected schema line {first!r}")
-            for row in csv.DictReader(f):
+        text = path.read_text()
+        lines = text[: text.rfind("\n") + 1].splitlines()
+        if lines and lines[0].strip() != f"# schema={BASELINES_SCHEMA}":
+            raise ConfigError(f"{path}: unexpected schema line {lines[0]!r}")
+        for row in csv.DictReader(lines[1:]):
+            try:
                 key = (int(row["n_episodes"]), int(row["seed"]))
-                if key == (cfg.eval_episodes, seed_of(row["env"])):
-                    cache[row["env"]] = (float(row["r_random"]), float(row["r_expert"]))
+                returns = (float(row["r_random"]), float(row["r_expert"]))
+            except (TypeError, ValueError):
+                continue
+            if key == (cfg.eval_episodes, seed_of(row["env"])):
+                cache[row["env"]] = returns
     missing = [e for e in cfg.envs if e not in cache]
     for env_id in missing:
         cache[env_id] = baseline_returns(
             make_env(env_id), n_episodes=cfg.eval_episodes, seed=seed_of(env_id)
         )
     if missing:
-        with open(path, "w", newline="") as f:
+        tmp = path.with_name(path.name + ".tmp")
+        with open(tmp, "w", newline="") as f:
             f.write(f"# schema={BASELINES_SCHEMA}\n")
             writer = csv.writer(f, lineterminator="\n")
             writer.writerow(["env", "n_episodes", "seed", "r_random", "r_expert"])
@@ -360,6 +362,7 @@ def load_or_compute_baselines(cfg: ExperimentConfig, out_dir: Path) -> dict:
                         repr(r_exp),
                     ]
                 )
+        os.replace(tmp, path)
     return cache
 
 
@@ -386,15 +389,30 @@ def _cell_worker(args):
         return "error", cell, f"{type(exc).__name__}: {exc}", None
 
 
+def _isolated_cell_worker(args):
+    """Run one cell in a fresh one-process pool, so that a worker that dies
+    is pinned on the cell it was running. The pool starts its process the
+    way the sweep's pool does, so the rerun meets what killed the worker."""
+    try:
+        with ProcessPoolExecutor(max_workers=1) as pool:
+            return pool.submit(_cell_worker, args).result()
+    except BrokenProcessPool:
+        return "error", args[1], "BrokenProcessPool: the worker process died", None
+
+
 def run_sweep(cfg: ExperimentConfig, out_dir, workers: int = 1,
               force: bool = False, log=None) -> ResultsStore:
     """Run every cell of the sweep into ``out_dir`` (resumable), then write
     summary tables and SVG charts. Returns the populated store.
 
     ``out_dir`` keeps the config's fingerprint beside ``results.csv``;
-    resuming under a different config is a ``ConfigError``. At the end,
+    resuming under a different config is a ``ConfigError``. If a worker
+    process dies, the cells it left unreported rerun one process each, and
+    the cell that kills its process is recorded as failed. At the end,
     ``failures.csv`` keeps only the cells that still have no result.
     """
+    if workers < 1:
+        raise ConfigError(f"workers must be >= 1, got {workers}")
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     results_path = out_dir / "results.csv"
@@ -438,14 +456,23 @@ def run_sweep(cfg: ExperimentConfig, out_dir, workers: int = 1,
             if log:
                 log(f"  FAILED {cell}: {payload}")
 
+    jobs = [(cfg, c, baselines) for c in pending]
     if workers > 1:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            jobs = [(cfg, c, baselines) for c in pending]
-            for outcome in pool.map(_cell_worker, jobs):
-                handle(outcome)
+        done = 0
+        try:
+            with ProcessPoolExecutor(max_workers=workers) as pool:
+                for outcome in pool.map(_cell_worker, jobs):
+                    handle(outcome)
+                    done += 1
+        except BrokenProcessPool:
+            if log:
+                log(f"a worker process died; rerunning {len(jobs) - done} cells "
+                    "one process each")
+            for job in jobs[done:]:
+                handle(_isolated_cell_worker(job))
     else:
-        for cell in pending:
-            handle(_cell_worker((cfg, cell, baselines)))
+        for job in jobs:
+            handle(_cell_worker(job))
 
     _prune_failures(out_dir, store)
     write_summaries(cfg, store, out_dir)
@@ -462,10 +489,7 @@ def _record_failure(out_dir: Path, cell: Cell, message: str):
         writer = csv.writer(f, lineterminator="\n")
         if new_file:
             writer.writerow(FAILURE_COLUMNS)
-        writer.writerow(
-            [cell.env, cell.method, cell.n_episodes, repr(float(cell.tau)),
-             cell.n_members, cell.seed_index, message]
-        )
+        writer.writerow([*cell.key(), message])
 
 
 def _prune_failures(out_dir: Path, store: ResultsStore):
@@ -490,9 +514,31 @@ def _prune_failures(out_dir: Path, store: ResultsStore):
             writer.writerows(open_rows)
 
 
-def _mean_std(values):
-    arr = np.asarray(values, dtype=np.float64)
-    return float(arr.mean()), float(arr.std())
+def _write_summary(path: Path, columns, groups, row_key=None, **chart):
+    """``path``.csv and ``path``.svg: the mean and std of scaled return of
+    each group of runs. ``groups`` holds ``(series label, x, leading row
+    fields, records)``; groups without records are left out, and so are
+    both files if every group is empty."""
+    rows, series = [], {}
+    for label, x, lead, recs in groups:
+        if not recs:
+            continue
+        arr = np.asarray([r.scaled_return for r in recs], dtype=np.float64)
+        mean, std = float(arr.mean()), float(arr.std())
+        rows.append([*lead, repr(mean), repr(std), len(recs)])
+        s = series.setdefault(label, svg.Series(label, [], [], lo=[], hi=[]))
+        s.xs.append(x)
+        s.ys.append(mean)
+        s.lo.append(mean - std)
+        s.hi.append(mean + std)
+    if not rows:
+        return
+    with open(path.with_name(path.name + ".csv"), "w", newline="") as f:
+        writer = csv.writer(f, lineterminator="\n")
+        writer.writerow([*columns, "scaled_return_mean", "scaled_return_std", "n_runs"])
+        writer.writerows(sorted(rows, key=row_key) if row_key else rows)
+    svg.line_chart(path.with_name(path.name + ".svg"), list(series.values()),
+                   y_label="mean scaled return", **chart)
 
 
 def write_summaries(cfg: ExperimentConfig, store: ResultsStore, out_dir):
@@ -500,48 +546,40 @@ def write_summaries(cfg: ExperimentConfig, store: ResultsStore, out_dir):
     disagreement traces, and the two ablation tables."""
     out_dir = Path(out_dir)
 
+    def runs(env, method, n_ep, tau, n):
+        return store.select(env=env, method=method, n_expert_episodes=n_ep,
+                            tau=tau, n_members=n)
+
     for env in cfg.envs:
-        rows = []
-        chart = []
-        for method in cfg.methods:
-            tau, n = method_params(cfg, method)
-            xs, means, los, his = [], [], [], []
-            for n_ep in cfg.episode_counts:
-                recs = store.select(
-                    env=env, method=method, n_expert_episodes=n_ep,
-                    tau=tau, n_members=n,
-                )
-                if not recs:
-                    continue
-                mean, std = _mean_std([r.scaled_return for r in recs])
-                rows.append([env, n_ep, method, repr(mean), repr(std), len(recs)])
-                xs.append(n_ep)
-                means.append(mean)
-                los.append(mean - std)
-                his.append(mean + std)
-            if xs:
-                chart.append(svg.Series(method, xs, means, lo=los, hi=his))
-        if rows:
-            rows.sort(key=lambda r: (r[1], cfg.methods.index(r[2])))
-            with open(out_dir / f"returns_{env}.csv", "w", newline="") as f:
-                writer = csv.writer(f, lineterminator="\n")
-                writer.writerow(
-                    ["env", "n_expert_episodes", "method",
-                     "scaled_return_mean", "scaled_return_std", "n_runs"]
-                )
-                writer.writerows(rows)
-        if chart:
-            svg.line_chart(
-                out_dir / f"returns_{env}.svg", chart,
-                title=f"Scaled return vs expert episodes ({env})",
-                x_label="expert episodes in dataset",
-                y_label="mean scaled return",
-            )
+        _write_summary(
+            out_dir / f"returns_{env}", ["env", "n_expert_episodes", "method"],
+            [(method, n_ep, [env, n_ep, method],
+              runs(env, method, n_ep, *method_params(cfg, method)))
+             for method in cfg.methods for n_ep in cfg.episode_counts],
+            row_key=lambda row: (row[1], cfg.methods.index(row[2])),
+            title=f"Scaled return vs expert episodes ({env})",
+            x_label="expert episodes in dataset",
+        )
 
     _write_trace_summaries(cfg, out_dir)
 
     if cfg.ablations:
-        _write_ablations(cfg, store, out_dir)
+        env, n_ep = cfg.envs[0], max(cfg.episode_counts)
+        _write_summary(
+            out_dir / "ablation_tau", ["env", "n_expert_episodes", "tau"],
+            [("swarm", tau, [env, n_ep, repr(float(tau))],
+              runs(env, "swarm" if tau > 0 else "ensemble", n_ep, tau, cfg.n_members))
+             for tau in cfg.tau_grid],
+            title=f"Regularizer strength ablation ({env}, {n_ep} expert ep)",
+            x_label="tau",
+        )
+        _write_summary(
+            out_dir / "ablation_n", ["env", "n_expert_episodes", "n_members"],
+            [("swarm", n, [env, n_ep, n], runs(env, "swarm", n_ep, cfg.tau, n))
+             for n in cfg.n_grid],
+            title=f"Ensemble size ablation ({env}, {n_ep} expert ep)",
+            x_label="ensemble size N",
+        )
 
 
 def _read_trace(path: Path):
@@ -557,18 +595,12 @@ def _write_trace_summaries(cfg: ExperimentConfig, out_dir: Path):
         for method in ("ensemble", "swarm"):
             if method not in cfg.methods:
                 continue
-            traces = []
-            for k in range(cfg.n_seeds):
-                tau, n = method_params(cfg, method)
-                path = _trace_path(out_dir, Cell(env, method, n_ep, tau, n, k))
-                if path.exists():
-                    traces.append(_read_trace(path))
+            tau, n = method_params(cfg, method)
+            paths = [_trace_path(out_dir, Cell(env, method, n_ep, tau, n, k))
+                     for k in range(cfg.n_seeds)]
+            traces = [_read_trace(p) for p in paths if p.exists()]
             if traces:
-                t_max = max(len(t) for t in traces)
-                padded = np.full((len(traces), t_max), np.nan)
-                for i, t in enumerate(traces):
-                    padded[i, : len(t)] = t
-                per_method[method] = np.nanmean(padded, axis=0)
+                per_method[method] = _ragged_mean(traces)
         if not per_method:
             continue
         t_max = max(len(v) for v in per_method.values())
@@ -594,107 +626,50 @@ def _write_trace_summaries(cfg: ExperimentConfig, out_dir: Path):
         )
 
 
-def _write_ablations(cfg: ExperimentConfig, store: ResultsStore, out_dir: Path):
-    env = cfg.envs[0]
-    n_ep = max(cfg.episode_counts)
-
-    rows, xs, means, los, his = [], [], [], [], []
-    for tau in cfg.tau_grid:
-        method = "swarm" if tau > 0 else "ensemble"
-        recs = store.select(
-            env=env, method=method, n_expert_episodes=n_ep,
-            tau=tau, n_members=cfg.n_members,
-        )
-        if not recs:
-            continue
-        mean, std = _mean_std([r.scaled_return for r in recs])
-        rows.append([env, n_ep, repr(float(tau)), repr(mean), repr(std), len(recs)])
-        xs.append(tau)
-        means.append(mean)
-        los.append(mean - std)
-        his.append(mean + std)
-    if rows:
-        with open(out_dir / "ablation_tau.csv", "w", newline="") as f:
-            writer = csv.writer(f, lineterminator="\n")
-            writer.writerow(
-                ["env", "n_expert_episodes", "tau",
-                 "scaled_return_mean", "scaled_return_std", "n_runs"]
-            )
-            writer.writerows(rows)
-        svg.line_chart(
-            out_dir / "ablation_tau.svg",
-            [svg.Series("swarm", xs, means, lo=los, hi=his)],
-            title=f"Regularizer strength ablation ({env}, {n_ep} expert ep)",
-            x_label="tau",
-            y_label="mean scaled return",
-        )
-
-    rows, xs, means, los, his = [], [], [], [], []
-    for n in cfg.n_grid:
-        recs = store.select(
-            env=env, method="swarm", n_expert_episodes=n_ep,
-            tau=cfg.tau, n_members=n,
-        )
-        if not recs:
-            continue
-        mean, std = _mean_std([r.scaled_return for r in recs])
-        rows.append([env, n_ep, n, repr(mean), repr(std), len(recs)])
-        xs.append(n)
-        means.append(mean)
-        los.append(mean - std)
-        his.append(mean + std)
-    if rows:
-        with open(out_dir / "ablation_n.csv", "w", newline="") as f:
-            writer = csv.writer(f, lineterminator="\n")
-            writer.writerow(
-                ["env", "n_expert_episodes", "n_members",
-                 "scaled_return_mean", "scaled_return_std", "n_runs"]
-            )
-            writer.writerows(rows)
-        svg.line_chart(
-            out_dir / "ablation_n.svg",
-            [svg.Series("swarm", xs, means, lo=los, hi=his)],
-            title=f"Ensemble size ablation ({env}, {n_ep} expert ep)",
-            x_label="ensemble size N",
-            y_label="mean scaled return",
-        )
-
-
 # --- config file -----------------------------------------------------------
 
-CONFIG_KEYS = {
-    "envs": "comma list of env ids",
-    "methods": "comma list from bc, ensemble, swarm",
-    "episode_counts": "comma list of dataset sizes (expert episodes)",
-    "n_seeds": "seeds per cell",
-    "eval_episodes": "evaluation episodes per cell",
-    "tau": "regularizer coefficient for the swarm method",
-    "n_members": "ensemble size for ensemble/swarm methods",
-    "tau_grid": "comma list for the tau ablation",
-    "n_grid": "comma list for the ensemble-size ablation",
-    "ablations": "true/false",
-    "master_seed": "integer master seed",
-    "epochs": "training epoch budget",
-    "batch_size": "minibatch size",
-    "learning_rate": "optimizer learning rate",
-    "patience": "early-stop patience (epochs)",
-    "min_improvement": "relative loss improvement that resets patience",
-    "hidden_dims": "comma list of hidden layer widths",
-    "normalize_swarm": "true/false: divide the pairwise sum by K*N(N-1)/2",
-}
+def _items(parse):
+    """Parser of a comma list whose items ``parse`` reads; empty items are
+    dropped."""
+    return lambda text: tuple(parse(t) for t in (s.strip() for s in text.split(",")) if t)
 
 
-def _as_bool(key, text):
+def _as_bool(text):
     t = text.strip().lower()
     if t in ("true", "1", "yes", "on"):
         return True
     if t in ("false", "0", "no", "off"):
         return False
-    raise ConfigError(f"{key}: expected true/false, got {text!r}")
+    raise ValueError(f"expected true/false, got {text!r}")
+
+
+# Every key of the config file, in ``--write-config`` order: its value parser
+# and the field it sets, on ExperimentConfig or (as ``train.``) on its
+# TrainConfig. README "Sweep configuration" says what each key means.
+CONFIG_KEYS = {
+    "envs": (_items(str), "envs"),
+    "methods": (_items(str), "methods"),
+    "episode_counts": (_items(int), "episode_counts"),
+    "n_seeds": (int, "n_seeds"),
+    "eval_episodes": (int, "eval_episodes"),
+    "tau": (float, "tau"),
+    "n_members": (int, "n_members"),
+    "tau_grid": (_items(float), "tau_grid"),
+    "n_grid": (_items(int), "n_grid"),
+    "ablations": (_as_bool, "ablations"),
+    "master_seed": (int, "master_seed"),
+    "epochs": (int, "train.epochs"),
+    "batch_size": (int, "train.batch_size"),
+    "learning_rate": (float, "train.learning_rate"),
+    "patience": (int, "train.patience"),
+    "min_improvement": (float, "train.min_rel_improvement"),
+    "hidden_dims": (_items(int), "train.hidden_dims"),
+    "normalize_swarm": (_as_bool, "train.normalize_swarm"),
+}
 
 
 def parse_config_text(text: str) -> ExperimentConfig:
-    values = {}
+    kwargs = {"": {}, "train": {}}  # ExperimentConfig and TrainConfig arguments
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -707,58 +682,15 @@ def parse_config_text(text: str) -> ExperimentConfig:
                 f"line {lineno}: unknown key {key!r} "
                 f"(known: {', '.join(sorted(CONFIG_KEYS))})"
             )
-        if key in values:
+        parse, target = CONFIG_KEYS[key]
+        owner, _, name = target.rpartition(".")
+        if name in kwargs[owner]:
             raise ConfigError(f"line {lineno}: duplicate key {key!r}")
-        values[key] = val
-
-    def split_list(text):
-        items = [t.strip() for t in text.split(",")]
-        return [t for t in items if t]
-
-    cfg_kwargs = {}
-    train_kwargs = {}
-    try:
-        for key, val in values.items():
-            if key == "envs":
-                cfg_kwargs["envs"] = tuple(split_list(val))
-            elif key == "methods":
-                cfg_kwargs["methods"] = tuple(split_list(val))
-            elif key == "episode_counts":
-                cfg_kwargs["episode_counts"] = tuple(int(t) for t in split_list(val))
-            elif key == "n_seeds":
-                cfg_kwargs["n_seeds"] = int(val)
-            elif key == "eval_episodes":
-                cfg_kwargs["eval_episodes"] = int(val)
-            elif key == "tau":
-                cfg_kwargs["tau"] = float(val)
-            elif key == "n_members":
-                cfg_kwargs["n_members"] = int(val)
-            elif key == "tau_grid":
-                cfg_kwargs["tau_grid"] = tuple(float(t) for t in split_list(val))
-            elif key == "n_grid":
-                cfg_kwargs["n_grid"] = tuple(int(t) for t in split_list(val))
-            elif key == "ablations":
-                cfg_kwargs["ablations"] = _as_bool(key, val)
-            elif key == "master_seed":
-                cfg_kwargs["master_seed"] = int(val)
-            elif key == "epochs":
-                train_kwargs["epochs"] = int(val)
-            elif key == "batch_size":
-                train_kwargs["batch_size"] = int(val)
-            elif key == "learning_rate":
-                train_kwargs["learning_rate"] = float(val)
-            elif key == "patience":
-                train_kwargs["patience"] = int(val)
-            elif key == "min_improvement":
-                train_kwargs["min_rel_improvement"] = float(val)
-            elif key == "hidden_dims":
-                train_kwargs["hidden_dims"] = tuple(int(t) for t in split_list(val))
-            elif key == "normalize_swarm":
-                train_kwargs["normalize_swarm"] = _as_bool(key, val)
-    except ValueError as exc:
-        raise ConfigError(f"bad value: {exc}") from None
-
-    return ExperimentConfig(train=TrainConfig(**train_kwargs), **cfg_kwargs)
+        try:
+            kwargs[owner][name] = parse(val)
+        except ValueError as exc:
+            raise ConfigError(f"line {lineno}: bad value for {key!r}: {exc}") from None
+    return ExperimentConfig(train=TrainConfig(**kwargs["train"]), **kwargs[""])
 
 
 def parse_config_file(path) -> ExperimentConfig:
@@ -768,29 +700,16 @@ def parse_config_file(path) -> ExperimentConfig:
     return parse_config_text(path.read_text())
 
 
+def _format_value(value) -> str:
+    if isinstance(value, tuple):
+        return ", ".join(map(str, value))
+    return str(value).lower() if isinstance(value, bool) else str(value)
+
+
 def default_config_text() -> str:
     """A config file with every key at its default, for --write-config."""
     cfg = ExperimentConfig()
-    tr = cfg.train
-    lines = [
-        "# swarmbc sweep configuration (key = value; '#' starts a comment)",
-        f"envs = {', '.join(cfg.envs)}",
-        f"methods = {', '.join(cfg.methods)}",
-        f"episode_counts = {', '.join(map(str, cfg.episode_counts))}",
-        f"n_seeds = {cfg.n_seeds}",
-        f"eval_episodes = {cfg.eval_episodes}",
-        f"tau = {cfg.tau}",
-        f"n_members = {cfg.n_members}",
-        f"tau_grid = {', '.join(map(str, cfg.tau_grid))}",
-        f"n_grid = {', '.join(map(str, cfg.n_grid))}",
-        f"ablations = {str(cfg.ablations).lower()}",
-        f"master_seed = {cfg.master_seed}",
-        f"epochs = {tr.epochs}",
-        f"batch_size = {tr.batch_size}",
-        f"learning_rate = {tr.learning_rate}",
-        f"patience = {tr.patience}",
-        f"min_improvement = {tr.min_rel_improvement}",
-        f"hidden_dims = {', '.join(map(str, tr.hidden_dims))}",
-        f"normalize_swarm = {str(tr.normalize_swarm).lower()}",
-    ]
+    lines = ["# swarmbc sweep configuration (key = value; '#' starts a comment)"]
+    lines += [f"{key} = {_format_value(attrgetter(target)(cfg))}"
+              for key, (_, target) in CONFIG_KEYS.items()]
     return "\n".join(lines) + "\n"

@@ -3,7 +3,9 @@ import json
 
 import pytest
 
-from swarmbc.cli import main
+from swarmbc.cli import _resolve_method_params, main
+from swarmbc.ensemble import METHODS
+from swarmbc.harness import ExperimentConfig, method_params
 
 
 def run_cli(*args):
@@ -225,3 +227,62 @@ def test_sweep_refuses_resume_under_changed_config(tmp_path, capsys):
 
     assert run_cli("sweep", "--config", cfg_path, "--out", out_dir, "--force") == 0
     assert (out_dir / "results.csv").read_bytes() != results
+
+
+def test_method_defaults_come_from_the_sweep_defaults():
+    for method in METHODS:
+        assert _resolve_method_params(method, None, None) == method_params(
+            ExperimentConfig(), method
+        )
+
+
+TINY_SWEEP = (
+    "envs = point_reach\nmethods = bc\nepisode_counts = 1\nn_seeds = 1\n"
+    "eval_episodes = 1\nablations = false\nepochs = 2\n"
+)
+
+
+@pytest.mark.parametrize("config_line, flags", [
+    ("hidden_dims = 0\n", ()),
+    ("hidden_dims = 4, 0\n", ()),
+    ("learning_rate = -0.1\n", ()),
+    ("hidden_dims = 4\n", ("--workers", -3)),
+    ("hidden_dims = 4\n", ("--workers", 0)),
+])
+def test_sweep_rejects_invalid_training_config(tmp_path, capsys, config_line, flags):
+    cfg_path = tmp_path / "sweep.cfg"
+    cfg_path.write_text(TINY_SWEEP + config_line)
+    out_dir = tmp_path / "out"
+    assert run_cli("sweep", "--config", cfg_path, "--out", out_dir, *flags) == 1
+    assert "error:" in capsys.readouterr().err
+    assert not (out_dir / "results.csv").exists()
+
+
+@pytest.mark.parametrize("flags", [("--hidden-dims", "0"), ("--hidden-dims", "8,x"),
+                                   ("--lr", "-0.1")])
+def test_train_rejects_invalid_training_config(small_dataset, tmp_path, capsys, flags):
+    code = run_cli("train", "--data", small_dataset, "--method", "bc",
+                   "--out", tmp_path / "m.json", *flags)
+    assert code == 1
+    assert "error:" in capsys.readouterr().err
+    assert not (tmp_path / "m.json").exists()
+
+
+@pytest.mark.parametrize("cut", ["mid_row", "last_field", "schema_line"])
+def test_sweep_recomputes_torn_baselines(tmp_path, capsys, cut):
+    cfg_path = tmp_path / "sweep.cfg"
+    two_envs = TINY_SWEEP.replace("envs = point_reach", "envs = point_reach, cart_balance")
+    cfg_path.write_text(two_envs + "hidden_dims = 4\n")
+    out_dir = tmp_path / "out"
+    assert run_cli("sweep", "--config", cfg_path, "--out", out_dir) == 0
+    path = out_dir / "baselines.csv"
+    original = path.read_bytes()
+    last = original.splitlines(keepends=True)[-1]
+    keep = {
+        "mid_row": len(original) - len(last) + 4,  # inside the env name
+        "last_field": len(original) - 3,
+        "schema_line": 5,
+    }[cut]
+    path.write_bytes(original[:keep])
+    assert run_cli("sweep", "--config", cfg_path, "--out", out_dir) == 0
+    assert path.read_bytes() == original

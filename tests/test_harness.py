@@ -1,5 +1,9 @@
+import multiprocessing
+import os
+
 import pytest
 
+from swarmbc import harness
 from swarmbc.ensemble import TrainConfig
 from swarmbc.errors import ConfigError
 from swarmbc.harness import (
@@ -125,6 +129,105 @@ def test_parse_config_rejects_duplicate_and_malformed():
 def test_parse_config_rejects_empty_tau_grid():
     with pytest.raises(ConfigError):
         parse_config_text("tau_grid = ")
+
+
+def test_default_config_text_bytes():
+    assert default_config_text() == (
+        "# swarmbc sweep configuration (key = value; '#' starts a comment)\n"
+        "envs = point_reach, pendulum_swing, cart_balance\n"
+        "methods = bc, ensemble, swarm\n"
+        "episode_counts = 1, 2, 3, 4, 5, 6, 7, 8\n"
+        "n_seeds = 5\n"
+        "eval_episodes = 20\n"
+        "tau = 0.25\n"
+        "n_members = 4\n"
+        "tau_grid = 0.0, 0.25, 0.5, 0.75, 1.0\n"
+        "n_grid = 2, 4, 6, 8\n"
+        "ablations = true\n"
+        "master_seed = 0\n"
+        "epochs = 400\n"
+        "batch_size = 64\n"
+        "learning_rate = 0.001\n"
+        "patience = 50\n"
+        "min_improvement = 0.0001\n"
+        "hidden_dims = 16, 16\n"
+        "normalize_swarm = false\n"
+    )
+
+
+EVERY_KEY_CHANGED = """
+envs = cart_balance, point_reach
+methods = swarm, bc
+episode_counts = 2, 5
+n_seeds = 3
+eval_episodes = 7
+tau = 0.5
+n_members = 3
+tau_grid = 0.0, 0.125
+n_grid = 3, 5
+ablations = false
+master_seed = 11
+epochs = 9
+batch_size = 32
+learning_rate = 0.002
+patience = 4
+min_improvement = 0.001
+hidden_dims = 8, 6, 4
+normalize_swarm = yes
+"""
+
+
+def test_every_config_key_maps_to_its_field():
+    keys = [line.split("=")[0].strip() for line in EVERY_KEY_CHANGED.strip().splitlines()]
+    default_keys = [line.split("=")[0].strip()
+                    for line in default_config_text().splitlines()[1:]]
+    assert keys == default_keys
+    assert parse_config_text(EVERY_KEY_CHANGED) == ExperimentConfig(
+        envs=("cart_balance", "point_reach"),
+        methods=("swarm", "bc"),
+        episode_counts=(2, 5),
+        n_seeds=3,
+        eval_episodes=7,
+        tau=0.5,
+        n_members=3,
+        tau_grid=(0.0, 0.125),
+        n_grid=(3, 5),
+        ablations=False,
+        master_seed=11,
+        train=TrainConfig(
+            epochs=9, batch_size=32, learning_rate=0.002, patience=4,
+            min_rel_improvement=0.001, hidden_dims=(8, 6, 4), normalize_swarm=True,
+        ),
+    )
+
+
+@pytest.mark.parametrize("text, match", [
+    ("n_seeds = two", "bad value"),
+    ("ablations = maybe", "expected true/false"),
+    ("episode_counts = 1, x", "bad value"),
+])
+def test_parse_config_rejects_bad_values(text, match):
+    with pytest.raises(ConfigError, match=match):
+        parse_config_text(text)
+
+
+@pytest.mark.parametrize("kwargs", [
+    dict(hidden_dims=(0,)),
+    dict(hidden_dims=(16, 0)),
+    dict(hidden_dims=(-4,)),
+    dict(learning_rate=0.0),
+    dict(learning_rate=-0.1),
+])
+def test_train_config_rejects_invalid_values(kwargs):
+    with pytest.raises(ConfigError):
+        TrainConfig(**kwargs)
+
+
+@pytest.mark.parametrize("workers", [0, -3])
+def test_sweep_rejects_invalid_worker_count(tmp_path, workers):
+    with pytest.raises(ConfigError, match="workers"):
+        run_sweep(tiny_config(), tmp_path / "out", workers=workers)
+    assert not (tmp_path / "out").exists()
 
 
 def test_results_store_roundtrip_and_noop(tmp_path):
@@ -308,3 +411,34 @@ def test_zero_byte_results_file_is_treated_as_absent(tmp_path):
     store = run_sweep(cfg, crashed)
     assert len(store.records) == 2
     assert (crashed / "results.csv").read_bytes() == (fresh / "results.csv").read_bytes()
+
+
+@pytest.mark.skipif(multiprocessing.get_start_method() != "fork",
+                    reason="the patched run_cell reaches the workers only under fork")
+def test_dead_worker_fails_only_its_cell(tmp_path, monkeypatch):
+    cfg = tiny_config()
+    reference = run_sweep(cfg, tmp_path / "reference")
+    victim = Cell("point_reach", "ensemble", 1, 0.0, 4, 1)
+    real_run_cell = harness.run_cell
+
+    def dying(cfg, cell, baselines):
+        if cell == victim:
+            os._exit(7)  # the worker process dies without a Python exception
+        return real_run_cell(cfg, cell, baselines)
+
+    monkeypatch.setattr(harness, "run_cell", dying)
+    out = tmp_path / "run"
+    store = run_sweep(cfg, out, workers=2)
+    expected = [r for r in reference.records
+                if (r.method, r.seed) != (victim.method, victim.seed_index)]
+    assert store.records == expected
+    assert ResultsStore(out / "results.csv").records == expected
+    failures = (out / "failures.csv").read_text().splitlines()
+    assert len(failures) == 2
+    assert failures[1].startswith("point_reach,ensemble,1,0.0,4,1,")
+    assert (out / "returns_point_reach.csv").exists()
+
+    monkeypatch.undo()
+    store = run_sweep(cfg, out, workers=2)
+    assert sorted(store.records, key=repr) == sorted(reference.records, key=repr)
+    assert not (out / "failures.csv").exists()
