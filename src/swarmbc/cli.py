@@ -38,6 +38,23 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(USAGE_EXIT)
 
 
+def _int_list(flag: str, text: str) -> tuple:
+    """A comma list of ints, parsed as a sweep config parses one."""
+    try:
+        return harness.CONFIG_KEYS["hidden_dims"][0](text)
+    except ValueError as exc:
+        raise ConfigError(f"{flag}: {exc}") from None
+
+
+def _load(loader, path):
+    """``loader(path)``, with a missing or malformed file as a ConfigError (the
+    loaders index into whatever JSON the file holds)."""
+    try:
+        return loader(path)
+    except (OSError, ValueError, KeyError, TypeError, AttributeError) as exc:
+        raise ConfigError(f"cannot load {path}: {exc}") from None
+
+
 def _train_config(args) -> TrainConfig:
     kwargs = {}
     if args.epochs is not None:
@@ -49,11 +66,7 @@ def _train_config(args) -> TrainConfig:
     if args.patience is not None:
         kwargs["patience"] = args.patience
     if args.hidden_dims is not None:
-        parse, _ = harness.CONFIG_KEYS["hidden_dims"]  # as in a sweep config
-        try:
-            kwargs["hidden_dims"] = parse(args.hidden_dims)
-        except ValueError as exc:
-            raise ConfigError(f"--hidden-dims: {exc}") from None
+        kwargs["hidden_dims"] = _int_list("--hidden-dims", args.hidden_dims)
     if args.normalize_swarm:
         kwargs["normalize_swarm"] = True
     return TrainConfig(**kwargs)
@@ -74,29 +87,13 @@ def cmd_gen_data(args) -> int:
 def _resolve_method_params(method, tau, n):
     """``--tau`` and ``--n``, defaulting to what a sweep uses for ``method``."""
     default_tau, default_n = harness.method_params(harness.ExperimentConfig(), method)
-    tau = default_tau if tau is None else tau
-    n = default_n if n is None else n
-    if method == "bc":
-        if n != 1:
-            raise ConfigError("bc trains a single policy; use --method ensemble for N > 1")
-        if tau != 0.0:
-            raise ConfigError("bc does not take a regularizer; tau must be 0")
-    elif method == "ensemble":
-        if tau != 0.0:
-            raise ConfigError("ensemble uses tau = 0; use --method swarm for tau > 0")
-        if n < 2:
-            raise ConfigError("ensemble needs --n >= 2")
-    elif method == "swarm":
-        if tau <= 0.0:
-            raise ConfigError("swarm requires tau > 0; use --method ensemble for tau = 0")
-        if n < 2:
-            raise ConfigError("swarm needs --n >= 2")
-    return tau, n
+    return (default_tau if tau is None else tau), (default_n if n is None else n)
 
 
 def cmd_train(args) -> int:
     tau, n = _resolve_method_params(args.method, args.tau, args.n)
-    dataset = load_dataset(args.data)
+    harness.check_method_params(args.method, tau, n)
+    dataset = _load(load_dataset, args.data)
     config = _train_config(args)
     ens, history = train(dataset, n, tau, config, seed=args.seed)
     ens.meta["method"] = args.method
@@ -128,7 +125,7 @@ def cmd_eval(args) -> int:
         raise ConfigError("need --model PATH (or --expert to evaluate the expert)")
     ens = None
     if args.model:
-        ens = load_ensemble(args.model)
+        ens = _load(load_ensemble, args.model)
         env_id = args.env or ens.meta.get("env")
         if env_id is None:
             raise ConfigError("model has no env metadata; pass --env")
@@ -149,6 +146,7 @@ def cmd_eval(args) -> int:
 
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
+    results = harness.ResultsStore(out_dir / "eval_results.csv")  # drops a torn last row
     cfg = harness.ExperimentConfig(
         envs=(env_id,), eval_episodes=args.episodes, master_seed=args.seed
     )
@@ -168,7 +166,7 @@ def cmd_eval(args) -> int:
         tau, n = ens.tau, ens.n_members
         n_ep = int(ens.meta.get("n_expert_episodes", 0))
 
-    harness.append_result(out_dir / "eval_results.csv", RunRecord(
+    harness.append_result(results.path, RunRecord(
         env=env_id, method=method, n_expert_episodes=n_ep, tau=tau, n_members=n,
         seed=args.seed, scaled_return=mean_return, action_diff=mean_diff,
     ))
@@ -203,7 +201,7 @@ def cmd_sweep(args) -> int:
 
 
 def cmd_mode_demo(args) -> int:
-    n_list = [int(t) for t in args.n_list.split(",") if t.strip()]
+    n_list = _int_list("--n-list", args.n_list)
     if args.density == "uniform":
         density = theory.uniform_grid_density(n_cells=args.cells)
     else:
@@ -231,6 +229,8 @@ def cmd_mode_demo(args) -> int:
 
 
 def cmd_grad_check(args) -> int:
+    if args.trials < 1 or args.step <= 0:
+        raise ConfigError("grad-check needs --trials >= 1 and --step > 0")
     worst = gradient_max_rel_error(
         n_trials=args.trials, seed=args.seed, step=args.step
     )

@@ -135,10 +135,6 @@ class Ensemble:
         out = nn.stacked_forward(weights, self.biases, x[..., None, None, :], head)[1]
         return out[..., 0, :] if x.ndim > 1 else out[0, :, 0]
 
-    def act(self, s):
-        """The deployed ensemble action for one state."""
-        return ensemble_action(self, s)
-
 
 def _swarm_scale(ensemble: Ensemble) -> float:
     """1 for the raw pairwise sum, 1/(K * pairs) in normalized mode."""

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import csv
 import hashlib
+import io
 import os
 import warnings
 from concurrent.futures import ProcessPoolExecutor
@@ -42,6 +43,9 @@ RESULTS_COLUMNS = (
     "scaled_return",
     "action_diff",
 )
+BASELINES_COLUMNS = ("env", "n_episodes", "seed", "r_random", "r_expert")
+FAILURE_COLUMNS = ("env", "method", "n_episodes", "tau", "n_members", "seed", "error")
+TRACE_COLUMNS = ("t", "d_mean")
 
 
 @dataclass
@@ -73,14 +77,14 @@ class ExperimentConfig:
             raise ConfigError("n_seeds and eval_episodes must be >= 1")
         if self.n_members < 1:
             raise ConfigError("n_members must be >= 1")
-        if "swarm" in self.methods and self.tau <= 0:
-            raise ConfigError("swarm method requires tau > 0")
         if any(t < 0 for t in self.tau_grid):
             raise ConfigError("tau_grid values must be >= 0")
         if any(n < 2 for n in self.n_grid):
             raise ConfigError("n_grid values must be >= 2")
         if any(e < 1 for e in self.episode_counts):
             raise ConfigError("episode_counts must be >= 1")
+        for _, method, _, tau, n_members in _cell_groups(self):  # ablations included
+            check_method_params(method, tau, n_members)
 
 
 @dataclass(frozen=True)
@@ -101,6 +105,12 @@ class Cell:
             self.n_members,
             self.seed_index,
         )
+
+    @classmethod
+    def parse(cls, row):
+        """The cell whose ``key()`` is the first six fields of a table row."""
+        env, method, n_episodes, tau, n_members, seed_index = row[:6]
+        return cls(env, method, int(n_episodes), float(tau), int(n_members), int(seed_index))
 
 
 def config_fingerprint(cfg: ExperimentConfig) -> str:
@@ -129,6 +139,22 @@ def cell_seeds(cfg: ExperimentConfig, cell: Cell):
     return data, tr, ev
 
 
+def tau_method(tau: float) -> str:
+    """The method of an ensemble trained with regularizer strength ``tau``."""
+    return "swarm" if tau > 0 else "ensemble"
+
+
+def check_method_params(method: str, tau: float, n_members: int):
+    """The one rule for (method, tau, N): bc is a single policy and ensemble
+    N >= 2 policies, both with tau = 0; swarm is N >= 2 policies with tau > 0."""
+    if not (n_members == 1 if method == "bc" else n_members >= 2):
+        raise ConfigError(f"{method} with N = {n_members}: bc trains a single policy, "
+                          "ensemble and swarm need N >= 2")
+    if not (tau > 0 if method == "swarm" else tau == 0):
+        raise ConfigError(f"{method} with tau = {tau}: bc and ensemble take tau = 0, "
+                          "swarm needs tau > 0")
+
+
 def method_params(cfg: ExperimentConfig, method: str):
     if method == "bc":
         return 0.0, 1
@@ -139,25 +165,23 @@ def method_params(cfg: ExperimentConfig, method: str):
     raise ConfigError(f"unknown method {method!r}")
 
 
-def enumerate_cells(cfg: ExperimentConfig) -> list:
-    """All cells of the sweep in their canonical order, deduplicated."""
-    cells = []
+def _cell_groups(cfg: ExperimentConfig):
+    """(env, method, n_episodes, tau, N) of each group of seed cells, in order."""
     for env in cfg.envs:
         for method in cfg.methods:
-            tau, n = method_params(cfg, method)
             for n_ep in cfg.episode_counts:
-                for k in range(cfg.n_seeds):
-                    cells.append(Cell(env, method, n_ep, tau, n, k))
+                yield (env, method, n_ep, *method_params(cfg, method))
     if cfg.ablations:
-        env = cfg.envs[0]
-        n_ep = max(cfg.episode_counts)
+        env, n_ep = cfg.envs[0], max(cfg.episode_counts)
         for tau in cfg.tau_grid:
-            method = "swarm" if tau > 0 else "ensemble"
-            for k in range(cfg.n_seeds):
-                cells.append(Cell(env, method, n_ep, tau, cfg.n_members, k))
+            yield env, tau_method(tau), n_ep, tau, cfg.n_members
         for n in cfg.n_grid:
-            for k in range(cfg.n_seeds):
-                cells.append(Cell(env, "swarm", n_ep, cfg.tau, n, k))
+            yield env, "swarm", n_ep, cfg.tau, n
+
+
+def enumerate_cells(cfg: ExperimentConfig) -> list:
+    """All cells of the sweep in their canonical order, deduplicated."""
+    cells = [Cell(*group, k) for group in _cell_groups(cfg) for k in range(cfg.n_seeds)]
     seen, unique = set(), []
     for c in cells:
         if c.key() not in seen:
@@ -231,71 +255,101 @@ def _ragged_mean(traces) -> np.ndarray:
     return np.nanmean(padded, axis=0)
 
 
+# --- on-disk tables ---------------------------------------------------------
+# Every CSV a sweep reads back starts with a preamble (an optional
+# ``# schema=`` line, then the header row); each row after it ends in a
+# newline. A crash can only cut a file at its end: a file cut inside its
+# preamble is absent, and an unterminated last row is dropped. Files that are
+# rewritten rather than appended to are replaced atomically.
+
+def _csv_text(rows, schema=None) -> str:
+    buf = io.StringIO()
+    buf.write(f"# schema={schema}\n" if schema else "")
+    csv.writer(buf, lineterminator="\n").writerows(rows)
+    return buf.getvalue()
+
+
+def read_table(path: Path, columns, parse, schema=None) -> list:
+    """``parse`` of every complete row of the table at ``path``. A missing
+    file, or one cut inside its preamble, is no rows (a cut file is
+    removed); an unterminated last row is dropped with a warning and cut
+    from the file, so the next append starts a fresh line. Any other
+    preamble, or a row ``parse`` rejects, is a ``ConfigError``."""
+    head = _csv_text([columns], schema).encode()
+    data = path.read_bytes() if path.exists() else b""
+    if len(data) < len(head) and head.startswith(data):
+        path.unlink(missing_ok=True)
+        return []
+    if not data.startswith(head):
+        raise ConfigError(f"{path}: expected the preamble {head.decode()!r}, got "
+                          f"{data[:len(head)].decode(errors='replace')!r}")
+    end = data.rfind(b"\n") + 1
+    while data.count(b'"', 0, end) % 2:  # that newline is inside a quoted field
+        end = data.rfind(b"\n", 0, end - 1) + 1
+    if end < len(data):
+        warnings.warn(f"{path}: dropping unterminated last row {data[end:]!r} "
+                      "(interrupted write)", RuntimeWarning)
+        with open(path, "r+b") as f:
+            f.truncate(end)
+    out = []
+    for row in csv.reader(io.StringIO(data[len(head):end].decode())):
+        try:
+            out.append(parse(row))
+        except (IndexError, ValueError) as exc:
+            raise ConfigError(f"{path}: malformed row {row}: {exc}") from None
+    return out
+
+
+def append_row(path: Path, row, columns, schema=None):
+    """Append one row, writing the preamble first if the file is new."""
+    with open(path, "a", encoding="utf-8", newline="") as f:
+        f.write(_csv_text([columns, row], schema) if f.tell() == 0 else _csv_text([row]))
+
+
+def replace_file(path: Path, text: str):
+    """Write ``text`` to ``path`` through a temporary file and ``os.replace``,
+    so a crash leaves the old file or the new one, never a mix."""
+    tmp = path.with_name(path.name + ".tmp")
+    tmp.write_text(text, encoding="utf-8", newline="")
+    os.replace(tmp, path)
+
+
+def write_table(path: Path, columns, rows, schema=None):
+    replace_file(path, _csv_text([columns, *rows], schema))
+
+
 def _record_key(rec: RunRecord):
     return Cell(rec.env, rec.method, rec.n_expert_episodes, rec.tau, rec.n_members,
                 rec.seed).key()
 
 
+def _parse_record(row) -> RunRecord:
+    cell = Cell.parse(row)
+    scaled_return, action_diff = row[6:]
+    return RunRecord(
+        env=cell.env, method=cell.method, n_expert_episodes=cell.n_episodes,
+        tau=cell.tau, n_members=cell.n_members, seed=cell.seed_index,
+        scaled_return=float(scaled_return),
+        action_diff=float(action_diff) if action_diff else None,
+    )
+
+
 def append_result(path: Path, rec: RunRecord):
-    """Append one row to a results CSV (sweep or ``swarmbc eval``), writing
-    the schema line and the header first if the file is new."""
-    new_file = not path.exists()
-    with open(path, "a", newline="") as f:
-        writer = csv.writer(f, lineterminator="\n")
-        if new_file:
-            f.write(f"# schema={RESULTS_SCHEMA}\n")
-            writer.writerow(RESULTS_COLUMNS)
-        diff = "" if rec.action_diff is None else repr(float(rec.action_diff))
-        writer.writerow([*_record_key(rec), repr(float(rec.scaled_return)), diff])
+    """Append one row to a results CSV (sweep or ``swarmbc eval``)."""
+    diff = "" if rec.action_diff is None else repr(float(rec.action_diff))
+    append_row(path, [*_record_key(rec), repr(float(rec.scaled_return)), diff],
+               RESULTS_COLUMNS, RESULTS_SCHEMA)
 
 
 class ResultsStore:
-    """Append-only CSV of run records plus a baseline cache, keyed by
-    (env, method, n_expert_episodes, tau, n_members, seed)."""
+    """Append-only CSV of run records, keyed by (env, method,
+    n_expert_episodes, tau, n_members, seed)."""
 
     def __init__(self, path):
         self.path = Path(path)
-        self.records: list[RunRecord] = []
-        self._keys = set()
-        if self.path.exists() and self.path.stat().st_size == 0:
-            # what a crash leaves before the first buffered header reaches disk
-            self.path.unlink()
-        if self.path.exists():
-            self._load()
-
-    def _load(self):
-        """Read every complete row. An unterminated last row is what an
-        interrupted append leaves: it is dropped with a warning and cut from
-        the file, so its cell reruns and the next append starts a fresh line."""
-        text = self.path.read_bytes().decode()
-        first = text.split("\n", 1)[0].strip()
-        if first != f"# schema={RESULTS_SCHEMA}":
-            raise ConfigError(f"{self.path}: unexpected schema line {first!r}")
-        complete = text[: text.rfind("\n") + 1]
-        if len(complete) < len(text):
-            warnings.warn(
-                f"{self.path}: dropping unterminated last row "
-                f"{text[len(complete):]!r} (interrupted write)",
-                RuntimeWarning,
-            )
-            with open(self.path, "r+b") as f:
-                f.truncate(len(complete.encode()))
-        for row in csv.DictReader(complete.splitlines()[1:]):
-            try:
-                rec = RunRecord(
-                    env=row["env"],
-                    method=row["method"],
-                    n_expert_episodes=int(row["n_expert_episodes"]),
-                    tau=float(row["tau"]),
-                    n_members=int(row["n_members"]),
-                    seed=int(row["seed"]),
-                    scaled_return=float(row["scaled_return"]),
-                    action_diff=float(row["action_diff"]) if row["action_diff"] else None,
-                )
-            except (KeyError, TypeError, ValueError) as exc:
-                raise ConfigError(f"{self.path}: malformed row {row}: {exc}") from None
-            self.records.append(rec)
-            self._keys.add(_record_key(rec))
+        self.records: list[RunRecord] = read_table(
+            self.path, RESULTS_COLUMNS, _parse_record, RESULTS_SCHEMA)
+        self._keys = {_record_key(rec) for rec in self.records}
 
     def has(self, cell: Cell) -> bool:
         return cell.key() in self._keys
@@ -319,50 +373,29 @@ class ResultsStore:
 def load_or_compute_baselines(cfg: ExperimentConfig, out_dir: Path) -> dict:
     """Per-env (r_random, r_expert), cached in baselines.csv. A cached row is
     used only if its episode count and seed are the ones this config would
-    use; any other env, and any row that is unterminated or does not parse
-    (a torn write), is recomputed and the file rewritten atomically."""
+    use; any other env is recomputed and the file rewritten."""
     path = Path(out_dir) / "baselines.csv"
 
     def seed_of(env_id):
         return fan_out_seed(cfg.master_seed, "baseline", env_id)
 
-    cache = {}
-    if path.exists():
-        text = path.read_text()
-        lines = text[: text.rfind("\n") + 1].splitlines()
-        if lines and lines[0].strip() != f"# schema={BASELINES_SCHEMA}":
-            raise ConfigError(f"{path}: unexpected schema line {lines[0]!r}")
-        for row in csv.DictReader(lines[1:]):
-            try:
-                key = (int(row["n_episodes"]), int(row["seed"]))
-                returns = (float(row["r_random"]), float(row["r_expert"]))
-            except (TypeError, ValueError):
-                continue
-            if key == (cfg.eval_episodes, seed_of(row["env"])):
-                cache[row["env"]] = returns
+    def parse(row):
+        env, n_episodes, seed, r_random, r_expert = row
+        return env, (int(n_episodes), int(seed)), (float(r_random), float(r_expert))
+
+    cache = {env: returns
+             for env, key, returns in read_table(path, BASELINES_COLUMNS, parse, BASELINES_SCHEMA)
+             if key == (cfg.eval_episodes, seed_of(env))}
     missing = [e for e in cfg.envs if e not in cache]
     for env_id in missing:
         cache[env_id] = baseline_returns(
             make_env(env_id), n_episodes=cfg.eval_episodes, seed=seed_of(env_id)
         )
     if missing:
-        tmp = path.with_name(path.name + ".tmp")
-        with open(tmp, "w", newline="") as f:
-            f.write(f"# schema={BASELINES_SCHEMA}\n")
-            writer = csv.writer(f, lineterminator="\n")
-            writer.writerow(["env", "n_episodes", "seed", "r_random", "r_expert"])
-            for env_id in sorted(cache):
-                r_rand, r_exp = cache[env_id]
-                writer.writerow(
-                    [
-                        env_id,
-                        cfg.eval_episodes,
-                        seed_of(env_id),
-                        repr(r_rand),
-                        repr(r_exp),
-                    ]
-                )
-        os.replace(tmp, path)
+        write_table(path, BASELINES_COLUMNS, [
+            [env_id, cfg.eval_episodes, seed_of(env_id), repr(r_rand), repr(r_exp)]
+            for env_id, (r_rand, r_exp) in sorted(cache.items())
+        ], BASELINES_SCHEMA)
     return cache
 
 
@@ -373,11 +406,7 @@ def _trace_path(out_dir: Path, cell: Cell) -> Path:
 
 def _write_trace(path: Path, trace: np.ndarray):
     path.parent.mkdir(parents=True, exist_ok=True)
-    with open(path, "w", newline="") as f:
-        writer = csv.writer(f, lineterminator="\n")
-        writer.writerow(["t", "d_mean"])
-        for t, d in enumerate(trace):
-            writer.writerow([t, repr(float(d))])
+    write_table(path, TRACE_COLUMNS, [[t, repr(float(d))] for t, d in enumerate(trace)])
 
 
 def _cell_worker(args):
@@ -431,7 +460,8 @@ def run_sweep(cfg: ExperimentConfig, out_dir, workers: int = 1,
             "--force to replace its results, or choose a new --out"
         )
     store = ResultsStore(results_path)
-    fingerprint_path.write_text(fingerprint + "\n")
+    _prune_failures(out_dir, store)  # also repairs a torn row before any append
+    replace_file(fingerprint_path, fingerprint + "\n")
     baselines = load_or_compute_baselines(cfg, out_dir)
     cells = enumerate_cells(cfg)
     pending = [c for c in cells if not store.has(c)]
@@ -479,39 +509,20 @@ def run_sweep(cfg: ExperimentConfig, out_dir, workers: int = 1,
     return store
 
 
-FAILURE_COLUMNS = ("env", "method", "n_episodes", "tau", "n_members", "seed", "error")
-
-
 def _record_failure(out_dir: Path, cell: Cell, message: str):
-    path = Path(out_dir) / "failures.csv"
-    new_file = not path.exists()
-    with open(path, "a", newline="") as f:
-        writer = csv.writer(f, lineterminator="\n")
-        if new_file:
-            writer.writerow(FAILURE_COLUMNS)
-        writer.writerow([*cell.key(), message])
+    append_row(Path(out_dir) / "failures.csv", [*cell.key(), message], FAILURE_COLUMNS)
 
 
 def _prune_failures(out_dir: Path, store: ResultsStore):
     """Drop the failure rows of cells that have since succeeded; delete the
     file once no row is left."""
     path = Path(out_dir) / "failures.csv"
-    if not path.exists():
-        return
-    with open(path, newline="") as f:
-        rows = list(csv.DictReader(f))
-    open_rows = [
-        r for r in rows
-        if not store.has(Cell(r["env"], r["method"], int(r["n_episodes"]), float(r["tau"]),
-                              int(r["n_members"]), int(r["seed"])))
-    ]
+    rows = read_table(path, FAILURE_COLUMNS, lambda row: (Cell.parse(row), row))
+    open_rows = [row for cell, row in rows if not store.has(cell)]
     if not open_rows:
-        path.unlink()
+        path.unlink(missing_ok=True)
     elif len(open_rows) < len(rows):
-        with open(path, "w", newline="") as f:
-            writer = csv.DictWriter(f, FAILURE_COLUMNS, lineterminator="\n")
-            writer.writeheader()
-            writer.writerows(open_rows)
+        write_table(path, FAILURE_COLUMNS, open_rows)
 
 
 def _write_summary(path: Path, columns, groups, row_key=None, **chart):
@@ -533,10 +544,9 @@ def _write_summary(path: Path, columns, groups, row_key=None, **chart):
         s.hi.append(mean + std)
     if not rows:
         return
-    with open(path.with_name(path.name + ".csv"), "w", newline="") as f:
-        writer = csv.writer(f, lineterminator="\n")
-        writer.writerow([*columns, "scaled_return_mean", "scaled_return_std", "n_runs"])
-        writer.writerows(sorted(rows, key=row_key) if row_key else rows)
+    write_table(path.with_name(path.name + ".csv"),
+                [*columns, "scaled_return_mean", "scaled_return_std", "n_runs"],
+                sorted(rows, key=row_key) if row_key else rows)
     svg.line_chart(path.with_name(path.name + ".svg"), list(series.values()),
                    y_label="mean scaled return", **chart)
 
@@ -568,7 +578,7 @@ def write_summaries(cfg: ExperimentConfig, store: ResultsStore, out_dir):
         _write_summary(
             out_dir / "ablation_tau", ["env", "n_expert_episodes", "tau"],
             [("swarm", tau, [env, n_ep, repr(float(tau))],
-              runs(env, "swarm" if tau > 0 else "ensemble", n_ep, tau, cfg.n_members))
+              runs(env, tau_method(tau), n_ep, tau, cfg.n_members))
              for tau in cfg.tau_grid],
             title=f"Regularizer strength ablation ({env}, {n_ep} expert ep)",
             x_label="tau",
@@ -582,12 +592,6 @@ def write_summaries(cfg: ExperimentConfig, store: ResultsStore, out_dir):
         )
 
 
-def _read_trace(path: Path):
-    with open(path, newline="") as f:
-        reader = csv.DictReader(f)
-        return np.array([float(row["d_mean"]) for row in reader])
-
-
 def _write_trace_summaries(cfg: ExperimentConfig, out_dir: Path):
     n_ep = trace_size(cfg)
     for env in cfg.envs:
@@ -598,22 +602,18 @@ def _write_trace_summaries(cfg: ExperimentConfig, out_dir: Path):
             tau, n = method_params(cfg, method)
             paths = [_trace_path(out_dir, Cell(env, method, n_ep, tau, n, k))
                      for k in range(cfg.n_seeds)]
-            traces = [_read_trace(p) for p in paths if p.exists()]
+            traces = [np.array(read_table(p, TRACE_COLUMNS, lambda row: float(row[1])))
+                      for p in paths if p.exists()]
             if traces:
                 per_method[method] = _ragged_mean(traces)
         if not per_method:
             continue
-        t_max = max(len(v) for v in per_method.values())
-        with open(out_dir / f"action_diff_{env}.csv", "w", newline="") as f:
-            writer = csv.writer(f, lineterminator="\n")
-            methods = sorted(per_method)
-            writer.writerow(["t"] + [f"d_{m}_mean" for m in methods])
-            for t in range(t_max):
-                row = [t]
-                for m in methods:
-                    v = per_method[m]
-                    row.append(repr(float(v[t])) if t < len(v) else "")
-                writer.writerow(row)
+        methods = sorted(per_method)
+        write_table(out_dir / f"action_diff_{env}.csv", ["t", *(f"d_{m}_mean" for m in methods)], [
+            [t, *(repr(float(per_method[m][t])) if t < len(per_method[m]) else ""
+                  for m in methods)]
+            for t in range(max(len(v) for v in per_method.values()))
+        ])
         series = [
             svg.Series(m, list(range(len(v))), list(v))
             for m, v in sorted(per_method.items())

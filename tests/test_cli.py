@@ -114,6 +114,18 @@ def test_eval_expert_flag_scores_near_one(tmp_path, capsys):
     assert abs(mean - 1.0) < 0.05
 
 
+def test_eval_drops_torn_results_row_before_appending(tmp_path, capsys):
+    out_dir = tmp_path / "eval"
+    argv = ("eval", "--expert", "--env", "point_reach", "--episodes", 1, "--out", out_dir)
+    assert run_cli(*argv) == 0
+    path = out_dir / "eval_results.csv"
+    one_row = path.read_bytes()
+    path.write_bytes(one_row + b"point_reach,expert,0,0.")  # an append cut short
+    with pytest.warns(RuntimeWarning, match="unterminated"):
+        assert run_cli(*argv) == 0
+    assert path.read_bytes() == one_row + one_row.splitlines(keepends=True)[-1]
+
+
 def test_eval_requires_model_or_expert(capsys):
     assert run_cli("eval", "--env", "point_reach") == 1
 
@@ -284,5 +296,39 @@ def test_sweep_recomputes_torn_baselines(tmp_path, capsys, cut):
         "schema_line": 5,
     }[cut]
     path.write_bytes(original[:keep])
-    assert run_cli("sweep", "--config", cfg_path, "--out", out_dir) == 0
+    if cut == "schema_line":  # a file cut inside its preamble counts as absent
+        assert run_cli("sweep", "--config", cfg_path, "--out", out_dir) == 0
+    else:
+        with pytest.warns(RuntimeWarning, match="unterminated"):
+            assert run_cli("sweep", "--config", cfg_path, "--out", out_dir) == 0
     assert path.read_bytes() == original
+
+
+@pytest.mark.parametrize("argv", [
+    ("mode-demo", "--n-list", "a,2", "--out", "{tmp}/demo.csv"),
+    ("grad-check", "--step", "0"),
+    ("grad-check", "--trials", "0"),
+    ("train", "--data", "{tmp}/missing.jsonl", "--method", "bc", "--out", "{tmp}/m.json"),
+    ("eval", "--model", "{tmp}/missing.json"),
+    ("train", "--data", "{tmp}/bad.json", "--method", "bc", "--out", "{tmp}/m.json"),
+    ("eval", "--model", "{tmp}/bad.json"),
+    ("train", "--data", "{tmp}/list.json", "--method", "bc", "--out", "{tmp}/m.json"),
+    ("eval", "--model", "{tmp}/list.json"),
+], ids=["n_list", "grad_step", "grad_trials", "missing_data", "missing_model",
+        "invalid_data", "invalid_model", "non_object_data", "non_object_model"])
+def test_bad_arguments_and_files_exit_1_without_traceback(tmp_path, capsys, argv):
+    (tmp_path / "bad.json").write_text('{"env": "point_reach", \n')
+    (tmp_path / "list.json").write_text("[1, 2]\n")
+    assert run_cli(*(a.format(tmp=tmp_path) for a in argv)) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "Traceback" not in err
+
+
+def test_sweep_rejects_single_member_ensembles(tmp_path, capsys):
+    cfg_path = tmp_path / "sweep.cfg"
+    cfg_path.write_text(TINY_SWEEP.replace("methods = bc", "methods = bc, swarm")
+                        + "n_members = 1\n")
+    out_dir = tmp_path / "out"
+    assert run_cli("sweep", "--config", cfg_path, "--out", out_dir) == 1
+    assert "N >= 2" in capsys.readouterr().err
+    assert not (out_dir / "results.csv").exists()

@@ -1,3 +1,4 @@
+import csv
 import multiprocessing
 import os
 
@@ -18,7 +19,7 @@ from swarmbc.harness import (
     parse_config_text,
     run_sweep,
 )
-from swarmbc.harness import _record_failure
+from swarmbc.harness import _prune_failures, _record_failure
 from swarmbc.envs import make_env
 from swarmbc.metrics import RunRecord, baseline_returns
 
@@ -86,6 +87,30 @@ def test_config_validation():
         ExperimentConfig(envs=("mujoco",))
     with pytest.raises(ConfigError):
         ExperimentConfig(n_grid=(1,))
+
+
+@pytest.mark.parametrize("kwargs", [
+    dict(n_members=1),  # ensemble and swarm cells of one member
+    dict(methods=("bc",), n_members=1),  # the tau ablation trains ensembles
+    dict(methods=("bc", "ensemble"), tau=0.0),  # the N ablation trains swarms
+])
+def test_config_rejects_invalid_method_params(kwargs):
+    with pytest.raises(ConfigError, match="N >= 2|tau > 0"):
+        ExperimentConfig(**kwargs)
+
+
+def test_config_accepts_single_policy_bc_sweep():
+    cfg = ExperimentConfig(methods=("bc",), n_members=1, ablations=False)
+    assert {c.n_members for c in enumerate_cells(cfg)} == {1}
+
+
+@pytest.mark.parametrize("method, tau, n", [
+    ("bc", 0.0, 2), ("bc", 0.5, 1), ("ensemble", 0.0, 1), ("ensemble", 0.25, 4),
+    ("ensemble", -0.5, 4), ("swarm", 0.0, 4), ("swarm", 0.25, 1), ("swarm", float("nan"), 4),
+])
+def test_check_method_params_rejects(method, tau, n):
+    with pytest.raises(ConfigError):
+        harness.check_method_params(method, tau, n)
 
 
 def test_parse_config_text_roundtrip():
@@ -411,6 +436,64 @@ def test_zero_byte_results_file_is_treated_as_absent(tmp_path):
     store = run_sweep(cfg, crashed)
     assert len(store.records) == 2
     assert (crashed / "results.csv").read_bytes() == (fresh / "results.csv").read_bytes()
+
+
+@pytest.mark.parametrize("torn", ["# sche", "# schema=swarmbc.results.v1\nenv,meth"],
+                         ids=["schema_line", "header"])
+def test_results_file_cut_inside_its_preamble_is_treated_as_absent(tmp_path, torn):
+    cfg = tiny_config(n_seeds=1)
+    fresh = tmp_path / "fresh"
+    run_sweep(cfg, fresh)
+    crashed = tmp_path / "crashed"
+    crashed.mkdir()
+    (crashed / "results.csv").write_text(torn)
+    run_sweep(cfg, crashed)
+    assert (crashed / "results.csv").read_bytes() == (fresh / "results.csv").read_bytes()
+
+
+def test_sweep_survives_torn_failures_row(tmp_path, monkeypatch):
+    cfg = tiny_config(n_seeds=1)
+    out = tmp_path / "run"
+    out.mkdir()
+    _record_failure(out, Cell("cart_balance", "bc", 2, 0.0, 1, 3), "Boom: c")
+    with open(out / "failures.csv", "a") as f:  # an append cut short
+        f.write("point_re")
+    victim = Cell("point_reach", "swarm", 1, 0.25, 4, 0)
+    real_run_cell = harness.run_cell
+
+    def failing(cfg, cell, baselines):
+        if cell == victim:
+            raise RuntimeError("no luck")
+        return real_run_cell(cfg, cell, baselines)
+
+    monkeypatch.setattr(harness, "run_cell", failing)
+    with pytest.warns(RuntimeWarning, match="unterminated"):
+        run_sweep(cfg, out)
+    assert (out / "failures.csv").read_text().splitlines() == [
+        "env,method,n_episodes,tau,n_members,seed,error",
+        "cart_balance,bc,2,0.0,1,3,Boom: c",
+        "point_reach,swarm,1,0.25,4,0,RuntimeError: no luck",
+    ]
+    assert (out / "returns_point_reach.csv").exists()
+    assert (out / "action_diff_point_reach.csv").exists()
+
+
+def test_failure_message_with_comma_and_newline_survives(tmp_path):
+    message = 'ValueError: bad shape (2, 3),\n  in "layer 1"'
+    cell = Cell("point_reach", "swarm", 1, 0.25, 4, 0)
+    _record_failure(tmp_path, cell, message)
+    recorded = (tmp_path / "failures.csv").read_bytes()
+    _record_failure(tmp_path, Cell("point_reach", "swarm", 1, 0.25, 4, 1), message)
+    path = tmp_path / "failures.csv"
+    torn = path.read_bytes()
+    path.write_bytes(torn[: torn.rindex(b"\n", 0, len(torn) - 1) + 1])  # cut after the embedded newline
+    with pytest.warns(RuntimeWarning, match="unterminated"):
+        _prune_failures(tmp_path, ResultsStore(tmp_path / "results.csv"))
+    assert path.read_bytes() == recorded
+    _prune_failures(tmp_path, ResultsStore(tmp_path / "results.csv"))
+    assert path.read_bytes() == recorded
+    with open(path, newline="") as f:
+        assert list(csv.reader(f))[1] == [*map(str, cell.key()), message]
 
 
 @pytest.mark.skipif(multiprocessing.get_start_method() != "fork",
