@@ -23,6 +23,7 @@ is off by default because the raw form is the reference definition.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -131,8 +132,9 @@ class Ensemble:
         """
         x = self.normalize(s)
         weights = [w[None] for w in self.weights]  # (1, N, in, out)
+        bias_rows = [b[:, None, :] for b in self.biases]
         head = self.members[0].output_activation
-        out = nn.stacked_forward(weights, self.biases, x[..., None, None, :], head)[1]
+        out = nn.stacked_forward(weights, bias_rows, x[..., None, None, :], head)[1]
         return out[..., 0, :] if x.ndim > 1 else out[0, :, 0]
 
 
@@ -213,34 +215,60 @@ def ensemble_action(ensemble: Ensemble, s):
     return int(action) if ensemble.action_kind == "discrete" else action
 
 
-def _loss_and_grads(ensemble: Ensemble, states, actions, dweights, dbiases) -> LossBreakdown:
-    """The stacked training kernel: mean per-sample loss over a 2-D batch,
-    with the gradient of every member written into ``dweights``/``dbiases``
-    (views shaped like ``ensemble.weights``/``ensemble.biases``)."""
-    n_batch = len(states)
+def _kernel(ensemble: Ensemble, n_batch: int, dweights, dbiases):
+    """The training step for batches of ``n_batch`` rows, over buffers allocated
+    once: ``step(x, actions, bc_sums, swarm_sums)`` on normalized states writes
+    each member's summed squared error into ``bc_sums``, each hidden layer's
+    sum_i ||h_i - h_mean||^2 into ``swarm_sums`` (untouched at N = 1, where it
+    is 0) and the gradient of the mean loss into ``dweights``/``dbiases``."""
     n = ensemble.n_members
     head = ensemble.members[0].output_activation
-    x = ensemble.normalize(states)
-    hiddens, output = nn.stacked_forward(ensemble.weights, ensemble.biases, x, head)
-    err = output - actions  # (N, B, action_dim)
-    bc = sum(np.square(err).reshape(n, -1).sum(axis=1).tolist()) / n_batch  # as swarm_loss
-
+    bias_rows = [b[:, None, :] for b in ensemble.biases]
+    acts = [np.empty((n, n_batch, width)) for width in ensemble.members[0].layer_dims[1:]]
+    hiddens, output = acts[:-1], acts[-1]
+    err, err_sq = np.empty_like(output), np.empty_like(output)
+    centred = [np.empty_like(h) for h in hiddens]
+    scratch = [(np.empty_like(h), np.empty_like(h)) for h in hiddens]
+    means = [np.empty(h.shape[1:]) for h in hiddens]
     # sum_{i<j} ||h_i - h_j||^2 = N sum_i ||h_i - h_mean||^2, with gradient
     # 2N (h_i - h_mean) w.r.t. h_i
-    scale = _swarm_scale(ensemble)
-    centred = [h - h.sum(axis=0) / n for h in hiddens]
-    swarm = n * sum(np.sum(d * d) for d in centred) * scale / n_batch
-    total = bc + ensemble.tau * swarm
+    coef = 2.0 * ensemble.tau * _swarm_scale(ensemble) / n_batch
+    seeds = centred if ensemble.tau > 0 and n > 1 else None
 
-    hidden_grads = None
-    if ensemble.tau > 0 and n > 1:
-        coef = 2.0 * ensemble.tau * scale / n_batch
-        hidden_grads = [coef * (n * d) for d in centred]
-    nn.stacked_backward(
-        ensemble.weights, x, hiddens, output, 2.0 * err / n_batch, hidden_grads,
-        dweights, dbiases, head,
-    )
+    def step(x, actions, bc_sums, swarm_sums):
+        nn.stacked_forward(ensemble.weights, bias_rows, x, head, out=acts)
+        np.subtract(output, actions, out=err)
+        np.add.reduce(np.square(err, out=err_sq).reshape(n, -1), axis=1, out=bc_sums)
+        if n > 1:
+            for k, (h, mean, d, (_, d_sq)) in enumerate(zip(hiddens, means, centred, scratch)):
+                np.add.reduce(h, axis=0, out=mean)
+                mean /= n
+                np.subtract(h, mean, out=d)
+                np.add.reduce(np.square(d, out=d_sq).reshape(-1), out=swarm_sums[k, ...])
+                d *= n
+                d *= coef
+        np.divide(np.multiply(err, 2.0, out=err), n_batch, out=err)
+        nn.stacked_backward(ensemble.weights, x, hiddens, output, err, seeds,
+                            dweights, dbiases, head, scratch)
+
+    return step
+
+
+def _breakdown(ensemble: Ensemble, bc_sums, swarm_sums, n_batch: int) -> LossBreakdown:
+    """The mean LossBreakdown of a batch from the sums ``_kernel`` wrote."""
+    bc = sum(bc_sums.tolist()) / n_batch  # as swarm_loss
+    swarm = ensemble.n_members * sum(swarm_sums) * _swarm_scale(ensemble) / n_batch
+    total = bc + ensemble.tau * swarm
     return LossBreakdown(bc_term=float(bc), swarm_term=float(swarm), total=float(total))
+
+
+def _batch(ensemble: Ensemble, states, actions):
+    """One run of the kernel on a 2-D batch: ``(LossBreakdown, flat gradient,
+    dweights, dbiases)``, the gradient laid out like ``ensemble.params``."""
+    grad, dweights, dbiases = nn.stacked_buffer(ensemble.members[0].layer_dims, ensemble.n_members)
+    sums = np.zeros(ensemble.n_members), np.zeros(ensemble.members[0].n_hidden_layers)
+    _kernel(ensemble, len(states), dweights, dbiases)(ensemble.normalize(states), actions, *sums)
+    return _breakdown(ensemble, *sums, len(states)), grad, dweights, dbiases
 
 
 def batch_loss_and_grads(ensemble: Ensemble, states, actions):
@@ -253,8 +281,7 @@ def batch_loss_and_grads(ensemble: Ensemble, states, actions):
     """
     states = np.atleast_2d(np.asarray(states, dtype=np.float64))
     actions = np.atleast_2d(np.asarray(actions, dtype=np.float64))
-    _, dweights, dbiases = nn.stacked_buffer(ensemble.members[0].layer_dims, ensemble.n_members)
-    breakdown = _loss_and_grads(ensemble, states, actions, dweights, dbiases)
+    breakdown, _, dweights, dbiases = _batch(ensemble, states, actions)
     grads = [
         [g[i] for pair in zip(dweights, dbiases) for g in pair]
         for i in range(ensemble.n_members)
@@ -288,8 +315,13 @@ class TrainConfig:
             raise ConfigError("need at least one hidden layer")
         if any(width < 1 for width in self.hidden_dims):
             raise ConfigError(f"hidden_dims widths must be >= 1, got {self.hidden_dims}")
-        if not self.learning_rate > 0:
-            raise ConfigError(f"learning_rate must be > 0, got {self.learning_rate}")
+        if not 0 < self.learning_rate < math.inf:
+            raise ConfigError(f"learning_rate must be in (0, inf), got {self.learning_rate}")
+        if self.patience < 0:
+            raise ConfigError(f"patience must be >= 0, got {self.patience}")
+        if not 0 <= self.min_rel_improvement < math.inf:
+            raise ConfigError(
+                f"min_rel_improvement must be in [0, inf), got {self.min_rel_improvement}")
 
 
 def train(
@@ -370,15 +402,27 @@ def train(
     best_epoch = -1
     last_finite = ens.params.copy()
 
+    # per minibatch of an epoch: its rows, and its loss sums until the epoch ends
+    batches = [slice(start, min(start + config.batch_size, n_samples))
+               for start in range(0, n_samples, config.batch_size)]
+    sizes = [rows.stop - rows.start for rows in batches]
+    steps = {size: _kernel(ens, size, dweights, dbiases) for size in set(sizes)}
+    bc_sums = np.zeros((len(batches), n_members))
+    swarm_sums = np.zeros((len(batches), len(config.hidden_dims)))
+    xs = ens.normalize(dataset.states)  # row by row, as each minibatch alone
+
     for epoch in range(config.epochs):
         order = shuffle_rng.permutation(n_samples)
+        x_epoch, a_epoch = xs[order], dataset.actions[order]
+        for i, (rows, size) in enumerate(zip(batches, sizes)):
+            steps[size](x_epoch[rows], a_epoch[rows], bc_sums[i], swarm_sums[i])
+            nn.adam_update([ens.params], [grad], opt)
         sum_bc = sum_swarm = sum_total = 0.0
-        for start in range(0, n_samples, config.batch_size):
-            idx = order[start : start + config.batch_size]
-            breakdown = _loss_and_grads(
-                ens, dataset.states[idx], dataset.actions[idx], dweights, dbiases
-            )
-            if not np.isfinite(breakdown.total):
+        for size, bc, swarm in zip(sizes, bc_sums, swarm_sums):
+            breakdown = _breakdown(ens, bc, swarm, size)
+            # checked after the epoch's steps: a non-finite batch leaves the
+            # rest of the epoch non-finite, and the payload is the epoch's start
+            if not math.isfinite(breakdown.total):
                 payload = replace(ens, meta=dict(ens.meta))  # copies the buffer
                 payload.params[:] = last_finite
                 raise TrainingDivergedError(
@@ -386,11 +430,9 @@ def train(
                     epoch=epoch,
                     last_finite_ensemble=payload,
                 )
-            nn.adam_update([ens.params], [grad], opt)
-            w = len(idx)
-            sum_bc += breakdown.bc_term * w
-            sum_swarm += breakdown.swarm_term * w
-            sum_total += breakdown.total * w
+            sum_bc += breakdown.bc_term * size
+            sum_swarm += breakdown.swarm_term * size
+            sum_total += breakdown.total * size
         epoch_loss = LossBreakdown(
             bc_term=sum_bc / n_samples,
             swarm_term=sum_swarm / n_samples,
@@ -516,8 +558,7 @@ def gradient_max_rel_error(n_trials=100, seed=0, taus=(0.0, 0.25, 1.0), step=1e-
         else:
             a = rng.normal(size=ens.action_dim)
 
-        grad, dweights, dbiases = nn.stacked_buffer(ens.members[0].layer_dims, ens.n_members)
-        _loss_and_grads(ens, s[None, :], a[None, :], dweights, dbiases)
+        _, grad, _, _ = _batch(ens, s[None, :], a[None, :])
 
         def loss_fn(flat):
             ens.params[:] = flat[0]  # the members are views of this buffer

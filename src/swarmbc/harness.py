@@ -218,13 +218,20 @@ def evaluate(env, policy, eval_seed: int, n_episodes: int, baseline, record_memb
     return trajs, float(np.mean(returns)), float(np.mean(diffs)) if diffs else None
 
 
+# Datasets built in this process by (env, n_episodes, data seed), shared by the
+# cells of a seed index; ``run_sweep`` empties it around its cells.
+_DATASETS = {}
+
+
 def run_cell(cfg: ExperimentConfig, cell: Cell, baselines: dict):
     """Train and evaluate one cell. Returns ``(RunRecord, d_trace | None)``
     where the trace is the per-timestep mean d over the eval episodes."""
     env = make_env(cell.env)
     data_seed, train_seed, eval_seed = cell_seeds(cfg, cell)
-    dataset = generate_dataset(env, cell.n_episodes, data_seed)
-    ens, _ = train(dataset, cell.n_members, cell.tau, cfg.train, train_seed)
+    key = (cell.env, cell.n_episodes, data_seed)
+    if key not in _DATASETS:
+        _DATASETS[key] = generate_dataset(env, cell.n_episodes, data_seed)
+    ens, _ = train(_DATASETS[key], cell.n_members, cell.tau, cfg.train, train_seed)
 
     trajs, mean_return, mean_diff = evaluate(
         env, ens, eval_seed, cfg.eval_episodes, baselines[cell.env],
@@ -487,22 +494,26 @@ def run_sweep(cfg: ExperimentConfig, out_dir, workers: int = 1,
                 log(f"  FAILED {cell}: {payload}")
 
     jobs = [(cfg, c, baselines) for c in pending]
-    if workers > 1:
-        done = 0
-        try:
-            with ProcessPoolExecutor(max_workers=workers) as pool:
-                for outcome in pool.map(_cell_worker, jobs):
-                    handle(outcome)
-                    done += 1
-        except BrokenProcessPool:
-            if log:
-                log(f"a worker process died; rerunning {len(jobs) - done} cells "
-                    "one process each")
-            for job in jobs[done:]:
-                handle(_isolated_cell_worker(job))
-    else:
-        for job in jobs:
-            handle(_cell_worker(job))
+    _DATASETS.clear()
+    try:
+        if workers > 1:
+            done = 0
+            try:
+                with ProcessPoolExecutor(max_workers=workers) as pool:
+                    for outcome in pool.map(_cell_worker, jobs):
+                        handle(outcome)
+                        done += 1
+            except BrokenProcessPool:
+                if log:
+                    log(f"a worker process died; rerunning {len(jobs) - done} cells "
+                        "one process each")
+                for job in jobs[done:]:
+                    handle(_isolated_cell_worker(job))
+        else:
+            for job in jobs:
+                handle(_cell_worker(job))
+    finally:
+        _DATASETS.clear()
 
     _prune_failures(out_dir, store)
     write_summaries(cfg, store, out_dir)
@@ -688,7 +699,9 @@ def parse_config_text(text: str) -> ExperimentConfig:
             raise ConfigError(f"line {lineno}: duplicate key {key!r}")
         try:
             kwargs[owner][name] = parse(val)
-        except ValueError as exc:
+            if owner == "train":  # TrainConfig's checks, each on its own line
+                TrainConfig(**{name: kwargs[owner][name]})
+        except (ValueError, ConfigError) as exc:
             raise ConfigError(f"line {lineno}: bad value for {key!r}: {exc}") from None
     return ExperimentConfig(train=TrainConfig(**kwargs["train"]), **kwargs[""])
 

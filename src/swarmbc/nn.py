@@ -115,10 +115,11 @@ def init_policy(layer_dims, rng, output_activation="identity") -> MlpPolicy:
     )
 
 
-def _softmax(z: np.ndarray) -> np.ndarray:
-    shifted = z - z.max(axis=-1, keepdims=True)
-    e = np.exp(shifted)
-    return e / e.sum(axis=-1, keepdims=True)
+def _softmax(z: np.ndarray, out=None) -> np.ndarray:
+    e = np.subtract(z, z.max(axis=-1, keepdims=True), out=out)
+    np.exp(e, out=e)
+    e /= e.sum(axis=-1, keepdims=True)
+    return e
 
 
 def forward(policy: MlpPolicy, s: np.ndarray) -> ForwardTrace:
@@ -218,13 +219,14 @@ def stacked_buffer(layer_dims, n_members: int):
     return flat, weights, biases
 
 
-def stacked_forward(weights, biases, x: np.ndarray, output_activation: str):
+def stacked_forward(weights, bias_rows, x: np.ndarray, output_activation: str, out=None):
     """Every member on one shared batch ``x`` of shape ``(B, in)``.
 
-    Returns ``(hiddens, output)``: post-tanh activations ``(N, B, width)``
-    per hidden layer and the head output ``(N, B, out)``. Leading axes
-    broadcast as in ``np.matmul``: weights ``(1, N, in, out)`` and ``x`` of
-    shape ``(E, 1, 1, in)`` give ``(E, N, 1, out)``.
+    ``bias_rows[k]`` is ``biases[k][:, None, :]``. Returns ``(hiddens, output)``:
+    post-tanh activations ``(N, B, width)`` per hidden layer and the head
+    output ``(N, B, out)``, written into ``out`` (one buffer per layer) if
+    given. Leading axes broadcast as in ``np.matmul``: weights ``(1, N, in,
+    out)`` and ``x`` of shape ``(E, 1, 1, in)`` give ``(E, N, 1, out)``.
     """
     if x.shape[-1] != weights[0].shape[-2]:
         raise DimensionMismatchError(
@@ -232,36 +234,40 @@ def stacked_forward(weights, biases, x: np.ndarray, output_activation: str):
         )
     hiddens = []
     a = x
-    for w, b in zip(weights[:-1], biases[:-1]):
-        a = np.tanh(np.matmul(a, w) + b[:, None, :])
-        hiddens.append(a)
-    z = np.matmul(a, weights[-1]) + biases[-1][:, None, :]
-    return hiddens, _softmax(z) if output_activation == "softmax" else z
+    for k, (w, b) in enumerate(zip(weights, bias_rows)):
+        a = np.matmul(a, w, out=None if out is None else out[k])
+        a += b
+        if k < len(weights) - 1:
+            hiddens.append(np.tanh(a, out=a))
+    return hiddens, _softmax(a, out=a) if output_activation == "softmax" else a
 
 
 def stacked_backward(weights, x, hiddens, output, output_grad, hidden_grads,
-                     dweights, dbiases, output_activation: str) -> None:
+                     dweights, dbiases, output_activation: str, scratch) -> None:
     """``backward_policy`` for every member at once, written into the
     gradient views ``dweights``/``dbiases`` (shaped like ``weights``/``biases``).
 
     ``output_grad`` is ``(N, B, out)``; ``hidden_grads`` is None or one
-    ``(N, B, width)`` seed per hidden layer.
+    ``(N, B, width)`` seed per hidden layer. ``output_grad`` is overwritten,
+    and ``scratch`` holds two ``(N, B, width)`` buffers per hidden layer.
     """
+    dz = output_grad
     if output_activation == "softmax":
-        dz = output * (output_grad - (output_grad * output).sum(axis=-1, keepdims=True))
-    else:
-        dz = output_grad
+        dz -= (dz * output).sum(axis=-1, keepdims=True)
+        dz *= output
     acts = [x] + hiddens  # inputs to each affine layer
     for k in range(len(weights) - 1, -1, -1):
         np.matmul(acts[k].swapaxes(-1, -2), dz, out=dweights[k])
         dz.sum(axis=1, out=dbiases[k])
         if k == 0:
             break
-        da = np.matmul(dz, weights[k].swapaxes(-1, -2))
+        da, slope = scratch[k - 1]
+        np.matmul(dz, weights[k].swapaxes(-1, -2), out=da)
         if hidden_grads is not None:
             da += hidden_grads[k - 1]
         h = hiddens[k - 1]
-        dz = da * (1.0 - h * h)
+        np.subtract(1.0, np.multiply(h, h, out=slope), out=slope)
+        dz = np.multiply(da, slope, out=da)
 
 
 @dataclass
@@ -339,18 +345,6 @@ def policy_gradients(dweights, dbiases) -> list[np.ndarray]:
         out.append(dw)
         out.append(db)
     return out
-
-
-def with_parameters(policy: MlpPolicy, params) -> MlpPolicy:
-    """Rebuild a policy from the flat [W0, b0, ...] parameter list."""
-    n = len(policy.weights)
-    if len(params) != 2 * n:
-        raise DimensionMismatchError(f"expected {2 * n} arrays, got {len(params)}")
-    return replace(
-        policy,
-        weights=[params[2 * k] for k in range(n)],
-        biases=[params[2 * k + 1] for k in range(n)],
-    )
 
 
 def finite_diff_grad(loss_fn, params, step=1e-5):

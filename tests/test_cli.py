@@ -270,8 +270,21 @@ def test_sweep_rejects_invalid_training_config(tmp_path, capsys, config_line, fl
     assert not (out_dir / "results.csv").exists()
 
 
+@pytest.mark.parametrize("line", ["patience = -3", "min_improvement = -0.5",
+                                  "min_improvement = nan", "learning_rate = inf"])
+def test_sweep_names_the_line_and_key_of_a_bad_training_value(tmp_path, capsys, line):
+    cfg_path = tmp_path / "sweep.cfg"
+    cfg_path.write_text(TINY_SWEEP + line + "\n")
+    out_dir = tmp_path / "out"
+    assert run_cli("sweep", "--config", cfg_path, "--out", out_dir) == 1
+    lineno = TINY_SWEEP.count("\n") + 1
+    key = line.split(" =")[0]
+    assert f"error: line {lineno}: bad value for {key!r}" in capsys.readouterr().err
+    assert not (out_dir / "results.csv").exists()
+
+
 @pytest.mark.parametrize("flags", [("--hidden-dims", "0"), ("--hidden-dims", "8,x"),
-                                   ("--lr", "-0.1")])
+                                   ("--lr", "-0.1"), ("--lr", "inf"), ("--patience", "-3")])
 def test_train_rejects_invalid_training_config(small_dataset, tmp_path, capsys, flags):
     code = run_cli("train", "--data", small_dataset, "--method", "bc",
                    "--out", tmp_path / "m.json", *flags)

@@ -1,7 +1,10 @@
+import warnings
 from dataclasses import replace
+from itertools import product
 
 import numpy as np
 import pytest
+import train_oracle
 
 from swarmbc import nn
 from swarmbc.data import Dataset, DatasetMeta
@@ -339,7 +342,7 @@ def _reference_train(dataset, n_members, tau, cfg, seed):
                 params, opts[i] = nn.adam_step(
                     nn.policy_parameters(members[i]), nn.policy_gradients(dw, db), opts[i]
                 )
-                members[i] = nn.with_parameters(members[i], params)
+                members[i] = replace(members[i], weights=params[0::2], biases=params[1::2])
         history.append(epoch_total / len(dataset))
     return members, history
 
@@ -531,3 +534,72 @@ def test_train_divergence_payload_is_last_epoch_end_and_detached(monkeypatch):
     live[-1][:] = 7.0  # the live training buffer is written after the raise
     after = [a for m in payload.members for a in m.weights + m.biases]
     assert all(np.array_equal(a, b) for a, b in zip(after, snapshot))
+
+
+@pytest.mark.parametrize("discrete", [False, True])
+@pytest.mark.parametrize("n_members", [1, 2, 3, 4, 8])
+def test_train_matches_the_allocating_per_step_oracle(n_members, discrete):
+    # 50 samples are three batches of 16 and a remainder of 2; 11 are less than one batch
+    for tau, normalize_swarm, size in product((0.0, 0.25), (False, True), (50, 11)):
+        dataset = _toy_dataset(n=size, discrete=discrete, action_dim=3)
+        cfg = TrainConfig(epochs=4, hidden_dims=(8, 6), batch_size=16, learning_rate=1e-2,
+                          normalize_swarm=normalize_swarm)
+        ens, history = train(dataset, n_members, tau, cfg, seed=5)
+        want, want_history = train_oracle.train(dataset, n_members, tau, cfg, seed=5)
+        assert np.array_equal(ens.params, want.params)
+        assert history == want_history
+
+
+@pytest.mark.parametrize("discrete", [False, True])
+@pytest.mark.parametrize("n_members", [1, 2, 3, 4, 8])
+def test_batch_loss_and_grads_matches_the_allocating_oracle(n_members, discrete):
+    rng = np.random.default_rng(10 * n_members + discrete)
+    for tau, normalize_swarm, n_batch in product((0.0, 0.25), (False, True), (1, 7)):
+        ens = random_tiny_ensemble(rng, tau, n_members=n_members, discrete=discrete)
+        ens = replace(ens, normalize_swarm=normalize_swarm)
+        states = rng.normal(size=(n_batch, ens.obs_dim))
+        actions = rng.normal(size=(n_batch, ens.action_dim))
+        loss, grads = batch_loss_and_grads(ens, states, actions)
+        _, dweights, dbiases = nn.stacked_buffer(ens.members[0].layer_dims, n_members)
+        assert loss == train_oracle.loss_and_grads(ens, states, actions, dweights, dbiases)
+        for i, member_grads in enumerate(grads):
+            want = [g[i] for pair in zip(dweights, dbiases) for g in pair]
+            assert all(np.array_equal(a, b) for a, b in zip(member_grads, want))
+
+
+@pytest.mark.parametrize("poison_after, value, batch", [
+    (6, 1e200, "first"),     # the last update of epoch 1: epoch 2's first batch overflows
+    (8, np.nan, "remainder"),  # epoch 2's second update: its remainder batch is NaN
+])
+def test_divergence_is_reported_as_by_the_per_step_check(monkeypatch, poison_after, value, batch):
+    dataset = _toy_dataset()  # 60 samples: batches of 25, 25 and 10
+    cfg = TrainConfig(epochs=10, hidden_dims=(8,), batch_size=25)
+    adam_update = nn.adam_update
+
+    def diverge(train_fn):
+        updates = []
+
+        def poisoning_update(params, grads, state):
+            adam_update(params, grads, state)
+            updates.append(None)
+            if len(updates) == poison_after:
+                params[0][-1] = value  # the last output bias of the last member
+
+        monkeypatch.setattr(nn, "adam_update", poisoning_update)
+        with pytest.raises(TrainingDivergedError) as info:
+            train_fn(dataset, 2, 0.25, cfg, seed=1)
+        monkeypatch.undo()
+        return info.value
+
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        got = diverge(train)
+    # the rest of the epoch runs on: an overflow warns where numpy overflows, and only there
+    assert all("overflow encountered" in str(w.message) for w in caught)
+    want = diverge(train_oracle.train)
+    assert got.epoch == want.epoch == 2
+    assert np.array_equal(got.last_finite_ensemble.params, want.last_finite_ensemble.params)
+    if batch == "remainder":  # NaN propagates quietly through the rest of the epoch
+        assert not caught
+        expected, _ = train(dataset, 2, 0.25, replace(cfg, epochs=2), seed=1)
+        assert np.array_equal(got.last_finite_ensemble.params, expected.params)

@@ -242,6 +242,11 @@ def test_parse_config_rejects_bad_values(text, match):
     dict(hidden_dims=(-4,)),
     dict(learning_rate=0.0),
     dict(learning_rate=-0.1),
+    dict(learning_rate=float("inf")),
+    dict(patience=-3),
+    dict(min_rel_improvement=-0.5),
+    dict(min_rel_improvement=float("nan")),
+    dict(min_rel_improvement=float("inf")),
 ])
 def test_train_config_rejects_invalid_values(kwargs):
     with pytest.raises(ConfigError):
@@ -376,6 +381,23 @@ def test_sweep_runs_resumes_and_is_deterministic(tmp_path):
     assert (out1 / "returns_point_reach.csv").exists()
     assert (out1 / "returns_point_reach.svg").exists()
     assert (out1 / "action_diff_point_reach.csv").exists()
+
+
+def test_sweep_builds_each_dataset_once(tmp_path, monkeypatch):
+    built = []
+    generate_dataset = harness.generate_dataset
+
+    def counting(env, n_episodes, seed):
+        built.append((env.spec.env_id, n_episodes, seed))
+        return generate_dataset(env, n_episodes, seed)
+
+    monkeypatch.setattr(harness, "generate_dataset", counting)
+    cfg = tiny_config(methods=("bc", "ensemble", "swarm"), episode_counts=(1, 2),
+                      train=TrainConfig(epochs=2, hidden_dims=(4,)))
+    store = run_sweep(cfg, tmp_path)
+    assert len(store.records) == 12  # 3 methods x 2 sizes x 2 seeds
+    assert len(built) == len(set(built)) == 4
+    assert harness._DATASETS == {}  # nothing carries over to the next sweep
 
 
 def test_sweep_force_reruns(tmp_path):

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -131,7 +133,7 @@ def test_backward_softmax_head_matches_finite_differences():
     target = np.array([0.0, 1.0, 0.0])
 
     def loss_fn(params):
-        probe = nn.with_parameters(policy, params)
+        probe = replace(policy, weights=params[0::2], biases=params[1::2])
         out = nn.forward(probe, x).output
         return float(np.sum((out - target) ** 2))
 
