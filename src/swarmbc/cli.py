@@ -146,7 +146,8 @@ def cmd_eval(args) -> int:
 
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
-    results = harness.ResultsStore(out_dir / "eval_results.csv")  # drops a torn last row
+    results = out_dir / "eval_results.csv"  # a log: evaluating twice repeats a row
+    harness.read_results(results)  # drops a torn last row
     cfg = harness.ExperimentConfig(
         envs=(env_id,), eval_episodes=args.episodes, master_seed=args.seed
     )
@@ -166,7 +167,7 @@ def cmd_eval(args) -> int:
         tau, n = ens.tau, ens.n_members
         n_ep = int(ens.meta.get("n_expert_episodes", 0))
 
-    harness.append_result(results.path, RunRecord(
+    harness.append_result(results, RunRecord(
         env=env_id, method=method, n_expert_episodes=n_ep, tau=tau, n_members=n,
         seed=args.seed, scaled_return=mean_return, action_diff=mean_diff,
     ))

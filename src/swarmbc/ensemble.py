@@ -35,6 +35,13 @@ from .errors import ConfigError, DimensionMismatchError, TrainingDivergedError
 METHODS = ("bc", "ensemble", "swarm")
 
 
+def check_tau(tau: float) -> float:
+    """``tau`` itself if it is a regularizer strength, in [0, inf)."""
+    if not 0 <= tau < math.inf:
+        raise ConfigError(f"tau must be in [0, inf), got {tau}")
+    return tau
+
+
 @dataclass
 class LossBreakdown:
     """bc_term + tau * swarm_term = total; swarm_term is stored pre-tau."""
@@ -48,15 +55,16 @@ class LossBreakdown:
 class Ensemble:
     """N same-shape policies plus the state normalisation and action bounds.
 
-    The constructor copies the members' parameters into one flat buffer,
-    ``params`` (layout in ``nn``), and replaces ``members`` by policies whose
-    arrays are views into it; ``weights[k]``/``biases[k]`` are the stacked
-    ``(N, in, out)``/``(N, out)`` views the engine runs on. Writing into a
-    member's arrays therefore updates the buffer; putting a different policy
-    into ``members`` does not (build a new Ensemble instead).
+    ``params`` is the one flat buffer of all members' parameters (layout in
+    ``nn.stacked_buffer``); the constructor copies it, so ``replace(ens, ...)``
+    detaches. ``weights[k]``/``biases[k]`` are the stacked ``(N, in, out)``/
+    ``(N, out)`` views the engine runs on, and ``members`` hands member i out
+    as an ``MlpPolicy`` of views. The head follows ``action_kind``: softmax
+    for discrete, identity otherwise.
     """
 
-    members: list[nn.MlpPolicy]
+    layer_dims: list[int]
+    params: np.ndarray
     tau: float
     action_kind: str  # "continuous" | "discrete"
     obs_mean: np.ndarray = None
@@ -65,53 +73,59 @@ class Ensemble:
     action_high: np.ndarray = None
     normalize_swarm: bool = False
     meta: dict = field(default_factory=dict)
-    params: np.ndarray = field(init=False, repr=False, compare=False)
     weights: list = field(init=False, repr=False, compare=False)
     biases: list = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        if not self.members:
-            raise ConfigError("ensemble needs at least one member")
-        if self.tau < 0:
-            raise ConfigError(f"tau must be >= 0, got {self.tau}")
+        check_tau(self.tau)
         if self.action_kind not in ("continuous", "discrete"):
             raise ConfigError(f"unknown action_kind {self.action_kind!r}")
-        dims = self.members[0].layer_dims
-        for i, m in enumerate(self.members):
-            if m.layer_dims != dims:
-                raise DimensionMismatchError(
-                    f"member {i} layer_dims {m.layer_dims} != member 0 {dims}"
-                )
-            if m.output_activation != self.members[0].output_activation:
-                raise DimensionMismatchError("members disagree on output activation")
+        dims = self.layer_dims
+        if len(dims) < 3 or min(dims) < 1:
+            raise DimensionMismatchError(
+                f"need at least one hidden layer and positive widths, got layer_dims={dims}")
+        params = np.asarray(self.params, dtype=np.float64)
+        n, rest = divmod(params.size, nn.stacked_buffer(dims, 1)[0].size)
+        if params.ndim != 1 or n < 1 or rest:
+            raise DimensionMismatchError(
+                f"params of shape {params.shape} do not hold N >= 1 members of layer_dims {dims}")
+        self.params, self.weights, self.biases = nn.stacked_buffer(dims, n)
+        self.params[:] = params
         if self.obs_mean is None:
             self.obs_mean = np.zeros(dims[0])
             self.obs_std = np.ones(dims[0])
-        self.params, self.weights, self.biases = nn.stacked_buffer(dims, len(self.members))
-        for i, m in enumerate(self.members):
-            for w, b, mw, mb in zip(self.weights, self.biases, m.weights, m.biases):
-                w[i], b[i] = mw, mb
-        self.members = [
-            replace(
-                m,
-                layer_dims=list(dims),
-                weights=[w[i] for w in self.weights],
-                biases=[b[i] for b in self.biases],
-            )
-            for i, m in enumerate(self.members)
-        ]
+        shapes = {"obs_mean": dims[0], "obs_std": dims[0]}
+        if self.action_low is not None or self.action_high is not None:
+            shapes.update(action_low=dims[-1], action_high=dims[-1])
+        for name, size in shapes.items():
+            if np.shape(getattr(self, name)) != (size,):
+                raise DimensionMismatchError(
+                    f"{name} has shape {np.shape(getattr(self, name))}, expected ({size},)")
 
     @property
     def n_members(self) -> int:
-        return len(self.members)
+        return len(self.weights[0])
 
     @property
     def obs_dim(self) -> int:
-        return self.members[0].obs_dim
+        return self.layer_dims[0]
 
     @property
     def action_dim(self) -> int:
-        return self.members[0].action_dim
+        return self.layer_dims[-1]
+
+    @property
+    def head(self) -> str:
+        return "softmax" if self.action_kind == "discrete" else "identity"
+
+    @property
+    def members(self) -> list[nn.MlpPolicy]:
+        """Member i as an ``MlpPolicy`` whose arrays are views into ``params``."""
+        return [
+            nn.MlpPolicy(list(self.layer_dims), [w[i] for w in self.weights],
+                         [b[i] for b in self.biases], self.head)
+            for i in range(self.n_members)
+        ]
 
     def normalize(self, s):
         return (np.asarray(s, dtype=np.float64) - self.obs_mean) / self.obs_std
@@ -133,15 +147,14 @@ class Ensemble:
         x = self.normalize(s)
         weights = [w[None] for w in self.weights]  # (1, N, in, out)
         bias_rows = [b[:, None, :] for b in self.biases]
-        head = self.members[0].output_activation
-        out = nn.stacked_forward(weights, bias_rows, x[..., None, None, :], head)[1]
+        out = nn.stacked_forward(weights, bias_rows, x[..., None, None, :], self.head)[1]
         return out[..., 0, :] if x.ndim > 1 else out[0, :, 0]
 
 
 def _swarm_scale(ensemble: Ensemble) -> float:
     """1 for the raw pairwise sum, 1/(K * pairs) in normalized mode."""
     n = ensemble.n_members
-    pairs = ensemble.members[0].n_hidden_layers * (n * (n - 1)) // 2
+    pairs = (len(ensemble.layer_dims) - 2) * (n * (n - 1)) // 2
     return 1.0 / pairs if ensemble.normalize_swarm and pairs else 1.0
 
 
@@ -166,9 +179,6 @@ def _bc_term(outputs, a) -> float:
 def _swarm_term(traces) -> float:
     """Raw pairwise squared hidden-activation differences, hidden layers only."""
     n = len(traces)
-    widths = [tuple(h.shape for h in t.hiddens) for t in traces]
-    if any(w != widths[0] for w in widths):
-        raise DimensionMismatchError("members have heterogeneous hidden widths")
     total = 0.0
     for k in range(len(traces[0].hiddens)):
         for i in range(n):
@@ -221,10 +231,9 @@ def _kernel(ensemble: Ensemble, n_batch: int, dweights, dbiases):
     each member's summed squared error into ``bc_sums``, each hidden layer's
     sum_i ||h_i - h_mean||^2 into ``swarm_sums`` (untouched at N = 1, where it
     is 0) and the gradient of the mean loss into ``dweights``/``dbiases``."""
-    n = ensemble.n_members
-    head = ensemble.members[0].output_activation
+    n, head = ensemble.n_members, ensemble.head
     bias_rows = [b[:, None, :] for b in ensemble.biases]
-    acts = [np.empty((n, n_batch, width)) for width in ensemble.members[0].layer_dims[1:]]
+    acts = [np.empty((n, n_batch, width)) for width in ensemble.layer_dims[1:]]
     hiddens, output = acts[:-1], acts[-1]
     err, err_sq = np.empty_like(output), np.empty_like(output)
     centred = [np.empty_like(h) for h in hiddens]
@@ -245,8 +254,9 @@ def _kernel(ensemble: Ensemble, n_batch: int, dweights, dbiases):
                 mean /= n
                 np.subtract(h, mean, out=d)
                 np.add.reduce(np.square(d, out=d_sq).reshape(-1), out=swarm_sums[k, ...])
-                d *= n
-                d *= coef
+                if seeds is not None:
+                    d *= n
+                    d *= coef
         np.divide(np.multiply(err, 2.0, out=err), n_batch, out=err)
         nn.stacked_backward(ensemble.weights, x, hiddens, output, err, seeds,
                             dweights, dbiases, head, scratch)
@@ -265,8 +275,8 @@ def _breakdown(ensemble: Ensemble, bc_sums, swarm_sums, n_batch: int) -> LossBre
 def _batch(ensemble: Ensemble, states, actions):
     """One run of the kernel on a 2-D batch: ``(LossBreakdown, flat gradient,
     dweights, dbiases)``, the gradient laid out like ``ensemble.params``."""
-    grad, dweights, dbiases = nn.stacked_buffer(ensemble.members[0].layer_dims, ensemble.n_members)
-    sums = np.zeros(ensemble.n_members), np.zeros(ensemble.members[0].n_hidden_layers)
+    grad, dweights, dbiases = nn.stacked_buffer(ensemble.layer_dims, ensemble.n_members)
+    sums = np.zeros(ensemble.n_members), np.zeros(len(ensemble.layer_dims) - 2)
     _kernel(ensemble, len(states), dweights, dbiases)(ensemble.normalize(states), actions, *sums)
     return _breakdown(ensemble, *sums, len(states)), grad, dweights, dbiases
 
@@ -287,12 +297,6 @@ def batch_loss_and_grads(ensemble: Ensemble, states, actions):
         for i in range(ensemble.n_members)
     ]
     return breakdown, grads
-
-
-def evaluate_loss(ensemble: Ensemble, states, actions) -> LossBreakdown:
-    """Mean per-sample LossBreakdown over a set of samples (no gradients)."""
-    breakdown, _ = batch_loss_and_grads(ensemble, states, actions)
-    return breakdown
 
 
 @dataclass
@@ -346,24 +350,16 @@ def train(
         raise ConfigError("cannot train on an empty dataset")
     if n_members < 1:
         raise ConfigError(f"n_members must be >= 1, got {n_members}")
-    if tau < 0:
-        raise ConfigError(f"tau must be >= 0, got {tau}")
+    check_tau(tau)
 
-    discrete = dataset.meta.action_kind == "discrete"
     layer_dims = [dataset.meta.obs_dim, *config.hidden_dims, dataset.meta.action_dim]
     streams = np.random.SeedSequence(seed).spawn(n_members + 1)
-    members = [
-        nn.init_policy(
-            layer_dims,
-            np.random.default_rng(streams[i]),
-            output_activation="softmax" if discrete else "identity",
-        )
-        for i in range(n_members)
-    ]
+    params, weights, biases = nn.stacked_buffer(layer_dims, n_members)
+    nn.init_members(weights, biases, [np.random.default_rng(s) for s in streams[:n_members]])
     shuffle_rng = np.random.default_rng(streams[n_members])
 
     low = high = None
-    if not discrete:
+    if dataset.meta.action_kind != "discrete":
         from .envs import ENV_IDS, env_spec
 
         if dataset.meta.env in ENV_IDS:
@@ -371,7 +367,8 @@ def train(
             low, high = spec.action_low, spec.action_high
 
     ens = Ensemble(
-        members=members,
+        layer_dims=layer_dims,
+        params=params,
         tau=tau,
         action_kind=dataset.meta.action_kind,
         obs_mean=dataset.obs_mean.copy(),
@@ -464,9 +461,9 @@ def save_ensemble(ensemble: Ensemble, path) -> None:
         "tau": ensemble.tau,
         "action_kind": ensemble.action_kind,
         "normalize_swarm": ensemble.normalize_swarm,
-        "layer_dims": list(ensemble.members[0].layer_dims),
-        "hidden_activation": ensemble.members[0].hidden_activation,
-        "output_activation": ensemble.members[0].output_activation,
+        "layer_dims": list(ensemble.layer_dims),
+        "hidden_activation": "tanh",
+        "output_activation": ensemble.head,
         "obs_mean": ensemble.obs_mean.tolist(),
         "obs_std": ensemble.obs_std.tolist(),
         "action_low": None if ensemble.action_low is None else ensemble.action_low.tolist(),
@@ -474,10 +471,10 @@ def save_ensemble(ensemble: Ensemble, path) -> None:
         "meta": ensemble.meta,
         "members": [
             {
-                "weights": [w.tolist() for w in m.weights],
-                "biases": [b.tolist() for b in m.biases],
+                "weights": [w[i].tolist() for w in ensemble.weights],
+                "biases": [b[i].tolist() for b in ensemble.biases],
             }
-            for m in ensemble.members
+            for i in range(ensemble.n_members)
         ],
     }
     with open(path, "w") as f:
@@ -492,18 +489,21 @@ def load_ensemble(path) -> Ensemble:
     if doc.get("format") != "swarmbc-ensemble-v1":
         raise ConfigError(f"{path}: not a swarmbc ensemble file")
     layer_dims = list(doc["layer_dims"])
-    members = [
-        nn.MlpPolicy(
-            layer_dims=list(layer_dims),
-            weights=[np.array(w, dtype=np.float64) for w in rec["weights"]],
-            biases=[np.array(b, dtype=np.float64) for b in rec["biases"]],
-            hidden_activation=doc["hidden_activation"],
-            output_activation=doc["output_activation"],
-        )
-        for rec in doc["members"]
-    ]
-    return Ensemble(
-        members=members,
+    if doc["n_members"] != len(doc["members"]):
+        raise ConfigError(f"{path}: n_members is {doc['n_members']} but the file holds "
+                          f"{len(doc['members'])} members")
+    params, weights, biases = nn.stacked_buffer(layer_dims, len(doc["members"]))
+    for i, rec in enumerate(doc["members"]):
+        for name, views in (("weights", weights), ("biases", biases)):
+            arrays = [np.array(a, dtype=np.float64) for a in rec[name]]
+            shapes, want = [a.shape for a in arrays], [v.shape[1:] for v in views]
+            if shapes != want:
+                raise ConfigError(f"{path}: member {i} {name} shapes {shapes}, expected {want}")
+            for view, a in zip(views, arrays):
+                view[i] = a
+    ens = Ensemble(
+        layer_dims=layer_dims,
+        params=params,
         tau=float(doc["tau"]),
         action_kind=doc["action_kind"],
         obs_mean=np.array(doc["obs_mean"], dtype=np.float64),
@@ -513,6 +513,11 @@ def load_ensemble(path) -> Ensemble:
         normalize_swarm=bool(doc.get("normalize_swarm", False)),
         meta=doc.get("meta", {}),
     )
+    activations = doc["hidden_activation"], doc["output_activation"]
+    if activations != ("tanh", ens.head):
+        raise ConfigError(f"{path}: activations {activations} do not fit action_kind "
+                          f"{ens.action_kind!r}, which takes ('tanh', {ens.head!r})")
+    return ens
 
 
 def random_tiny_ensemble(rng, tau, n_members=None, discrete=None) -> Ensemble:
@@ -526,16 +531,12 @@ def random_tiny_ensemble(rng, tau, n_members=None, discrete=None) -> Ensemble:
     n_hidden = int(rng.integers(1, 3))
     hidden = [int(rng.integers(1, 5)) for _ in range(n_hidden)]
     dims = [obs_dim, *hidden, action_dim]
-    members = [
-        nn.init_policy(
-            dims,
-            np.random.default_rng(rng.integers(2**63)),
-            output_activation="softmax" if discrete else "identity",
-        )
-        for _ in range(n_members)
-    ]
+    params, weights, biases = nn.stacked_buffer(dims, n_members)
+    nn.init_members(weights, biases,
+                    [np.random.default_rng(rng.integers(2**63)) for _ in range(n_members)])
     return Ensemble(
-        members=members,
+        layer_dims=dims,
+        params=params,
         tau=tau,
         action_kind="discrete" if discrete else "continuous",
     )
@@ -561,7 +562,7 @@ def gradient_max_rel_error(n_trials=100, seed=0, taus=(0.0, 0.25, 1.0), step=1e-
         _, grad, _, _ = _batch(ens, s[None, :], a[None, :])
 
         def loss_fn(flat):
-            ens.params[:] = flat[0]  # the members are views of this buffer
+            ens.params[:] = flat[0]  # member_traces reads views of this buffer
             return swarm_loss(ens, s, a).total
 
         (fd,) = nn.finite_diff_grad(loss_fn, [ens.params], step=step)

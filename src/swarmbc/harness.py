@@ -25,7 +25,7 @@ from pathlib import Path
 import numpy as np
 
 from . import svg
-from .ensemble import METHODS, TrainConfig, train
+from .ensemble import METHODS, TrainConfig, check_tau, train
 from .envs import ENV_IDS, generate_dataset, make_env
 from .errors import ConfigError
 from .metrics import RunRecord, baseline_returns, rollouts, scaled_return
@@ -77,8 +77,8 @@ class ExperimentConfig:
             raise ConfigError("n_seeds and eval_episodes must be >= 1")
         if self.n_members < 1:
             raise ConfigError("n_members must be >= 1")
-        if any(t < 0 for t in self.tau_grid):
-            raise ConfigError("tau_grid values must be >= 0")
+        for tau in self.tau_grid:
+            check_tau(tau)
         if any(n < 2 for n in self.n_grid):
             raise ConfigError("n_grid values must be >= 2")
         if any(e < 1 for e in self.episode_counts):
@@ -147,6 +147,7 @@ def tau_method(tau: float) -> str:
 def check_method_params(method: str, tau: float, n_members: int):
     """The one rule for (method, tau, N): bc is a single policy and ensemble
     N >= 2 policies, both with tau = 0; swarm is N >= 2 policies with tau > 0."""
+    check_tau(tau)
     if not (n_members == 1 if method == "bc" else n_members >= 2):
         raise ConfigError(f"{method} with N = {n_members}: bc trains a single policy, "
                           "ensemble and swarm need N >= 2")
@@ -341,22 +342,45 @@ def _parse_record(row) -> RunRecord:
     )
 
 
+def _result_row(rec: RunRecord) -> list:
+    diff = "" if rec.action_diff is None else repr(float(rec.action_diff))
+    return [*_record_key(rec), repr(float(rec.scaled_return)), diff]
+
+
+def read_results(path: Path) -> list[RunRecord]:
+    """Every complete row of a results CSV (sweep or ``swarmbc eval``)."""
+    return read_table(path, RESULTS_COLUMNS, _parse_record, RESULTS_SCHEMA)
+
+
 def append_result(path: Path, rec: RunRecord):
     """Append one row to a results CSV (sweep or ``swarmbc eval``)."""
-    diff = "" if rec.action_diff is None else repr(float(rec.action_diff))
-    append_row(path, [*_record_key(rec), repr(float(rec.scaled_return)), diff],
-               RESULTS_COLUMNS, RESULTS_SCHEMA)
+    append_row(path, _result_row(rec), RESULTS_COLUMNS, RESULTS_SCHEMA)
 
 
 class ResultsStore:
-    """Append-only CSV of run records, keyed by (env, method,
-    n_expert_episodes, tau, n_members, seed)."""
+    """Append-only CSV of run records, one per (env, method,
+    n_expert_episodes, tau, n_members, seed). A repeated identical row is
+    dropped with a warning and the file rewritten; two different rows for
+    one cell are a ``ConfigError``."""
 
     def __init__(self, path):
         self.path = Path(path)
-        self.records: list[RunRecord] = read_table(
-            self.path, RESULTS_COLUMNS, _parse_record, RESULTS_SCHEMA)
-        self._keys = {_record_key(rec) for rec in self.records}
+        self.records: list[RunRecord] = []
+        rows = {}
+        records = read_results(self.path)
+        for rec in records:
+            key, row = _record_key(rec), _result_row(rec)
+            if key not in rows:
+                rows[key] = row
+                self.records.append(rec)
+            elif rows[key] != row:
+                raise ConfigError(f"{self.path}: two different rows for one cell: "
+                                  f"{rows[key]} and {row}")
+        if len(self.records) < len(records):
+            warnings.warn(f"{self.path}: dropping {len(records) - len(self.records)} "
+                          "repeated row(s)", RuntimeWarning)
+            write_table(self.path, RESULTS_COLUMNS, rows.values(), RESULTS_SCHEMA)
+        self._keys = set(rows)
 
     def has(self, cell: Cell) -> bool:
         return cell.key() in self._keys
@@ -645,6 +669,10 @@ def _items(parse):
     return lambda text: tuple(parse(t) for t in (s.strip() for s in text.split(",")) if t)
 
 
+def _tau(text):
+    return check_tau(float(text))
+
+
 def _as_bool(text):
     t = text.strip().lower()
     if t in ("true", "1", "yes", "on"):
@@ -663,9 +691,9 @@ CONFIG_KEYS = {
     "episode_counts": (_items(int), "episode_counts"),
     "n_seeds": (int, "n_seeds"),
     "eval_episodes": (int, "eval_episodes"),
-    "tau": (float, "tau"),
+    "tau": (_tau, "tau"),
     "n_members": (int, "n_members"),
-    "tau_grid": (_items(float), "tau_grid"),
+    "tau_grid": (_items(_tau), "tau_grid"),
     "n_grid": (_items(int), "n_grid"),
     "ablations": (_as_bool, "ablations"),
     "master_seed": (int, "master_seed"),

@@ -11,8 +11,9 @@ The stacked engine runs N same-shape policies as one: their parameters live
 in one flat buffer, laid out layer by layer as ``W_k`` of shape
 ``(N, in, out)`` followed by ``b_k`` of shape ``(N, out)``, so that one
 ``np.matmul`` per layer serves every member and ``adam_update`` rewrites the
-whole buffer in place. Member i's ``W_k[i]`` is a contiguous block, so each
-member can still be handed out as an ``MlpPolicy`` of views.
+whole buffer in place. ``stacked_buffer`` is the one place that knows this
+layout. Member i's ``W_k[i]`` is a contiguous block, so each member can
+still be handed out as an ``MlpPolicy`` of views.
 """
 
 from __future__ import annotations
@@ -23,7 +24,6 @@ import numpy as np
 
 from .errors import DimensionMismatchError
 
-HIDDEN_ACTIVATIONS = ("tanh",)
 OUTPUT_ACTIVATIONS = ("identity", "softmax")
 
 
@@ -38,7 +38,6 @@ class MlpPolicy:
     layer_dims: list[int]
     weights: list[np.ndarray]
     biases: list[np.ndarray]
-    hidden_activation: str = "tanh"
     output_activation: str = "identity"
 
     def __post_init__(self):
@@ -48,8 +47,6 @@ class MlpPolicy:
             )
         if any(d <= 0 for d in self.layer_dims):
             raise DimensionMismatchError(f"non-positive width in {self.layer_dims}")
-        if self.hidden_activation not in HIDDEN_ACTIVATIONS:
-            raise ValueError(f"unknown hidden activation {self.hidden_activation!r}")
         if self.output_activation not in OUTPUT_ACTIVATIONS:
             raise ValueError(f"unknown output activation {self.output_activation!r}")
         n_layers = len(self.layer_dims) - 1
@@ -100,19 +97,22 @@ class ForwardTrace:
     output: np.ndarray
 
 
+def init_members(weights, biases, rngs) -> None:
+    """Uniform fan-in-scaled init into stacked views, member i drawn from
+    ``rngs[i]`` layer by layer: weights and biases both ~ U(+-1/sqrt(fan_in))."""
+    for i, rng in enumerate(rngs):
+        for w, b in zip(weights, biases):
+            bound = 1.0 / np.sqrt(w.shape[1])
+            w[i] = rng.uniform(-bound, bound, size=w.shape[1:])
+            b[i] = rng.uniform(-bound, bound, size=b.shape[1:])
+
+
 def init_policy(layer_dims, rng, output_activation="identity") -> MlpPolicy:
-    """Uniform fan-in-scaled init; weights and biases both ~ U(+-1/sqrt(fan_in))."""
-    weights, biases = [], []
-    for fan_in, fan_out in zip(layer_dims[:-1], layer_dims[1:]):
-        bound = 1.0 / np.sqrt(fan_in)
-        weights.append(rng.uniform(-bound, bound, size=(fan_in, fan_out)))
-        biases.append(rng.uniform(-bound, bound, size=fan_out))
-    return MlpPolicy(
-        layer_dims=list(layer_dims),
-        weights=weights,
-        biases=biases,
-        output_activation=output_activation,
-    )
+    """One freshly drawn policy: ``init_members`` at N = 1."""
+    _, weights, biases = stacked_buffer(layer_dims, 1)
+    init_members(weights, biases, [rng])
+    return MlpPolicy(list(layer_dims), [w[0] for w in weights], [b[0] for b in biases],
+                     output_activation)
 
 
 def _softmax(z: np.ndarray, out=None) -> np.ndarray:

@@ -17,6 +17,7 @@ import tempfile
 from pathlib import Path
 
 import numpy as np
+from reference import ensemble_of
 
 from swarmbc import nn
 from swarmbc.cli import main as cli_main
@@ -57,8 +58,8 @@ def golden_ensemble(env_id, n_members) -> Ensemble:
             m.weights[0][2, 0] += 30.0 * obs_std[2]
             m.weights[1][0, 0] += 1.0
             m.weights[2][0] += [-1.0, 1.0]
-    return Ensemble(
-        members=members,
+    return ensemble_of(
+        members,
         tau=0.0,
         action_kind=spec.action_kind,
         obs_mean=obs_mean,

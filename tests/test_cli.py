@@ -1,4 +1,5 @@
 import csv
+import hashlib
 import json
 
 import pytest
@@ -103,6 +104,18 @@ def test_train_eval_roundtrip(small_dataset, tmp_path, capsys):
     run_cli("eval", "--model", model, "--episodes", 2, "--seed", 5,
             "--out", out_dir2)
     assert (out_dir2 / "traj_ep000.csv").read_bytes() == first
+
+
+@pytest.mark.parametrize("env, sha256", [
+    ("point_reach", "aa036b4986e1c9f6bf542881d458b762e5f9051698765a71ecfd7650f2608d99"),
+    ("cart_balance", "2bff8838a57af5a4df69e176f679df839ebbab80a80bc51ca6181635b78a48db"),
+], ids=["continuous", "discrete"])
+def test_trained_model_file_bytes_are_pinned(tmp_path, capsys, env, sha256):
+    data, model = tmp_path / "data.jsonl", tmp_path / "model.json"
+    run_cli("gen-data", "--env", env, "--episodes", 1, "--seed", 3, "--out", data)
+    assert run_cli("train", "--data", data, "--method", "swarm", "--seed", 1,
+                   "--epochs", 5, "--hidden-dims", "5,4", "--out", model) == 0
+    assert hashlib.sha256(model.read_bytes()).hexdigest() == sha256
 
 
 def test_eval_expert_flag_scores_near_one(tmp_path, capsys):
@@ -271,7 +284,8 @@ def test_sweep_rejects_invalid_training_config(tmp_path, capsys, config_line, fl
 
 
 @pytest.mark.parametrize("line", ["patience = -3", "min_improvement = -0.5",
-                                  "min_improvement = nan", "learning_rate = inf"])
+                                  "min_improvement = nan", "learning_rate = inf",
+                                  "tau = inf", "tau = nan", "tau_grid = 0, inf"])
 def test_sweep_names_the_line_and_key_of_a_bad_training_value(tmp_path, capsys, line):
     cfg_path = tmp_path / "sweep.cfg"
     cfg_path.write_text(TINY_SWEEP + line + "\n")
@@ -317,6 +331,34 @@ def test_sweep_recomputes_torn_baselines(tmp_path, capsys, cut):
     assert path.read_bytes() == original
 
 
+# edits that make a trained model file inconsistent, keyed by the file they write
+MODEL_EDITS = {
+    "head.json": ("cart_balance", lambda doc: doc.update(output_activation="identity")),
+    "hidden.json": ("point_reach", lambda doc: doc.update(hidden_activation="relu")),
+    "nan_tau.json": ("point_reach", lambda doc: doc.update(tau=float("nan"))),
+    "inf_tau.json": ("point_reach", lambda doc: doc.update(tau=float("inf"))),
+    "obs_mean.json": ("point_reach", lambda doc: doc["obs_mean"].pop()),
+    "obs_std.json": ("cart_balance", lambda doc: doc["obs_std"].append(1.0)),
+    "action_low.json": ("point_reach", lambda doc: doc["action_low"].pop()),
+    "action_high.json": ("point_reach", lambda doc: doc.update(action_high=None)),
+    "n_members.json": ("point_reach", lambda doc: doc.update(n_members=7)),
+    "member_shape.json": ("point_reach", lambda doc: doc["members"][1]["biases"][0].pop()),
+}
+
+
+@pytest.fixture(scope="module")
+def model_docs(tmp_path_factory):
+    """A trained swarm model file per env, as parsed JSON."""
+    tmp, docs = tmp_path_factory.mktemp("models"), {}
+    for env in ("point_reach", "cart_balance"):
+        assert run_cli("gen-data", "--env", env, "--episodes", 1,
+                       "--out", tmp / f"{env}.jsonl") == 0
+        assert run_cli("train", "--data", tmp / f"{env}.jsonl", "--method", "swarm",
+                       "--epochs", 1, "--hidden-dims", "3", "--out", tmp / f"{env}.json") == 0
+        docs[env] = json.loads((tmp / f"{env}.json").read_text())
+    return docs
+
+
 @pytest.mark.parametrize("argv", [
     ("mode-demo", "--n-list", "a,2", "--out", "{tmp}/demo.csv"),
     ("grad-check", "--step", "0"),
@@ -327,14 +369,25 @@ def test_sweep_recomputes_torn_baselines(tmp_path, capsys, cut):
     ("eval", "--model", "{tmp}/bad.json"),
     ("train", "--data", "{tmp}/list.json", "--method", "bc", "--out", "{tmp}/m.json"),
     ("eval", "--model", "{tmp}/list.json"),
+    ("train", "--data", "{data}", "--method", "swarm", "--tau", "inf", "--out", "{tmp}/m.json"),
+    *(("eval", "--model", "{tmp}/" + name, "--episodes", "1", "--out", "{tmp}/ev")
+      for name in MODEL_EDITS),
 ], ids=["n_list", "grad_step", "grad_trials", "missing_data", "missing_model",
-        "invalid_data", "invalid_model", "non_object_data", "non_object_model"])
-def test_bad_arguments_and_files_exit_1_without_traceback(tmp_path, capsys, argv):
+        "invalid_data", "invalid_model", "non_object_data", "non_object_model", "train_inf_tau",
+        *(name.removesuffix(".json") + "_model" for name in MODEL_EDITS)])
+def test_bad_arguments_and_files_exit_1_without_traceback(tmp_path, capsys, small_dataset,
+                                                          model_docs, argv):
     (tmp_path / "bad.json").write_text('{"env": "point_reach", \n')
     (tmp_path / "list.json").write_text("[1, 2]\n")
-    assert run_cli(*(a.format(tmp=tmp_path) for a in argv)) == 1
+    for name, (env, edit) in MODEL_EDITS.items():
+        doc = json.loads(json.dumps(model_docs[env]))
+        edit(doc)
+        (tmp_path / name).write_text(json.dumps(doc))
+    assert run_cli(*(a.format(tmp=tmp_path, data=small_dataset) for a in argv)) == 1
     err = capsys.readouterr().err
     assert err.startswith("error:") and "Traceback" not in err
+    assert not (tmp_path / "m.json").exists()
+    assert not (tmp_path / "ev" / "eval_results.csv").exists()
 
 
 def test_sweep_rejects_single_member_ensembles(tmp_path, capsys):

@@ -5,6 +5,7 @@ from itertools import product
 import numpy as np
 import pytest
 import train_oracle
+from reference import ensemble_of
 
 from swarmbc import nn
 from swarmbc.data import Dataset, DatasetMeta
@@ -13,7 +14,6 @@ from swarmbc.ensemble import (
     TrainConfig,
     batch_loss_and_grads,
     ensemble_action,
-    evaluate_loss,
     gradient_max_rel_error,
     load_ensemble,
     random_tiny_ensemble,
@@ -37,7 +37,7 @@ def fixed_output_policy(obs_dim, outputs):
 
 def test_standard_loss_zero_when_members_match_target():
     members = [fixed_output_policy(3, [0.5, -0.2]) for _ in range(3)]
-    ens = Ensemble(members=members, tau=0.0, action_kind="continuous")
+    ens = ensemble_of(members, tau=0.0, action_kind="continuous")
     out = standard_loss(ens, np.zeros(3), np.array([0.5, -0.2]))
     assert out.bc_term == 0.0
     assert out.total == 0.0
@@ -46,7 +46,7 @@ def test_standard_loss_zero_when_members_match_target():
 def test_standard_loss_hand_value():
     # outputs 0.5 and -0.5 against target 0: 0.25 + 0.25
     members = [fixed_output_policy(2, [0.5]), fixed_output_policy(2, [-0.5])]
-    ens = Ensemble(members=members, tau=0.0, action_kind="continuous")
+    ens = ensemble_of(members, tau=0.0, action_kind="continuous")
     out = standard_loss(ens, np.zeros(2), np.zeros(1))
     assert out.total == pytest.approx(0.5)
 
@@ -54,7 +54,7 @@ def test_standard_loss_hand_value():
 def test_standard_loss_single_member_is_plain_bc():
     rng = np.random.default_rng(0)
     member = nn.init_policy([2, 3, 2], rng)
-    ens = Ensemble(members=[member], tau=0.0, action_kind="continuous")
+    ens = ensemble_of([member], tau=0.0, action_kind="continuous")
     s, a = rng.normal(size=2), rng.normal(size=2)
     out = standard_loss(ens, s, a)
     direct = float(np.sum((nn.forward(member, s).output - a) ** 2))
@@ -73,8 +73,8 @@ def test_swarm_loss_tau_zero_equals_standard_bitwise():
 def test_swarm_loss_identical_members_have_zero_swarm_term():
     rng = np.random.default_rng(2)
     member = nn.init_policy([3, 4, 4, 2], rng)
-    ens = Ensemble(
-        members=[member.copy() for _ in range(4)],
+    ens = ensemble_of(
+        [member.copy() for _ in range(4)],
         tau=0.7,
         action_kind="continuous",
     )
@@ -93,8 +93,8 @@ def test_swarm_loss_hand_pairwise_value():
 
     h1 = np.arctanh(np.array([0.9, 0.0]))
     h2 = np.arctanh(np.array([0.0, 0.9]))
-    ens = Ensemble(
-        members=[policy_with_hidden(h1), policy_with_hidden(h2)],
+    ens = ensemble_of(
+        [policy_with_hidden(h1), policy_with_hidden(h2)],
         tau=0.25,
         action_kind="continuous",
     )
@@ -102,16 +102,6 @@ def test_swarm_loss_hand_pairwise_value():
     expected_swarm = 2.0 * 0.81  # ||(0.9,0) - (0,0.9)||^2
     assert out.swarm_term == pytest.approx(expected_swarm, rel=1e-12)
     assert out.total == pytest.approx(out.bc_term + 0.25 * expected_swarm, rel=1e-12)
-
-
-def test_swarm_loss_rejects_heterogeneous_hidden_widths():
-    rng = np.random.default_rng(3)
-    a = nn.init_policy([2, 3, 1], rng)
-    b = nn.init_policy([2, 4, 1], rng)
-    ens = Ensemble(members=[a, a.copy()], tau=0.5, action_kind="continuous")
-    ens.members[1] = b  # sneak past the constructor
-    with pytest.raises(DimensionMismatchError):
-        swarm_loss(ens, np.zeros(2), np.zeros(1))
 
 
 def test_loss_non_negative_terms():
@@ -134,8 +124,8 @@ def test_loss_permutation_equivariance():
     s = rng.normal(size=ens.obs_dim)
     a = rng.normal(size=ens.action_dim)
     base = swarm_loss(ens, s, a)
-    shuffled = Ensemble(
-        members=[ens.members[2], ens.members[0], ens.members[1]],
+    shuffled = ensemble_of(
+        [ens.members[2], ens.members[0], ens.members[1]],
         tau=ens.tau,
         action_kind=ens.action_kind,
     )
@@ -147,16 +137,16 @@ def test_loss_permutation_equivariance():
 def test_ensemble_action_single_member_and_mean():
     m1 = fixed_output_policy(2, [1.0, 0.0])
     m2 = fixed_output_policy(2, [0.0, 1.0])
-    solo = Ensemble(members=[m1], tau=0.0, action_kind="continuous")
+    solo = ensemble_of([m1], tau=0.0, action_kind="continuous")
     assert np.allclose(ensemble_action(solo, np.zeros(2)), [1.0, 0.0])
-    duo = Ensemble(members=[m1, m2], tau=0.0, action_kind="continuous")
+    duo = ensemble_of([m1, m2], tau=0.0, action_kind="continuous")
     assert np.allclose(ensemble_action(duo, np.zeros(2)), [0.5, 0.5])
 
 
 def test_ensemble_action_clips_to_bounds():
     m = fixed_output_policy(2, [3.0, -7.0])
-    ens = Ensemble(
-        members=[m],
+    ens = ensemble_of(
+        [m],
         tau=0.0,
         action_kind="continuous",
         action_low=np.array([-1.0, -1.0]),
@@ -188,7 +178,7 @@ def test_joint_gradient_coupling():
     a = rng.normal(size=(1, 1))
 
     def grads_of_member1(other, tau):
-        ens = Ensemble(members=[m1.copy(), other], tau=tau, action_kind="continuous")
+        ens = ensemble_of([m1.copy(), other], tau=tau, action_kind="continuous")
         _, grads = batch_loss_and_grads(ens, s, a)
         return grads[0]
 
@@ -431,12 +421,12 @@ def test_train_early_stops_on_plateau():
     assert len(history) < 4000
 
 
-def test_evaluate_loss_matches_mean_of_per_sample_losses():
+def test_batch_loss_matches_mean_of_per_sample_losses():
     rng = np.random.default_rng(8)
     ens = random_tiny_ensemble(rng, tau=0.4, n_members=2, discrete=False)
     states = rng.normal(size=(6, ens.obs_dim))
     actions = rng.normal(size=(6, ens.action_dim))
-    batch = evaluate_loss(ens, states, actions)
+    batch = batch_loss_and_grads(ens, states, actions)[0]
     per_sample = [swarm_loss(ens, s, a).total for s, a in zip(states, actions)]
     assert batch.total == pytest.approx(np.mean(per_sample), rel=1e-12)
 
@@ -444,9 +434,9 @@ def test_evaluate_loss_matches_mean_of_per_sample_losses():
 def test_normalized_swarm_mode_scales_pairwise_sum():
     rng = np.random.default_rng(9)
     members = [nn.init_policy([2, 3, 3, 1], np.random.default_rng(i)) for i in range(4)]
-    raw = Ensemble(members=members, tau=0.5, action_kind="continuous")
-    norm = Ensemble(
-        members=[m.copy() for m in members], tau=0.5,
+    raw = ensemble_of(members, tau=0.5, action_kind="continuous")
+    norm = ensemble_of(
+        [m.copy() for m in members], tau=0.5,
         action_kind="continuous", normalize_swarm=True,
     )
     s, a = rng.normal(size=2), rng.normal(size=1)
@@ -482,11 +472,48 @@ def test_serialization_roundtrip_lossless(tmp_path):
         assert np.array_equal(loaded.predict_members(s), ens.predict_members(s))
 
 
-def test_ensemble_rejects_mismatched_members():
-    a = nn.init_policy([2, 3, 1], np.random.default_rng(0))
-    b = nn.init_policy([2, 4, 1], np.random.default_rng(1))
+@pytest.mark.parametrize("size", [0, 16, 17, 31])
+def test_ensemble_rejects_params_that_do_not_fit_layer_dims(size):
+    # one member of layer_dims [2, 3, 1] has 2*3 + 3 + 3*1 + 1 = 13 parameters
+    Ensemble(layer_dims=[2, 3, 1], params=np.zeros(26), tau=0.0, action_kind="continuous")
     with pytest.raises(DimensionMismatchError):
-        Ensemble(members=[a, b], tau=0.0, action_kind="continuous")
+        Ensemble(layer_dims=[2, 3, 1], params=np.zeros(size), tau=0.0,
+                 action_kind="continuous")
+
+
+@pytest.mark.parametrize("tau", [-0.5, float("inf"), float("nan")])
+def test_ensemble_and_train_reject_tau_outside_zero_to_inf(tau):
+    with pytest.raises(ConfigError, match=r"tau must be in \[0, inf\)"):
+        Ensemble(layer_dims=[2, 3, 1], params=np.zeros(13), tau=tau, action_kind="continuous")
+    with pytest.raises(ConfigError, match=r"tau must be in \[0, inf\)"):
+        train(_toy_dataset(), 2, tau, TrainConfig(epochs=1, hidden_dims=(3,)))
+
+
+@pytest.mark.parametrize("field, value", [
+    ("obs_mean", np.zeros(3)), ("obs_std", np.ones(1)), ("action_low", -np.ones(2)),
+    ("action_high", np.ones(3)),
+])
+def test_ensemble_rejects_fields_that_disagree_with_layer_dims(field, value):
+    # layer_dims [2, 3, 1]: obs_dim 2, action_dim 1
+    fields = dict(obs_mean=np.zeros(2), obs_std=np.ones(2),
+                  action_low=-np.ones(1), action_high=np.ones(1))
+    Ensemble(layer_dims=[2, 3, 1], params=np.zeros(13), tau=0.0, action_kind="continuous",
+             **fields)
+    fields[field] = value
+    with pytest.raises(DimensionMismatchError, match=field):
+        Ensemble(layer_dims=[2, 3, 1], params=np.zeros(13), tau=0.0, action_kind="continuous",
+                 **fields)
+
+
+def test_replace_returns_an_independent_buffer():
+    ens = random_tiny_ensemble(np.random.default_rng(14), 0.25, n_members=3)
+    other = replace(ens, tau=0.0)
+    assert not np.shares_memory(other.params, ens.params)
+    assert np.array_equal(other.params, ens.params)
+    before = ens.params.copy()
+    other.params[:] = 1.0
+    other.members[0].weights[0][0, 0] = 2.0
+    assert np.array_equal(ens.params, before)
 
 
 @pytest.mark.parametrize("discrete", [False, True])

