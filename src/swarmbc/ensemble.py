@@ -58,8 +58,9 @@ class Ensemble:
     ``params`` is the one flat buffer of all members' parameters (layout in
     ``nn.stacked_buffer``); the constructor copies it, so ``replace(ens, ...)``
     detaches. ``weights[k]``/``biases[k]`` are the stacked ``(N, in, out)``/
-    ``(N, out)`` views the engine runs on, and ``members`` hands member i out
-    as an ``MlpPolicy`` of views. The head follows ``action_kind``: softmax
+    ``(N, out)`` views the engine runs on, ``bias_rows[k]`` their ``(N, 1,
+    out)`` broadcast form, and ``members`` hands member i out as an
+    ``MlpPolicy`` of views. The head follows ``action_kind``: softmax
     for discrete, identity otherwise.
     """
 
@@ -75,6 +76,7 @@ class Ensemble:
     meta: dict = field(default_factory=dict)
     weights: list = field(init=False, repr=False, compare=False)
     biases: list = field(init=False, repr=False, compare=False)
+    bias_rows: list = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         check_tau(self.tau)
@@ -91,6 +93,7 @@ class Ensemble:
                 f"params of shape {params.shape} do not hold N >= 1 members of layer_dims {dims}")
         self.params, self.weights, self.biases = nn.stacked_buffer(dims, n)
         self.params[:] = params
+        self.bias_rows = [b[:, None, :] for b in self.biases]
         if self.obs_mean is None:
             self.obs_mean = np.zeros(dims[0])
             self.obs_std = np.ones(dims[0])
@@ -101,6 +104,11 @@ class Ensemble:
             if np.shape(getattr(self, name)) != (size,):
                 raise DimensionMismatchError(
                     f"{name} has shape {np.shape(getattr(self, name))}, expected ({size},)")
+        for name in ("params", *shapes):
+            if not np.isfinite(getattr(self, name)).all():
+                raise ConfigError(f"{name} holds a non-finite number")
+        if not np.all(np.greater(self.obs_std, 0.0)):
+            raise ConfigError(f"obs_std must be > 0, got {self.obs_std}")
 
     @property
     def n_members(self) -> int:
@@ -144,11 +152,8 @@ class Ensemble:
         a batch row is bit-identical to the single-state call (a (E, in)
         product rounds differently).
         """
-        x = self.normalize(s)
-        weights = [w[None] for w in self.weights]  # (1, N, in, out)
-        bias_rows = [b[:, None, :] for b in self.biases]
-        out = nn.stacked_forward(weights, bias_rows, x[..., None, None, :], self.head)[1]
-        return out[..., 0, :] if x.ndim > 1 else out[0, :, 0]
+        x = self.normalize(s)[..., None, None, :]  # ([E,] 1, 1, in)
+        return nn.stacked_forward(self.weights, self.bias_rows, x, self.head)[1][..., 0, :]
 
 
 def _swarm_scale(ensemble: Ensemble) -> float:
@@ -231,8 +236,7 @@ def _kernel(ensemble: Ensemble, n_batch: int, dweights, dbiases):
     each member's summed squared error into ``bc_sums``, each hidden layer's
     sum_i ||h_i - h_mean||^2 into ``swarm_sums`` (untouched at N = 1, where it
     is 0) and the gradient of the mean loss into ``dweights``/``dbiases``."""
-    n, head = ensemble.n_members, ensemble.head
-    bias_rows = [b[:, None, :] for b in ensemble.biases]
+    n, head, bias_rows = ensemble.n_members, ensemble.head, ensemble.bias_rows
     acts = [np.empty((n, n_batch, width)) for width in ensemble.layer_dims[1:]]
     hiddens, output = acts[:-1], acts[-1]
     err, err_sq = np.empty_like(output), np.empty_like(output)
@@ -420,8 +424,7 @@ def train(
             # checked after the epoch's steps: a non-finite batch leaves the
             # rest of the epoch non-finite, and the payload is the epoch's start
             if not math.isfinite(breakdown.total):
-                payload = replace(ens, meta=dict(ens.meta))  # copies the buffer
-                payload.params[:] = last_finite
+                payload = replace(ens, params=last_finite, meta=dict(ens.meta))
                 raise TrainingDivergedError(
                     f"non-finite loss in epoch {epoch}",
                     epoch=epoch,

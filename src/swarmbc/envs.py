@@ -166,7 +166,7 @@ class PointReach(DeskEnv):
         _clip(states[:, 2:] + DT * u, -self.VMAX, self.VMAX, out=vel)
         np.add(states[:, :2], DT * vel, out=pos)
         wall = np.abs(pos) > self.ARENA
-        if wall.any():
+        if np.count_nonzero(wall):  # cheaper than wall.any()
             np.copysign(self.ARENA, pos, out=pos, where=wall)
             vel[wall] = 0.0
         # |pos| as sqrt of a (1, 2) @ (2, 1) product rounds like np.linalg.norm
@@ -243,9 +243,7 @@ class PendulumSwing(DeskEnv):
         obs = np.asarray(obs, dtype=np.float64)
         rows = obs.reshape(-1, 3)
         # math.atan2 per state: np.arctan2 rounds differently on some inputs
-        theta = np.array([
-            math.atan2(y, x) for x, y in zip(rows[:, 0].tolist(), rows[:, 1].tolist())
-        ])
+        theta = np.array([math.atan2(y, x) for x, y, _ in rows.tolist()])
         omega = rows[:, 2]
         # Pump mechanical energy toward the upright level (E = 0); dE/dt =
         # omega * u, so push along omega while energy is short, kick off the
@@ -257,7 +255,8 @@ class PendulumSwing(DeskEnv):
         u = -self.K_ENERGY * omega * energy
         u[np.abs(omega) < 0.05] = self.U_MAX
         catch = (np.abs(theta) <= self.CATCH_ANGLE) & (np.abs(omega) <= self.CATCH_OMEGA)
-        u[catch] = (-self.KP * theta - self.KD * omega)[catch]
+        if np.count_nonzero(catch):
+            u[catch] = (-self.KP * theta - self.KD * omega)[catch]
         return _clip(u, -self.U_MAX, self.U_MAX).reshape(obs.shape[:-1] + (1,))
 
 
@@ -295,7 +294,9 @@ class CartBalance(DeskEnv):
         total = self.M_CART + self.M_POLE
         # effective pole length in the linearized angular dynamics
         self._l_eff = self.POLE_HALF * (4.0 / 3.0 - self.M_POLE / total)
-        self._total = total
+        self._lever = self.M_POLE * self.POLE_HALF / total
+        self._push = np.array([-self.FORCE, self.FORCE]) / total  # by action
+        self._limits = np.array([self.X_LIMIT, self.ANGLE_LIMIT])  # (x, theta)
 
     def _sample_start(self, rng):
         return rng.uniform(-self.START, self.START, size=4)
@@ -304,19 +305,19 @@ class CartBalance(DeskEnv):
         return states.copy()
 
     def advance(self, states, actions):
-        a = np.reshape(actions, len(states))
+        a = np.asarray(actions).reshape(len(states))
         if not set(a.tolist()) <= {0, 1}:
             raise ConfigError(f"cart_balance: action must be 0 or 1, got {actions!r}")
-        push = np.where(a == 1, self.FORCE, -self.FORCE) / self._total
-        theta_acc = (self.GRAVITY * states[:, 2] - push) / self._l_eff
-        x_acc = push - (self.M_POLE * self.POLE_HALF / self._total) * theta_acc
+        push = self._push[a.astype(np.intp)]
+        acc = np.empty((len(states), 2))  # (x, theta) accelerations
+        theta_acc = np.divide(self.GRAVITY * states[:, 2] - push, self._l_eff, out=acc[:, 1])
+        np.subtract(push, self._lever * theta_acc, out=acc[:, 0])
+        # positions (x, theta) and velocities are the even and odd state columns
         new = np.empty_like(states)
-        x, x_dot, theta, theta_dot = new.T
-        np.add(states[:, 3], DT * theta_acc, out=theta_dot)
-        np.add(states[:, 2], DT * theta_dot, out=theta)
-        np.add(states[:, 1], DT * x_acc, out=x_dot)
-        np.add(states[:, 0], DT * x_dot, out=x)
-        failed = (np.abs(theta) > self.ANGLE_LIMIT) | (np.abs(x) > self.X_LIMIT)
+        pos, vel = new[:, 0::2], new[:, 1::2]
+        np.add(states[:, 1::2], DT * acc, out=vel)
+        np.add(states[:, 0::2], DT * vel, out=pos)
+        failed = (np.abs(pos) > self._limits).any(axis=1)
         return new, 1.0 - failed, failed
 
     def expert_action(self, obs):
@@ -345,11 +346,14 @@ def env_spec(env_id: str) -> EnvSpec:
     return make_env(env_id).spec
 
 
-def random_action(spec: EnvSpec, rng):
-    """Uniform action in the env's action space."""
+def random_action(spec: EnvSpec, rng, steps=None):
+    """Uniform action in the env's action space; with ``steps``, that many
+    in one draw, as rows (the same stream as ``steps`` single draws)."""
     if spec.action_kind == "discrete":
-        return int(rng.integers(spec.action_dim))
-    return rng.uniform(spec.action_low, spec.action_high)
+        draw = rng.integers(spec.action_dim, size=steps)
+        return int(draw) if steps is None else draw
+    shape = None if steps is None else (steps, spec.action_dim)
+    return rng.uniform(spec.action_low, spec.action_high, size=shape)
 
 
 def generate_dataset(env: DeskEnv, n_episodes: int, seed: int) -> Dataset:

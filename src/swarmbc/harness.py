@@ -11,10 +11,12 @@ which makes the method comparisons paired.
 
 from __future__ import annotations
 
+import contextlib
 import csv
 import hashlib
 import io
 import os
+import socket
 import warnings
 from concurrent.futures import ProcessPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
@@ -33,6 +35,7 @@ from .metrics import RunRecord, baseline_returns, rollouts, scaled_return
 RESULTS_SCHEMA = "swarmbc.results.v1"
 BASELINES_SCHEMA = "swarmbc.baselines.v1"
 FINGERPRINT_FILE = "config.sha256"
+LOCK_FILE = "sweep.lock"
 RESULTS_COLUMNS = (
     "env",
     "method",
@@ -460,21 +463,70 @@ def _isolated_cell_worker(args):
         return "error", args[1], "BrokenProcessPool: the worker process died", None
 
 
+def _pid_alive(pid: int) -> bool:
+    try:
+        os.kill(pid, 0)
+    except ProcessLookupError:
+        return False
+    except PermissionError:  # another user's process
+        pass
+    return True
+
+
+@contextlib.contextmanager
+def sweep_lock(out_dir: Path):
+    """Hold ``out_dir``'s lock file, created with ``O_CREAT | O_EXCL`` and
+    naming this process and host, while the block runs. Another holder is a
+    ``ConfigError`` naming it, except that a lock whose process is gone from
+    this host is taken over with a warning."""
+    path, host = out_dir / LOCK_FILE, socket.gethostname()
+    while True:
+        try:
+            fd = os.open(path, os.O_CREAT | os.O_EXCL | os.O_WRONLY, 0o644)
+            break
+        except FileExistsError:
+            try:
+                holder = path.read_text().split()
+            except FileNotFoundError:
+                continue  # released in between
+            if not (len(holder) == 2 and holder[0].isdigit() and holder[1] == host
+                    and not _pid_alive(int(holder[0]))):
+                raise ConfigError(
+                    f"{out_dir} is in use by another sweep ({' '.join(holder) or '?'}: "
+                    f"pid and host in {path}); wait for it, or delete the file if no "
+                    "sweep is running") from None
+            warnings.warn(f"{path}: taking over the lock of pid {holder[0]}, which is gone",
+                          RuntimeWarning)
+            path.unlink(missing_ok=True)
+    with os.fdopen(fd, "w") as f:
+        f.write(f"{os.getpid()} {host}\n")
+    try:
+        yield
+    finally:
+        path.unlink(missing_ok=True)
+
+
 def run_sweep(cfg: ExperimentConfig, out_dir, workers: int = 1,
               force: bool = False, log=None) -> ResultsStore:
     """Run every cell of the sweep into ``out_dir`` (resumable), then write
     summary tables and SVG charts. Returns the populated store.
 
-    ``out_dir`` keeps the config's fingerprint beside ``results.csv``;
-    resuming under a different config is a ``ConfigError``. If a worker
-    process dies, the cells it left unreported rerun one process each, and
-    the cell that kills its process is recorded as failed. At the end,
-    ``failures.csv`` keeps only the cells that still have no result.
+    One sweep at a time writes ``out_dir``: it holds ``sweep_lock`` until it
+    returns. ``out_dir`` keeps the config's fingerprint beside
+    ``results.csv``; resuming under a different config is a ``ConfigError``.
+    If a worker process dies, the cells it left unreported rerun one process
+    each, and the cell that kills its process is recorded as failed. At the
+    end, ``failures.csv`` keeps only the cells that still have no result.
     """
     if workers < 1:
         raise ConfigError(f"workers must be >= 1, got {workers}")
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
+    with sweep_lock(out_dir):
+        return _locked_sweep(cfg, out_dir, workers, force, log)
+
+
+def _locked_sweep(cfg: ExperimentConfig, out_dir: Path, workers: int, force: bool, log):
     results_path = out_dir / "results.csv"
     fingerprint_path = out_dir / FINGERPRINT_FILE
     if force:

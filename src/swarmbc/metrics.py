@@ -126,7 +126,7 @@ def rollouts(env: DeskEnv, policy, seeds, record_members: bool = False) -> list[
             actions = np.asarray(policy(obs, live))
         states, rewards, failed = env.advance(states, actions)
         steps.append((obs, actions, rewards, outputs) if record_members else (obs, actions, rewards))
-        if t < horizon and not failed.any():
+        if t < horizon and not np.count_nonzero(failed):  # cheaper than failed.any()
             continue
         # close the segment: every live episode takes its column
         segment = [np.stack(column) for column in zip(*steps)]
@@ -177,22 +177,26 @@ def scaled_return(episode_return, r_random, r_expert) -> float:
 
 def baseline_returns(env: DeskEnv, n_episodes: int = 20, seed: int = 0):
     """Mean episode returns of the uniform-random policy and the scripted
-    expert over seeded episodes: returns ``(r_random, r_expert)``."""
+    expert over seeded episodes: returns ``(r_random, r_expert)``. Both run
+    from the same start states, in one lockstep ``rollouts`` call."""
     if n_episodes < 1:
         raise ConfigError(f"n_episodes must be >= 1, got {n_episodes}")
     episode_seeds = np.random.SeedSequence(seed).spawn(2 * n_episodes)
     starts = episode_seeds[0::2]
-    # one action generator per episode, so lockstep draws match solo ones
-    rngs = [np.random.default_rng(s) for s in episode_seeds[1::2]]
+    # each random episode draws its whole horizon from its own generator, the
+    # stream of one draw per step; rollouts takes one (E, ...) block per step
     spec = env.spec
-    random_eps = rollouts(
-        env, lambda obs, episodes: [random_action(spec, rngs[e]) for e in episodes], starts
-    )
-    expert_eps = rollouts(env, lambda obs, _: env.expert_action(obs), starts)
-    return (
-        float(np.mean([t.episode_return for t in random_eps])),
-        float(np.mean([t.episode_return for t in expert_eps])),
-    )
+    draws = iter(np.stack([random_action(spec, np.random.default_rng(s), spec.max_steps)
+                           for s in episode_seeds[1::2]], axis=1))
+
+    def policy(obs, episodes):  # episodes < n_episodes are random, the rest expert
+        n_random = np.searchsorted(episodes, n_episodes)
+        return np.concatenate([next(draws)[episodes[:n_random]],
+                               env.expert_action(obs[n_random:])])
+
+    trajs = rollouts(env, policy, starts + starts)
+    returns = [t.episode_return for t in trajs]
+    return float(np.mean(returns[:n_episodes])), float(np.mean(returns[n_episodes:]))
 
 
 def write_trajectory_csv(traj: Trajectory, path) -> None:

@@ -225,8 +225,8 @@ def stacked_forward(weights, bias_rows, x: np.ndarray, output_activation: str, o
     ``bias_rows[k]`` is ``biases[k][:, None, :]``. Returns ``(hiddens, output)``:
     post-tanh activations ``(N, B, width)`` per hidden layer and the head
     output ``(N, B, out)``, written into ``out`` (one buffer per layer) if
-    given. Leading axes broadcast as in ``np.matmul``: weights ``(1, N, in,
-    out)`` and ``x`` of shape ``(E, 1, 1, in)`` give ``(E, N, 1, out)``.
+    given. Leading axes broadcast as in ``np.matmul``: ``x`` of shape ``(E, 1,
+    1, in)`` gives ``(E, N, 1, out)``.
     """
     if x.shape[-1] != weights[0].shape[-2]:
         raise DimensionMismatchError(

@@ -343,6 +343,10 @@ MODEL_EDITS = {
     "action_high.json": ("point_reach", lambda doc: doc.update(action_high=None)),
     "n_members.json": ("point_reach", lambda doc: doc.update(n_members=7)),
     "member_shape.json": ("point_reach", lambda doc: doc["members"][1]["biases"][0].pop()),
+    "nan_bias.json": ("point_reach",
+                      lambda doc: doc["members"][1]["biases"][0].__setitem__(0, float("nan"))),
+    "inf_bound.json": ("point_reach", lambda doc: doc["action_low"].__setitem__(0, -float("inf"))),
+    "zero_std.json": ("point_reach", lambda doc: doc["obs_std"].__setitem__(0, 0.0)),
 }
 
 
@@ -398,3 +402,15 @@ def test_sweep_rejects_single_member_ensembles(tmp_path, capsys):
     assert run_cli("sweep", "--config", cfg_path, "--out", out_dir) == 1
     assert "N >= 2" in capsys.readouterr().err
     assert not (out_dir / "results.csv").exists()
+
+
+def test_sweep_into_a_locked_directory_exits_1_naming_the_holder(tmp_path, capsys):
+    cfg_path, out_dir = tmp_path / "sweep.cfg", tmp_path / "out"
+    cfg_path.write_text(TINY_SWEEP)
+    out_dir.mkdir()
+    (out_dir / "sweep.lock").write_text("4242 elsewhere.invalid\n")
+    assert run_cli("sweep", "--config", cfg_path, "--out", out_dir) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "4242 elsewhere.invalid" in err
+    assert "Traceback" not in err
+    assert sorted(p.name for p in out_dir.iterdir()) == ["sweep.lock"]

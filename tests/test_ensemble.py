@@ -505,6 +505,58 @@ def test_ensemble_rejects_fields_that_disagree_with_layer_dims(field, value):
                  **fields)
 
 
+@pytest.mark.parametrize("field, index, value, message", [
+    ("params", 12, np.nan, "params holds a non-finite"),
+    ("obs_mean", 0, np.inf, "obs_mean holds a non-finite"),
+    ("obs_std", 1, np.nan, "obs_std holds a non-finite"),
+    ("action_low", 0, -np.inf, "action_low holds a non-finite"),
+    ("action_high", 0, np.nan, "action_high holds a non-finite"),
+    ("obs_std", 1, 0.0, "obs_std must be > 0"),
+    ("obs_std", 0, -1.0, "obs_std must be > 0"),
+])
+def test_ensemble_rejects_non_finite_or_degenerate_numbers(field, index, value, message):
+    fields = dict(params=np.zeros(13), obs_mean=np.zeros(2), obs_std=np.ones(2),
+                  action_low=-np.ones(1), action_high=np.ones(1))
+    Ensemble(layer_dims=[2, 3, 1], tau=0.0, action_kind="continuous", **fields)
+    fields[field][index] = value
+    with pytest.raises(ConfigError, match=message):
+        Ensemble(layer_dims=[2, 3, 1], tau=0.0, action_kind="continuous", **fields)
+
+
+def _fresh_members(ens, states):
+    """``predict_members`` of a newly built Ensemble on a copy of ``ens``'s numbers."""
+    fresh = Ensemble(layer_dims=list(ens.layer_dims), params=ens.params.copy(), tau=ens.tau,
+                     action_kind=ens.action_kind, obs_mean=ens.obs_mean.copy(),
+                     obs_std=ens.obs_std.copy())
+    return fresh.predict_members(states)
+
+
+def test_predict_members_views_follow_the_parameter_buffer(tmp_path):
+    """The stacked views ``predict_members`` runs on are derived once; every way
+    of changing or copying the buffer must still give what a fresh Ensemble gives."""
+    dataset = generate_dataset(make_env("pendulum_swing"), 1, seed=2)
+    states = dataset.states[:7]
+    ens, _ = train(dataset, 3, 0.25, TrainConfig(epochs=2, hidden_dims=(5, 4)), seed=3)
+    assert np.array_equal(ens.predict_members(states), _fresh_members(ens, states))
+
+    before = ens.predict_members(states)
+    ens.params[:] = np.random.default_rng(4).normal(size=ens.params.size)  # in place
+    after = ens.predict_members(states)
+    assert not np.array_equal(after, before)
+    assert np.array_equal(after, _fresh_members(ens, states))
+    assert np.array_equal(ens.predict_members(states[0]), after[0])
+
+    copy = replace(ens, tau=0.0)
+    copy.params *= 0.5
+    assert np.array_equal(copy.predict_members(states), _fresh_members(copy, states))
+    assert np.array_equal(ens.predict_members(states), after)  # the original is untouched
+
+    save_ensemble(ens, tmp_path / "m.json")
+    loaded = load_ensemble(tmp_path / "m.json")
+    assert np.array_equal(loaded.predict_members(states), after)
+    assert np.array_equal(loaded.predict_members(states), _fresh_members(loaded, states))
+
+
 def test_replace_returns_an_independent_buffer():
     ens = random_tiny_ensemble(np.random.default_rng(14), 0.25, n_members=3)
     other = replace(ens, tau=0.0)

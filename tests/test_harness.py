@@ -1,6 +1,9 @@
 import csv
 import multiprocessing
 import os
+import socket
+import subprocess
+import sys
 
 import pytest
 
@@ -601,3 +604,83 @@ def test_dead_worker_fails_only_its_cell(tmp_path, monkeypatch):
     store = run_sweep(cfg, out, workers=2)
     assert sorted(store.records, key=repr) == sorted(reference.records, key=repr)
     assert not (out / "failures.csv").exists()
+
+
+def _held_sweep(cfg, out, ready, go):
+    """A sweep that signals ``ready`` once it holds the lock, then waits for ``go``."""
+    def log(message):
+        if not ready.is_set():
+            ready.set()
+            go.wait(60)
+
+    run_sweep(cfg, out, log=log)
+
+
+@pytest.mark.skipif("fork" not in multiprocessing.get_all_start_methods(),
+                    reason="the held sweep runs in a forked process")
+def test_second_sweep_on_a_directory_exits_1_naming_the_holder(tmp_path):
+    cfg, out = tiny_config(n_seeds=1), tmp_path / "out"
+    ctx = multiprocessing.get_context("fork")
+    ready, go = ctx.Event(), ctx.Event()
+    first = ctx.Process(target=_held_sweep, args=(cfg, out, ready, go))
+    first.start()
+    try:
+        assert ready.wait(60)
+        lock = (out / harness.LOCK_FILE).read_text()
+        assert lock == f"{first.pid} {socket.gethostname()}\n"
+        with pytest.raises(ConfigError, match=f"in use by another sweep \\({first.pid} "):
+            run_sweep(cfg, out)
+        assert (out / harness.LOCK_FILE).read_text() == lock  # the holder keeps it
+    finally:
+        go.set()
+        first.join(120)
+    assert first.exitcode == 0
+    assert not (out / harness.LOCK_FILE).exists()
+    records = ResultsStore(out / "results.csv").records
+    assert len(records) == len(enumerate_cells(cfg))  # each cell written once
+
+
+def test_stale_lock_of_a_dead_process_is_taken_over_with_a_warning(tmp_path):
+    dead = subprocess.Popen([sys.executable, "-c", ""])
+    dead.wait()  # reaped, so its pid names no process
+    cfg, out = tiny_config(n_seeds=1), tmp_path / "out"
+    out.mkdir()
+    (out / harness.LOCK_FILE).write_text(f"{dead.pid} {socket.gethostname()}\n")
+    with pytest.warns(RuntimeWarning, match=f"taking over the lock of pid {dead.pid}"):
+        store = run_sweep(cfg, out)
+    assert len(store.records) == len(enumerate_cells(cfg))
+    assert not (out / harness.LOCK_FILE).exists()
+
+
+@pytest.mark.parametrize("holder", ["{pid} elsewhere.invalid", "{pid} {host}", "", "garbage"])
+def test_a_lock_that_may_be_live_is_not_taken_over(tmp_path, holder):
+    # any pid on another host, a live pid on this host, or an unreadable lock
+    out = tmp_path / "out"
+    out.mkdir()
+    text = holder.format(pid=os.getpid(), host=socket.gethostname())
+    (out / harness.LOCK_FILE).write_text(text)
+    with pytest.raises(ConfigError, match="in use by another sweep"):
+        run_sweep(tiny_config(n_seeds=1), out)
+    assert (out / harness.LOCK_FILE).read_text() == text
+    assert not (out / "results.csv").exists()
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_only_the_parent_holds_the_lock(tmp_path, monkeypatch, workers):
+    if workers > 1 and multiprocessing.get_start_method() != "fork":
+        pytest.skip("the patched run_cell reaches the workers only under fork")
+    out, parent = tmp_path / "out", str(os.getpid())
+    real_run_cell = harness.run_cell
+
+    def checking(cfg, cell, baselines):
+        holder = (out / harness.LOCK_FILE).read_text().split()[0]
+        if holder != parent:
+            raise RuntimeError(f"the lock names pid {holder}")
+        return real_run_cell(cfg, cell, baselines)
+
+    monkeypatch.setattr(harness, "run_cell", checking)
+    cfg = tiny_config(n_seeds=1)
+    store = run_sweep(cfg, out, workers=workers)
+    assert len(store.records) == len(enumerate_cells(cfg))
+    assert not (out / "failures.csv").exists()
+    assert not (out / harness.LOCK_FILE).exists()

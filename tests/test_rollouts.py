@@ -9,8 +9,9 @@ import numpy as np
 import pytest
 
 import golden_cases as gc
+import reference
 from swarmbc.cli import main as cli_main
-from swarmbc.envs import ENV_IDS, generate_dataset, make_env
+from swarmbc.envs import ENV_IDS, generate_dataset, make_env, random_action
 from swarmbc.errors import ConfigError
 from swarmbc.metrics import baseline_returns, rollout, rollouts
 
@@ -74,6 +75,28 @@ def test_baselines_and_datasets_match_golden(env_id):
     assert [repr(r) for r in baseline_returns(env, 6, seed=5)] == GOLDEN["baselines"][env_id]
     data = generate_dataset(env, 3, seed=9)
     assert gc.digest(data.states, data.actions) == GOLDEN["datasets"][env_id]
+
+
+@pytest.mark.parametrize("seed", (0, 5, 17))
+@pytest.mark.parametrize("n_episodes", (1, 2, 3, 6))
+@pytest.mark.parametrize("env_id", ENV_IDS)
+def test_baselines_match_the_two_call_reference(env_id, n_episodes, seed):
+    # one lockstep call of random and expert episodes, random actions drawn
+    # a horizon at a time, against a random_action call per episode per step
+    env = make_env(env_id)
+    got = baseline_returns(env, n_episodes, seed=seed)
+    want = reference.baseline_returns(env, n_episodes, seed=seed)
+    assert [repr(r) for r in got] == [repr(r) for r in want]
+
+
+@pytest.mark.parametrize("env_id", ENV_IDS)  # continuous and discrete specs
+def test_block_random_draw_equals_single_draws(env_id):
+    spec, steps = make_env(env_id).spec, 37
+    for seed in range(1000):
+        block = random_action(spec, np.random.default_rng(seed), steps)
+        rng = np.random.default_rng(seed)
+        singles = np.array([random_action(spec, rng) for _ in range(steps)])
+        assert np.array_equal(block, singles) and block.dtype == singles.dtype, seed
 
 
 @pytest.mark.parametrize("env_id", ENV_IDS)

@@ -104,8 +104,7 @@ def train(dataset, n_members, tau, config=None, seed=0):
             breakdown = loss_and_grads(ens, dataset.states[idx], dataset.actions[idx],
                                        dweights, dbiases)
             if not np.isfinite(breakdown.total):
-                payload = replace(ens, meta=dict(ens.meta))
-                payload.params[:] = last_finite
+                payload = replace(ens, params=last_finite, meta=dict(ens.meta))
                 raise TrainingDivergedError(f"non-finite loss in epoch {epoch}",
                                             epoch=epoch, last_finite_ensemble=payload)
             nn.adam_update([ens.params], [grad], opt)
