@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import math
 import sys
 from pathlib import Path
 
@@ -230,13 +231,13 @@ def cmd_mode_demo(args) -> int:
 
 
 def cmd_grad_check(args) -> int:
-    if args.trials < 1 or args.step <= 0:
-        raise ConfigError("grad-check needs --trials >= 1 and --step > 0")
+    if args.trials < 1 or not 0 < args.step < math.inf:
+        raise ConfigError("grad-check needs --trials >= 1 and --step in (0, inf)")
     worst = gradient_max_rel_error(
         n_trials=args.trials, seed=args.seed, step=args.step
     )
     print(f"max relative error over {args.trials} random ensembles: {worst:.3e}")
-    if worst >= 1e-4:
+    if not worst < 1e-4:
         print("FAIL: exceeds 1e-4", file=sys.stderr)
         return NUMERICAL_EXIT
     print("PASS: below 1e-4")

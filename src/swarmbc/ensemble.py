@@ -23,6 +23,7 @@ is off by default because the raw form is the reference definition.
 
 from __future__ import annotations
 
+import json
 import math
 from dataclasses import dataclass, field, replace
 
@@ -30,6 +31,7 @@ import numpy as np
 
 from . import nn
 from .data import Dataset
+from .envs import ENV_IDS, env_spec
 from .errors import ConfigError, DimensionMismatchError, TrainingDivergedError
 
 METHODS = ("bc", "ensemble", "swarm")
@@ -109,6 +111,9 @@ class Ensemble:
                 raise ConfigError(f"{name} holds a non-finite number")
         if not np.all(np.greater(self.obs_std, 0.0)):
             raise ConfigError(f"obs_std must be > 0, got {self.obs_std}")
+        if self.action_low is not None and np.any(self.action_low > self.action_high):
+            raise ConfigError(
+                f"action_low {self.action_low} exceeds action_high {self.action_high}")
 
     @property
     def n_members(self) -> int:
@@ -137,11 +142,6 @@ class Ensemble:
 
     def normalize(self, s):
         return (np.asarray(s, dtype=np.float64) - self.obs_mean) / self.obs_std
-
-    def member_traces(self, s) -> list[nn.ForwardTrace]:
-        """Per-member forward traces (the reference path of the loss oracles)."""
-        z = self.normalize(s)
-        return [nn.forward(m, z) for m in self.members]
 
     def predict_members(self, s) -> np.ndarray:
         """Raw member outputs: (N, action_dim) for one state, (E, N,
@@ -181,14 +181,21 @@ def _bc_term(outputs, a) -> float:
     return float(sum(np.sum((y - a) ** 2) for y in outputs))
 
 
-def _swarm_term(traces) -> float:
+def _member_activations(ensemble: Ensemble, s):
+    """Every member's hidden activations, ``(N, width)`` per hidden layer, and
+    outputs ``(N, action_dim)`` on one state."""
+    x = ensemble.normalize(s)[None]
+    hiddens, output = nn.stacked_forward(ensemble.weights, ensemble.bias_rows, x, ensemble.head)
+    return [h[:, 0] for h in hiddens], output[:, 0]
+
+
+def _swarm_term(hiddens) -> float:
     """Raw pairwise squared hidden-activation differences, hidden layers only."""
-    n = len(traces)
     total = 0.0
-    for k in range(len(traces[0].hiddens)):
-        for i in range(n):
-            for j in range(i + 1, n):
-                d = traces[i].hiddens[k] - traces[j].hiddens[k]
+    for h in hiddens:
+        for i in range(len(h)):
+            for j in range(i + 1, len(h)):
+                d = h[i] - h[j]
                 total += float(np.sum(d * d))
     return total
 
@@ -196,8 +203,7 @@ def _swarm_term(traces) -> float:
 def standard_loss(ensemble: Ensemble, s, a) -> LossBreakdown:
     """Plain BC-ensemble loss for one sample: sum_i ||pi_i(s) - a||^2."""
     s, a = _check_sample(ensemble, s, a)
-    outputs = [t.output for t in ensemble.member_traces(s)]
-    bc = _bc_term(outputs, a)
+    bc = _bc_term(_member_activations(ensemble, s)[1], a)
     return LossBreakdown(bc_term=bc, swarm_term=0.0, total=bc)
 
 
@@ -205,9 +211,9 @@ def swarm_loss(ensemble: Ensemble, s, a) -> LossBreakdown:
     """Full training loss for one sample; reduces bit-exactly to
     ``standard_loss`` when tau = 0."""
     s, a = _check_sample(ensemble, s, a)
-    traces = ensemble.member_traces(s)
-    bc = _bc_term([t.output for t in traces], a)
-    swarm = _swarm_term(traces) * _swarm_scale(ensemble)
+    hiddens, outputs = _member_activations(ensemble, s)
+    bc = _bc_term(outputs, a)
+    swarm = _swarm_term(hiddens) * _swarm_scale(ensemble)
     return LossBreakdown(bc_term=bc, swarm_term=swarm, total=bc + ensemble.tau * swarm)
 
 
@@ -363,12 +369,9 @@ def train(
     shuffle_rng = np.random.default_rng(streams[n_members])
 
     low = high = None
-    if dataset.meta.action_kind != "discrete":
-        from .envs import ENV_IDS, env_spec
-
-        if dataset.meta.env in ENV_IDS:
-            spec = env_spec(dataset.meta.env)
-            low, high = spec.action_low, spec.action_high
+    if dataset.meta.action_kind != "discrete" and dataset.meta.env in ENV_IDS:
+        spec = env_spec(dataset.meta.env)
+        low, high = spec.action_low, spec.action_high
 
     ens = Ensemble(
         layer_dims=layer_dims,
@@ -456,8 +459,6 @@ def train(
 
 def save_ensemble(ensemble: Ensemble, path) -> None:
     """Write a self-describing JSON model file (lossless float64 round-trip)."""
-    import json
-
     doc = {
         "format": "swarmbc-ensemble-v1",
         "n_members": ensemble.n_members,
@@ -485,8 +486,6 @@ def save_ensemble(ensemble: Ensemble, path) -> None:
 
 
 def load_ensemble(path) -> Ensemble:
-    import json
-
     with open(path) as f:
         doc = json.load(f)
     if doc.get("format") != "swarmbc-ensemble-v1":
@@ -565,10 +564,10 @@ def gradient_max_rel_error(n_trials=100, seed=0, taus=(0.0, 0.25, 1.0), step=1e-
         _, grad, _, _ = _batch(ens, s[None, :], a[None, :])
 
         def loss_fn(flat):
-            ens.params[:] = flat[0]  # member_traces reads views of this buffer
+            ens.params[:] = flat[0]  # swarm_loss reads views of this buffer
             return swarm_loss(ens, s, a).total
 
         (fd,) = nn.finite_diff_grad(loss_fn, [ens.params], step=step)
         denom = np.maximum(np.maximum(np.abs(grad), np.abs(fd)), 1e-7)
-        worst = max(worst, float(np.max(np.abs(grad - fd) / denom)))
-    return worst
+        worst = np.maximum(worst, np.max(np.abs(grad - fd) / denom))  # keeps a NaN
+    return float(worst)

@@ -4,8 +4,8 @@ Everything here is float64. The single-policy functions are purely
 functional: forward passes return a trace of every intermediate value, the
 backward pass consumes a trace plus gradient seeds (including seeds injected
 directly on hidden activations), and ``adam_step`` returns fresh arrays
-instead of mutating. They are the reference the stacked engine is tested
-against, bit for bit.
+instead of mutating. They do no arithmetic of their own: each is the N = 1
+case of the stacked engine below.
 
 The stacked engine runs N same-shape policies as one: their parameters live
 in one flat buffer, laid out layer by layer as ``W_k`` of shape
@@ -92,8 +92,7 @@ class ForwardTrace:
     """All intermediates of one forward pass (single state or batch)."""
 
     state: np.ndarray
-    pre_activations: list[np.ndarray]  # one per affine layer, outputs last
-    hiddens: list[np.ndarray]          # post-tanh, one per hidden layer
+    hiddens: list[np.ndarray]  # post-tanh, one per hidden layer
     output: np.ndarray
 
 
@@ -124,39 +123,18 @@ def _softmax(z: np.ndarray, out=None) -> np.ndarray:
 
 def forward(policy: MlpPolicy, s: np.ndarray) -> ForwardTrace:
     """Run the network on one state (1-D) or a batch (2-D), keeping all
-    intermediates for the backward pass."""
+    intermediates for the backward pass: ``stacked_forward`` at N = 1."""
     s = np.asarray(s, dtype=np.float64)
-    single = s.ndim == 1
-    x = np.atleast_2d(s)
-    if x.shape[1] != policy.obs_dim:
-        raise DimensionMismatchError(
-            f"input layer: state dim {x.shape[1]}, expected {policy.obs_dim}"
-        )
-    pre, hiddens = [], []
-    a = x
-    n_layers = len(policy.weights)
-    for k in range(n_layers):
-        z = a @ policy.weights[k] + policy.biases[k]
-        pre.append(z)
-        if k < n_layers - 1:
-            a = np.tanh(z)
-            hiddens.append(a)
-        elif policy.output_activation == "softmax":
-            a = _softmax(z)
-        else:
-            a = z
-    if single:
-        return ForwardTrace(
-            state=s,
-            pre_activations=[p[0] for p in pre],
-            hiddens=[h[0] for h in hiddens],
-            output=a[0],
-        )
-    return ForwardTrace(state=s, pre_activations=pre, hiddens=hiddens, output=a)
+    hiddens, output = stacked_forward([w[None] for w in policy.weights],
+                                      [b[None, None] for b in policy.biases],
+                                      np.atleast_2d(s)[None], policy.output_activation)
+    rows = 0 if s.ndim == 1 else slice(None)
+    return ForwardTrace(state=s, hiddens=[h[0, rows] for h in hiddens], output=output[0, rows])
 
 
 def backward_policy(policy, trace, output_grad, hidden_grads=None):
-    """Analytic gradients of a scalar loss w.r.t. every weight and bias.
+    """Analytic gradients of a scalar loss w.r.t. every weight and bias:
+    ``stacked_backward`` at N = 1.
 
     ``output_grad`` is dL/d(output); ``hidden_grads[k]``, when given, is
     dL/dh_{k+1} injected directly on the post-tanh activation of hidden
@@ -170,37 +148,20 @@ def backward_policy(policy, trace, output_grad, hidden_grads=None):
         raise DimensionMismatchError(
             f"got {len(hidden_grads)} hidden-gradient seeds for {K} hidden layers"
         )
-
-    x = np.atleast_2d(np.asarray(trace.state, dtype=np.float64))
-    hiddens = [np.atleast_2d(h) for h in trace.hiddens]
-    out = np.atleast_2d(trace.output)
-    gy = np.atleast_2d(np.asarray(output_grad, dtype=np.float64))
+    out = np.atleast_2d(trace.output)[None]
+    gy = np.array(output_grad, dtype=np.float64, ndmin=2)[None]  # a copy: overwritten
     if gy.shape != out.shape:
         raise DimensionMismatchError(
-            f"output seed shape {gy.shape}, expected {out.shape}"
+            f"output seed shape {gy.shape[1:]}, expected {out.shape[1:]}"
         )
-
-    if policy.output_activation == "softmax":
-        # dL/dz = y * (g - sum(g * y)) for y = softmax(z)
-        dz = out * (gy - (gy * out).sum(axis=-1, keepdims=True))
-    else:
-        dz = gy
-
-    dweights = [None] * len(policy.weights)
-    dbiases = [None] * len(policy.biases)
-    acts = [x] + hiddens  # inputs to each affine layer
-    for k in range(len(policy.weights) - 1, -1, -1):
-        dweights[k] = acts[k].T @ dz
-        dbiases[k] = dz.sum(axis=0)
-        if k == 0:
-            break
-        da = dz @ policy.weights[k].T
-        seed = hidden_grads[k - 1]
-        if seed is not None:
-            da = da + np.atleast_2d(seed)
-        h = hiddens[k - 1]
-        dz = da * (1.0 - h * h)  # tanh'(z) from the stored activation
-    return dweights, dbiases
+    hiddens = [np.atleast_2d(h)[None] for h in trace.hiddens]
+    seeds = [np.zeros_like(h) if g is None else np.atleast_2d(g)
+             for h, g in zip(hiddens, hidden_grads)]
+    _, dweights, dbiases = stacked_buffer(policy.layer_dims, 1)
+    stacked_backward([w[None] for w in policy.weights], np.atleast_2d(trace.state), hiddens,
+                     out, gy, seeds, dweights, dbiases, policy.output_activation,
+                     [(np.empty_like(h), np.empty_like(h)) for h in hiddens])
+    return [dw[0] for dw in dweights], [db[0] for db in dbiases]
 
 
 def stacked_buffer(layer_dims, n_members: int):
@@ -244,7 +205,7 @@ def stacked_forward(weights, bias_rows, x: np.ndarray, output_activation: str, o
 
 def stacked_backward(weights, x, hiddens, output, output_grad, hidden_grads,
                      dweights, dbiases, output_activation: str, scratch) -> None:
-    """``backward_policy`` for every member at once, written into the
+    """Analytic gradients for every member at once, written into the
     gradient views ``dweights``/``dbiases`` (shaped like ``weights``/``biases``).
 
     ``output_grad`` is ``(N, B, out)``; ``hidden_grads`` is None or one
@@ -295,29 +256,24 @@ def adam_init(params, lr=1e-3, beta1=0.9, beta2=0.999, eps=1e-8) -> AdamState:
 
 
 def adam_step(params, grads, state: AdamState):
-    """One update. Returns ``(new_params, new_state)``; nothing is mutated."""
+    """One update. Returns ``(new_params, new_state)``; nothing is mutated:
+    ``adam_update`` on copies."""
     if len(params) != len(grads) or len(params) != len(state.m):
         raise DimensionMismatchError("parameter/gradient/state length mismatch")
-    t = state.step + 1
-    c1 = 1.0 - state.beta1**t
-    c2 = 1.0 - state.beta2**t
-    new_m, new_v, new_params = [], [], []
-    for p, g, m, v in zip(params, grads, state.m, state.v):
+    for p, g in zip(params, grads):
         if p.shape != g.shape:
             raise DimensionMismatchError(
                 f"gradient shape {g.shape} does not match parameter {p.shape}"
             )
-        m = state.beta1 * m + (1.0 - state.beta1) * g
-        v = state.beta2 * v + (1.0 - state.beta2) * (g * g)
-        new_m.append(m)
-        new_v.append(v)
-        new_params.append(p - state.lr * (m / c1) / (np.sqrt(v / c2) + state.eps))
-    return new_params, replace(state, m=new_m, v=new_v, step=t)
+    new_params = [p.copy() for p in params]
+    new_state = replace(state, m=[m.copy() for m in state.m], v=[v.copy() for v in state.v])
+    adam_update(new_params, grads, new_state)
+    return new_params, new_state
 
 
 def adam_update(params, grads, state: AdamState) -> None:
-    """``adam_step`` in place: the same arithmetic, bit for bit, written into
-    ``params``, ``state.m`` and ``state.v``."""
+    """One Adam step in place, written into ``params``, ``state.m`` and
+    ``state.v``."""
     t = state.step + 1
     c1 = 1.0 - state.beta1**t
     c2 = 1.0 - state.beta2**t
@@ -353,8 +309,8 @@ def finite_diff_grad(loss_fn, params, step=1e-5):
     The test oracle for the analytic backward pass: it only ever calls the
     loss as a black box.
     """
-    if step <= 0:
-        raise ValueError("step must be positive")
+    if not 0 < step < np.inf:
+        raise ValueError(f"step must be in (0, inf), got {step}")
     grads = []
     work = [p.astype(np.float64).copy() for p in params]
     for i, p in enumerate(work):

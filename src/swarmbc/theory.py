@@ -10,6 +10,7 @@ unique global mode.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -90,9 +91,9 @@ def _mode_index(p: GridDensity):
 def mode_mass(p: GridDensity, tau: float) -> float:
     """Probability mass inside the hypercube window of edge ``tau`` centered
     on the unique argmax cell."""
-    if tau < p.edge:
+    if not p.edge <= tau < math.inf:
         raise ConfigError(
-            f"window edge {tau} is smaller than one cell edge {p.edge}"
+            f"window edge must be finite and at least one cell edge {p.edge}, got {tau}"
         )
     mode = _mode_index(p)
     # cells whose centers fall inside the window: |i - i_mode| * edge <= tau/2
@@ -114,6 +115,13 @@ def concentration_report(p: GridDensity, tau: float, n_list):
     return [(n, mode_mass(power_density(p, n), tau)) for n in n_list]
 
 
+def _grid_edge(n_cells: int, low: float, high: float) -> float:
+    """The cell edge of a grid of ``n_cells`` cells on [low, high]."""
+    if n_cells < 3:
+        raise ConfigError(f"need at least 3 cells, got {n_cells}")
+    return (high - low) / n_cells
+
+
 def gaussian_grid_density(
     n_cells: int = 101,
     low: float = -1.0,
@@ -123,11 +131,11 @@ def gaussian_grid_density(
 ) -> GridDensity:
     """Truncated-Gaussian grid density with a single interior mode; the
     built-in example for the concentration demo."""
-    if n_cells < 3:
-        raise ConfigError("need at least 3 cells")
+    edge = _grid_edge(n_cells, low, high)
     if not low < mean < high:
         raise ConfigError("mean must lie strictly inside the domain")
-    edge = (high - low) / n_cells
+    if not 0 < std < math.inf:
+        raise ConfigError(f"std must be in (0, inf), got {std}")
     centers = low + edge * (np.arange(n_cells) + 0.5)
     values = np.exp(-0.5 * ((centers - mean) / std) ** 2)
     return GridDensity.from_unnormalized(values, edge)
@@ -137,5 +145,5 @@ def uniform_grid_density(
     n_cells: int = 101, low: float = -1.0, high: float = 1.0
 ) -> GridDensity:
     """All cells equal: powering changes nothing, and every maximum ties."""
-    edge = (high - low) / n_cells
+    edge = _grid_edge(n_cells, low, high)
     return GridDensity.from_unnormalized(np.ones(n_cells), edge)

@@ -347,6 +347,8 @@ MODEL_EDITS = {
                       lambda doc: doc["members"][1]["biases"][0].__setitem__(0, float("nan"))),
     "inf_bound.json": ("point_reach", lambda doc: doc["action_low"].__setitem__(0, -float("inf"))),
     "zero_std.json": ("point_reach", lambda doc: doc["obs_std"].__setitem__(0, 0.0)),
+    "swapped_bounds.json": ("point_reach", lambda doc: doc.update(
+        action_low=doc["action_high"], action_high=doc["action_low"])),
 }
 
 
@@ -365,7 +367,13 @@ def model_docs(tmp_path_factory):
 
 @pytest.mark.parametrize("argv", [
     ("mode-demo", "--n-list", "a,2", "--out", "{tmp}/demo.csv"),
+    ("mode-demo", "--tau", "nan", "--out", "{tmp}/demo.csv"),
+    ("mode-demo", "--tau", "inf", "--out", "{tmp}/demo.csv"),
+    ("mode-demo", "--density", "uniform", "--cells", "0", "--out", "{tmp}/demo.csv"),
+    ("mode-demo", "--std", "-1", "--out", "{tmp}/demo.csv"),
     ("grad-check", "--step", "0"),
+    ("grad-check", "--step", "nan"),
+    ("grad-check", "--step", "inf"),
     ("grad-check", "--trials", "0"),
     ("train", "--data", "{tmp}/missing.jsonl", "--method", "bc", "--out", "{tmp}/m.json"),
     ("eval", "--model", "{tmp}/missing.json"),
@@ -376,8 +384,10 @@ def model_docs(tmp_path_factory):
     ("train", "--data", "{data}", "--method", "swarm", "--tau", "inf", "--out", "{tmp}/m.json"),
     *(("eval", "--model", "{tmp}/" + name, "--episodes", "1", "--out", "{tmp}/ev")
       for name in MODEL_EDITS),
-], ids=["n_list", "grad_step", "grad_trials", "missing_data", "missing_model",
-        "invalid_data", "invalid_model", "non_object_data", "non_object_model", "train_inf_tau",
+], ids=["n_list", "nan_window", "inf_window", "zero_cells", "negative_std",
+        "grad_step", "nan_grad_step", "inf_grad_step", "grad_trials",
+        "missing_data", "missing_model", "invalid_data", "invalid_model",
+        "non_object_data", "non_object_model", "train_inf_tau",
         *(name.removesuffix(".json") + "_model" for name in MODEL_EDITS)])
 def test_bad_arguments_and_files_exit_1_without_traceback(tmp_path, capsys, small_dataset,
                                                           model_docs, argv):

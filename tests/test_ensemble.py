@@ -4,6 +4,7 @@ from itertools import product
 
 import numpy as np
 import pytest
+import reference
 import train_oracle
 from reference import ensemble_of
 
@@ -194,10 +195,11 @@ def test_joint_gradient_coupling():
 
 def _reference_batch(ens, states, actions):
     """The per-member reference for ``batch_loss_and_grads``: one
-    ``nn.forward`` and ``nn.backward_policy`` per member, hidden seeds in the
-    raw pairwise form 2 (N h_i - sum_j h_j), bc summed member by member."""
+    ``reference.forward`` and ``reference.backward_policy`` per member, hidden
+    seeds in the raw pairwise form 2 (N h_i - sum_j h_j), bc summed member by
+    member."""
     n, n_batch = ens.n_members, len(states)
-    traces = [nn.forward(m, ens.normalize(states)) for m in ens.members]
+    traces = [reference.forward(m, ens.normalize(states)) for m in ens.members]
     bc = sum(np.sum((t.output - actions) ** 2) for t in traces) / n_batch
     scale = 1.0
     if ens.normalize_swarm and n > 1:
@@ -211,7 +213,8 @@ def _reference_batch(ens, states, actions):
                 coef * (n * t.hiddens[k] - np.stack([u.hiddens[k] for u in traces]).sum(axis=0))
                 for k in range(m.n_hidden_layers)
             ]
-        dw, db = nn.backward_policy(m, t, 2.0 * (t.output - actions) / n_batch, hidden_grads)
+        dw, db = reference.backward_policy(m, t, 2.0 * (t.output - actions) / n_batch,
+                                           hidden_grads)
         grads.append(nn.policy_gradients(dw, db))
     return bc, grads
 
@@ -255,7 +258,7 @@ def test_predict_members_matches_per_member_forward():
     for discrete in (False, True):
         ens = random_tiny_ensemble(rng, 0.0, n_members=4, discrete=discrete)
         s = rng.normal(size=ens.obs_dim)
-        want = np.stack([t.output for t in ens.member_traces(s)])
+        want = np.stack([reference.forward(m, ens.normalize(s)).output for m in ens.members])
         assert np.array_equal(ens.predict_members(s), want)
 
 
@@ -287,8 +290,8 @@ def _toy_dataset(n=60, seed=0, obs_dim=3, action_dim=2, discrete=False):
 
 
 def _reference_train(dataset, n_members, tau, cfg, seed):
-    """``train`` rebuilt from the single-policy primitives: per minibatch,
-    ``nn.forward`` -> ``nn.backward_policy`` -> ``nn.adam_step`` per member.
+    """``train`` rebuilt from the single-policy reference primitives: per
+    minibatch, ``forward`` -> ``backward_policy`` -> ``adam_step`` per member.
     Returns the final members and the per-epoch mean total loss."""
     head = "softmax" if dataset.meta.action_kind == "discrete" else "identity"
     dims = [dataset.meta.obs_dim, *cfg.hidden_dims, dataset.meta.action_dim]
@@ -311,7 +314,7 @@ def _reference_train(dataset, n_members, tau, cfg, seed):
             idx = order[start : start + cfg.batch_size]
             x = (dataset.states[idx] - dataset.obs_mean) / dataset.obs_std
             a = dataset.actions[idx]
-            traces = [nn.forward(m, x) for m in members]
+            traces = [reference.forward(m, x) for m in members]
             sums = [np.stack([t.hiddens[k] for t in traces]).sum(axis=0)
                     for k in range(len(cfg.hidden_dims))]
             bc = sum(np.sum((t.output - a) ** 2) for t in traces)
@@ -326,10 +329,10 @@ def _reference_train(dataset, n_members, tau, cfg, seed):
                 hidden_grads = None
                 if tau > 0 and n_members > 1:
                     hidden_grads = [coef * (n_members * h - hs) for h, hs in zip(t.hiddens, sums)]
-                dw, db = nn.backward_policy(
+                dw, db = reference.backward_policy(
                     members[i], t, 2.0 * (t.output - a) / len(idx), hidden_grads
                 )
-                params, opts[i] = nn.adam_step(
+                params, opts[i] = reference.adam_step(
                     nn.policy_parameters(members[i]), nn.policy_gradients(dw, db), opts[i]
                 )
                 members[i] = replace(members[i], weights=params[0::2], biases=params[1::2])
@@ -513,6 +516,7 @@ def test_ensemble_rejects_fields_that_disagree_with_layer_dims(field, value):
     ("action_high", 0, np.nan, "action_high holds a non-finite"),
     ("obs_std", 1, 0.0, "obs_std must be > 0"),
     ("obs_std", 0, -1.0, "obs_std must be > 0"),
+    ("action_low", 0, 2.0, "action_low .* exceeds action_high"),
 ])
 def test_ensemble_rejects_non_finite_or_degenerate_numbers(field, index, value, message):
     fields = dict(params=np.zeros(13), obs_mean=np.zeros(2), obs_std=np.ones(2),

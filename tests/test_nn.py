@@ -2,6 +2,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+import reference
 
 from swarmbc import nn
 from swarmbc.errors import DimensionMismatchError
@@ -66,7 +67,7 @@ def test_forward_trace_consistency():
     # stored values exactly
     rng = np.random.default_rng(3)
     policy = nn.init_policy([3, 5, 4, 2], rng)
-    trace = nn.forward(policy, rng.normal(size=3))
+    trace = reference.forward(policy, rng.normal(size=3))
     for z, h in zip(trace.pre_activations[:-1], trace.hiddens):
         assert np.array_equal(np.tanh(z), h)
     assert np.array_equal(trace.pre_activations[-1], trace.output)
@@ -197,10 +198,102 @@ def test_adam_update_in_place_matches_adam_step_bitwise():
     flat_state = nn.adam_init([flat], lr=0.05)
     for _ in range(5):
         grads = [rng.normal(size=p.shape) for p in params]
-        params, state = nn.adam_step(params, grads, state)
+        params, state = reference.adam_step(params, grads, state)
         nn.adam_update([flat], [np.concatenate([g.ravel() for g in grads])], flat_state)
         assert np.array_equal(flat, np.concatenate([p.ravel() for p in params]))
     assert flat_state.step == state.step == 5
+
+
+def _random_policy_and_state(rng):
+    """A policy of 1-3 hidden layers with either head, and one state (1-D) or a
+    batch of 1-69 states."""
+    dims = [int(rng.integers(1, 6)) for _ in range(int(rng.integers(3, 6)))]
+    head = nn.OUTPUT_ACTIVATIONS[int(rng.integers(2))]
+    policy = nn.init_policy(dims, rng, output_activation=head)
+    n_batch = int(rng.integers(0, 70))
+    return policy, rng.normal(size=(n_batch, dims[0]) if n_batch else dims[0])
+
+
+def _random_seeds(rng, trace):
+    """An output seed, and hidden seeds that are None, or a list mixing
+    arrays and None."""
+    hidden = [None if rng.integers(3) == 0 else rng.normal(size=h.shape) for h in trace.hiddens]
+    return rng.normal(size=trace.output.shape), None if rng.integers(4) == 0 else hidden
+
+
+def _assert_identical(got, want):
+    assert len(got) == len(want)
+    for g, w in zip(got, want):
+        assert g.shape == w.shape and np.array_equal(g, w)
+
+
+def test_single_policy_path_matches_the_reference_bitwise():
+    rng = np.random.default_rng(20)
+    for _ in range(1000):
+        policy, s = _random_policy_and_state(rng)
+        got, want = nn.forward(policy, s), reference.forward(policy, s)
+        _assert_identical(got.hiddens + [got.output], want.hiddens + [want.output])
+
+        output_grad, hidden_grads = _random_seeds(rng, want)
+        grads = nn.backward_policy(policy, got, output_grad, hidden_grads)
+        want_grads = reference.backward_policy(policy, want, output_grad, hidden_grads)
+        _assert_identical(grads[0] + grads[1], want_grads[0] + want_grads[1])
+
+        params = nn.policy_parameters(policy)
+        state = nn.AdamState(m=[rng.normal(size=p.shape) for p in params],
+                             v=[rng.uniform(size=p.shape) for p in params],
+                             step=int(rng.integers(0, 50)), lr=float(rng.uniform(1e-4, 0.1)))
+        flat_grads = nn.policy_gradients(*grads)
+        new_params, new_state = nn.adam_step(params, flat_grads, state)
+        want_params, want_state = reference.adam_step(params, flat_grads, state)
+        _assert_identical(new_params, want_params)
+        _assert_identical(new_state.m + new_state.v, want_state.m + want_state.v)
+        assert new_state.step == want_state.step == state.step + 1
+
+
+def test_backward_rejects_wrong_seed_counts_and_shapes():
+    policy = nn.init_policy([2, 3, 4, 2], np.random.default_rng(9))
+    trace = nn.forward(policy, np.ones((5, 2)))
+    with pytest.raises(DimensionMismatchError, match="1 hidden-gradient seeds for 2"):
+        nn.backward_policy(policy, trace, np.zeros((5, 2)), [np.zeros((5, 3))])
+    with pytest.raises(DimensionMismatchError, match="output seed shape"):
+        nn.backward_policy(policy, trace, np.zeros((4, 2)))
+    with pytest.raises(DimensionMismatchError, match="output seed shape"):
+        nn.backward_policy(policy, trace, np.zeros(2))
+
+
+def test_adam_step_rejects_length_or_shape_mismatch():
+    params = [np.zeros((2, 3)), np.zeros(3)]
+    state = nn.adam_init(params)
+    with pytest.raises(DimensionMismatchError, match="length mismatch"):
+        nn.adam_step(params, [np.zeros((2, 3))], state)
+    with pytest.raises(DimensionMismatchError, match="length mismatch"):
+        nn.adam_step(params, [np.zeros((2, 3)), np.zeros(3)], nn.adam_init(params[:1]))
+    with pytest.raises(DimensionMismatchError, match="does not match parameter"):
+        nn.adam_step(params, [np.zeros((2, 3)), np.zeros(2)], state)
+
+
+@pytest.mark.parametrize("head", nn.OUTPUT_ACTIVATIONS)
+def test_single_policy_functions_leave_their_inputs_unchanged(head):
+    rng = np.random.default_rng(11)
+    policy = nn.init_policy([3, 4, 4, 2], rng, output_activation=head)
+    s = rng.normal(size=(6, 3))
+    trace = nn.forward(policy, s)
+    output_grad, hidden_grads = rng.normal(size=(6, 2)), [rng.normal(size=(6, 4)), None]
+    params = nn.policy_parameters(policy)
+    grads = nn.policy_gradients(*nn.backward_policy(policy, trace, output_grad, hidden_grads))
+    state = nn.adam_init(params)
+    state.m = [rng.normal(size=p.shape) for p in params]
+    state.v = [rng.uniform(size=p.shape) for p in params]
+    inputs = [s, output_grad, hidden_grads[0], *params, *grads, *state.m, *state.v,
+              *trace.hiddens, trace.output]
+    before = [a.copy() for a in inputs]
+    for _ in range(2):
+        nn.forward(policy, s)
+        nn.backward_policy(policy, trace, output_grad, hidden_grads)
+        nn.adam_step(params, grads, state)
+    _assert_identical(inputs, before)
+    assert state.step == 0
 
 
 def test_finite_diff_on_quadratic():

@@ -92,6 +92,25 @@ def test_mode_mass_rejects_subcell_window():
         mode_mass(p, tau=0.5)
 
 
+@pytest.mark.parametrize("tau", [np.nan, np.inf])
+def test_mode_mass_rejects_a_window_that_is_not_finite(tau):
+    with pytest.raises(ConfigError, match="finite"):
+        mode_mass(gaussian_grid_density(), tau)
+
+
+@pytest.mark.parametrize("build", [uniform_grid_density, gaussian_grid_density])
+@pytest.mark.parametrize("n_cells", [-1, 0, 2])
+def test_grid_builders_need_three_cells(build, n_cells):
+    with pytest.raises(ConfigError, match="at least 3 cells"):
+        build(n_cells=n_cells)
+
+
+@pytest.mark.parametrize("std", [0.0, -1.0, np.inf, np.nan])
+def test_gaussian_grid_rejects_a_std_outside_zero_to_inf(std):
+    with pytest.raises(ConfigError, match="std"):
+        gaussian_grid_density(std=std)
+
+
 def test_mode_mass_2d():
     values = np.ones((5, 5))
     values[2, 3] = 10.0
