@@ -7,7 +7,6 @@ Exit codes: 0 success, 1 usage/config error, 2 numerical failure.
 from __future__ import annotations
 
 import argparse
-import csv
 import math
 import sys
 from pathlib import Path
@@ -104,13 +103,10 @@ def cmd_train(args) -> int:
     save_ensemble(ens, out)
 
     history_path = Path(args.history) if args.history else out.with_suffix(".history.csv")
-    with open(history_path, "w", newline="") as f:
-        writer = csv.writer(f, lineterminator="\n")
-        writer.writerow(["epoch", "bc_term", "swarm_term", "total"])
-        for epoch, h in enumerate(history):
-            writer.writerow(
-                [epoch, repr(h.bc_term), repr(h.swarm_term), repr(h.total)]
-            )
+    harness.write_table(history_path, ["epoch", "bc_term", "swarm_term", "total"], [
+        [epoch, repr(h.bc_term), repr(h.swarm_term), repr(h.total)]
+        for epoch, h in enumerate(history)
+    ])
     final = history[-1]
     print(
         f"trained {args.method} (tau={tau}, N={n}) for {len(history)} epochs; "
@@ -122,8 +118,6 @@ def cmd_train(args) -> int:
 
 
 def cmd_eval(args) -> int:
-    if not args.expert and not args.model:
-        raise ConfigError("need --model PATH (or --expert to evaluate the expert)")
     ens = None
     if args.model:
         ens = _load(load_ensemble, args.model)
@@ -139,11 +133,12 @@ def cmd_eval(args) -> int:
             raise ConfigError("--expert needs --env")
         env_id = args.env
     env = make_env(env_id)
-    if ens is not None and ens.obs_dim != env.spec.obs_dim:
-        raise DimensionMismatchError(
-            f"model expects obs_dim {ens.obs_dim}, env {env_id} has "
-            f"{env.spec.obs_dim}"
-        )
+    if ens is not None:
+        model = (ens.obs_dim, ens.action_kind, ens.action_dim)
+        spec = (env.spec.obs_dim, env.spec.action_kind, env.spec.action_dim)
+        if model != spec:
+            raise DimensionMismatchError(f"model has (obs_dim, action_kind, action_dim) "
+                                         f"{model}, env {env_id} has {spec}")
 
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -218,11 +213,7 @@ def cmd_mode_demo(args) -> int:
         raise
     out = Path(args.out)
     out.parent.mkdir(parents=True, exist_ok=True)
-    with open(out, "w", newline="") as f:
-        writer = csv.writer(f, lineterminator="\n")
-        writer.writerow(["N", "mode_mass"])
-        for n, mass in report:
-            writer.writerow([n, repr(mass)])
+    harness.write_table(out, ["N", "mode_mass"], [[n, repr(mass)] for n, mass in report])
     print(f"{'N':>4}  mode_mass")
     for n, mass in report:
         print(f"{n:>4}  {mass:.6f}")
@@ -273,8 +264,9 @@ def build_parser() -> _Parser:
     p.set_defaults(func=cmd_train)
 
     p = sub.add_parser("eval", help="evaluate a model (or the expert) on an env")
-    p.add_argument("--model", default=None)
-    p.add_argument("--expert", action="store_true", help="evaluate the scripted expert")
+    policy = p.add_mutually_exclusive_group(required=True)
+    policy.add_argument("--model", default=None)
+    policy.add_argument("--expert", action="store_true", help="evaluate the scripted expert")
     p.add_argument("--env", default=None, choices=ENV_IDS)
     p.add_argument("--episodes", type=int, default=20)
     p.add_argument("--seed", type=int, default=0)

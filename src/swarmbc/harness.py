@@ -185,13 +185,8 @@ def _cell_groups(cfg: ExperimentConfig):
 
 def enumerate_cells(cfg: ExperimentConfig) -> list:
     """All cells of the sweep in their canonical order, deduplicated."""
-    cells = [Cell(*group, k) for group in _cell_groups(cfg) for k in range(cfg.n_seeds)]
-    seen, unique = set(), []
-    for c in cells:
-        if c.key() not in seen:
-            seen.add(c.key())
-            unique.append(c)
-    return unique
+    cells = (Cell(*group, k) for group in _cell_groups(cfg) for k in range(cfg.n_seeds))
+    return list({c.key(): c for c in cells}.values())
 
 
 def trace_size(cfg: ExperimentConfig) -> int:
@@ -201,13 +196,8 @@ def trace_size(cfg: ExperimentConfig) -> int:
 
 
 def _wants_trace(cfg: ExperimentConfig, cell: Cell) -> bool:
-    return (
-        cell.n_members >= 2
-        and cell.n_episodes == trace_size(cfg)
-        and cell.method in ("ensemble", "swarm")
-        and cell.tau in (0.0, cfg.tau)
-        and cell.n_members == cfg.n_members
-    )
+    return (cell.method != "bc" and cell.n_episodes == trace_size(cfg)
+            and (cell.tau, cell.n_members) == method_params(cfg, cell.method))
 
 
 def evaluate(env, policy, eval_seed: int, n_episodes: int, baseline, record_members: bool):
@@ -362,46 +352,43 @@ def append_result(path: Path, rec: RunRecord):
 
 class ResultsStore:
     """Append-only CSV of run records, one per (env, method,
-    n_expert_episodes, tau, n_members, seed). A repeated identical row is
-    dropped with a warning and the file rewritten; two different rows for
-    one cell are a ``ConfigError``."""
+    n_expert_episodes, tau, n_members, seed), indexed by cell in file order.
+    A repeated identical row is dropped with a warning and the file
+    rewritten; two different rows for one cell are a ``ConfigError``."""
 
     def __init__(self, path):
         self.path = Path(path)
-        self.records: list[RunRecord] = []
-        rows = {}
+        self._index = {}  # Cell.key() -> (row, record), in file order
         records = read_results(self.path)
         for rec in records:
-            key, row = _record_key(rec), _result_row(rec)
-            if key not in rows:
-                rows[key] = row
-                self.records.append(rec)
-            elif rows[key] != row:
+            row = _result_row(rec)
+            kept = self._index.setdefault(_record_key(rec), (row, rec))[0]
+            if kept != row:
                 raise ConfigError(f"{self.path}: two different rows for one cell: "
-                                  f"{rows[key]} and {row}")
-        if len(self.records) < len(records):
-            warnings.warn(f"{self.path}: dropping {len(records) - len(self.records)} "
+                                  f"{kept} and {row}")
+        if len(self._index) < len(records):
+            warnings.warn(f"{self.path}: dropping {len(records) - len(self._index)} "
                           "repeated row(s)", RuntimeWarning)
-            write_table(self.path, RESULTS_COLUMNS, rows.values(), RESULTS_SCHEMA)
-        self._keys = set(rows)
+            write_table(self.path, RESULTS_COLUMNS, [row for row, _ in self._index.values()],
+                        RESULTS_SCHEMA)
+
+    @property
+    def records(self) -> list[RunRecord]:
+        return [rec for _, rec in self._index.values()]
 
     def has(self, cell: Cell) -> bool:
-        return cell.key() in self._keys
+        return cell.key() in self._index
+
+    def get(self, cell: Cell):
+        """The cell's record, or None."""
+        return self._index.get(cell.key(), (None, None))[1]
 
     def append(self, rec: RunRecord):
         key = _record_key(rec)
-        if key in self._keys:
+        if key in self._index:
             return  # completed cells are a no-op
-        append_result(self.path, rec)
-        self.records.append(rec)
-        self._keys.add(key)
-
-    def select(self, **conditions) -> list[RunRecord]:
-        out = []
-        for rec in self.records:
-            if all(getattr(rec, k) == v for k, v in conditions.items()):
-                out.append(rec)
-        return out
+        append_result(self.path, rec)  # written first: a failed write leaves the cell open
+        self._index[key] = _result_row(rec), rec
 
 
 def load_or_compute_baselines(cfg: ExperimentConfig, out_dir: Path) -> dict:
@@ -529,12 +516,12 @@ def run_sweep(cfg: ExperimentConfig, out_dir, workers: int = 1,
 def _locked_sweep(cfg: ExperimentConfig, out_dir: Path, workers: int, force: bool, log):
     results_path = out_dir / "results.csv"
     fingerprint_path = out_dir / FINGERPRINT_FILE
-    if force:
+    if force:  # every file a sweep writes, so that none of the old config's remain
+        summaries = [p for name in ("returns", "action_diff", "ablation") for ext in ("csv", "svg")
+                     for p in out_dir.glob(f"{name}_*.{ext}")]
         for p in [results_path, out_dir / "baselines.csv", out_dir / "failures.csv",
-                  fingerprint_path]:
+                  fingerprint_path, *(out_dir / "traces").glob("*.csv"), *summaries]:
             p.unlink(missing_ok=True)
-        for p in (out_dir / "traces").glob("*.csv"):
-            p.unlink()
 
     fingerprint = config_fingerprint(cfg)
     if fingerprint_path.exists() and fingerprint_path.read_text().strip() != fingerprint:
@@ -643,9 +630,9 @@ def write_summaries(cfg: ExperimentConfig, store: ResultsStore, out_dir):
     disagreement traces, and the two ablation tables."""
     out_dir = Path(out_dir)
 
-    def runs(env, method, n_ep, tau, n):
-        return store.select(env=env, method=method, n_expert_episodes=n_ep,
-                            tau=tau, n_members=n)
+    def runs(*group):  # in seed order, whatever the order of results.csv
+        found = (store.get(Cell(*group, k)) for k in range(cfg.n_seeds))
+        return [rec for rec in found if rec is not None]
 
     for env in cfg.envs:
         _write_summary(

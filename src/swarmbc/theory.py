@@ -136,8 +136,13 @@ def gaussian_grid_density(
         raise ConfigError("mean must lie strictly inside the domain")
     if not 0 < std < math.inf:
         raise ConfigError(f"std must be in (0, inf), got {std}")
-    centers = low + edge * (np.arange(n_cells) + 0.5)
-    values = np.exp(-0.5 * ((centers - mean) / std) ** 2)
+    dist = np.abs(low + edge * (np.arange(n_cells) + 0.5) - mean)
+    near = dist.min()
+    # (dist**2 - near**2) / std**2, factored and taken left to right so that the
+    # nearest cell's exponent is exactly 0 (never 0 * inf) and a tiny std
+    # overflows only far cells, to exp(-inf) = 0
+    with np.errstate(over="ignore"):
+        values = np.exp(-0.5 * ((dist - near) / std * (dist + near) / std))
     return GridDensity.from_unnormalized(values, edge)
 
 

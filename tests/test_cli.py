@@ -1,12 +1,14 @@
 import csv
 import hashlib
 import json
+import warnings
 
 import pytest
 
 from swarmbc.cli import _resolve_method_params, main
 from swarmbc.ensemble import METHODS
 from swarmbc.harness import ExperimentConfig, method_params
+from swarmbc.theory import concentration_report, gaussian_grid_density
 
 
 def run_cli(*args):
@@ -140,7 +142,37 @@ def test_eval_drops_torn_results_row_before_appending(tmp_path, capsys):
 
 
 def test_eval_requires_model_or_expert(capsys):
-    assert run_cli("eval", "--env", "point_reach") == 1
+    with pytest.raises(SystemExit) as exc:
+        run_cli("eval", "--env", "point_reach")
+    assert exc.value.code == 1
+    assert "one of the arguments --model --expert is required" in capsys.readouterr().err
+
+
+def test_eval_rejects_both_model_and_expert(tmp_path, capsys, model_docs):
+    (tmp_path / "m.json").write_text(json.dumps(model_docs["point_reach"]))
+    with pytest.raises(SystemExit) as exc:
+        run_cli("eval", "--model", tmp_path / "m.json", "--expert", "--env", "point_reach",
+                "--episodes", 1, "--out", tmp_path / "ev")
+    assert exc.value.code == 1
+    assert "--expert: not allowed with argument --model" in capsys.readouterr().err
+    assert not (tmp_path / "ev").exists()
+
+
+@pytest.mark.parametrize("model_env, env, episodes", [
+    ("point_reach", "cart_balance", 1),
+    ("cart_balance", "point_reach", 2),
+    ("cart_balance", "point_reach", 3),
+])
+def test_eval_rejects_a_model_whose_action_space_differs_from_the_env(
+        tmp_path, capsys, model_docs, model_env, env, episodes):
+    doc = json.loads(json.dumps(model_docs[model_env]))
+    del doc["meta"]["env"]  # so that --env is taken as given
+    (tmp_path / "m.json").write_text(json.dumps(doc))
+    assert run_cli("eval", "--model", tmp_path / "m.json", "--env", env,
+                   "--episodes", episodes, "--out", tmp_path / "ev") == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "action_kind" in err and "Traceback" not in err
+    assert not (tmp_path / "ev").exists()
 
 
 def test_eval_rejects_env_mismatch(small_dataset, tmp_path):
@@ -179,6 +211,33 @@ def test_mode_demo_uniform_diagnoses_ties(tmp_path, capsys):
     err = capsys.readouterr().err
     assert "tie" in err or "mode" in err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("std", ["2e-4", "1e-5", "1e-200"])
+def test_mode_demo_accepts_a_small_std(tmp_path, capsys, std):
+    out = tmp_path / "demo.csv"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert run_cli("mode-demo", "--std", std, "--out", out) == 0
+    with open(out) as f:
+        masses = [float(r["mode_mass"]) for r in csv.DictReader(f)]
+    assert masses == pytest.approx([1.0] * 6, abs=1e-12)
+
+
+def test_cli_tables_are_written_as_before(tmp_path, capsys):
+    # train's loss history (sha256 recorded from csv.writer output) and mode-demo's table
+    data, model = tmp_path / "data.jsonl", tmp_path / "model.json"
+    run_cli("gen-data", "--env", "point_reach", "--episodes", 1, "--seed", 3, "--out", data)
+    assert run_cli("train", "--data", data, "--method", "swarm", "--seed", 1,
+                   "--epochs", 5, "--hidden-dims", "5,4", "--out", model) == 0
+    history = model.with_suffix(".history.csv").read_bytes()
+    assert hashlib.sha256(history).hexdigest() == (
+        "9fd63072cad97bd2afc335a42c8155b50c83bd92355e1c2202136cbd8f8c0da5")
+    out = tmp_path / "demo.csv"
+    assert run_cli("mode-demo", "--std", "0.05", "--n-list", "1,3,5", "--out", out) == 0
+    report = concentration_report(gaussian_grid_density(std=0.05), 0.4, [1, 3, 5])
+    assert out.read_text() == "N,mode_mass\n" + "".join(f"{n},{m!r}\n" for n, m in report)
+    assert not list(tmp_path.glob("*.tmp"))
 
 
 def test_grad_check_passes(capsys):

@@ -468,6 +468,57 @@ def test_sweep_force_reruns(tmp_path):
     assert len(store.records) == 2
 
 
+def _files(out):
+    return {p.relative_to(out).as_posix(): p.read_bytes()
+            for p in sorted(out.rglob("*")) if p.is_file()}
+
+
+def test_summaries_after_a_rerun_of_failed_cells_equal_a_clean_sweep(tmp_path, monkeypatch):
+    cfg = tiny_config(envs=("point_reach", "cart_balance"), methods=("bc", "ensemble", "swarm"),
+                      n_seeds=5, eval_episodes=2, master_seed=1,
+                      train=TrainConfig(epochs=3, hidden_dims=(8,)))
+    run_sweep(cfg, tmp_path / "clean")
+    clean = _files(tmp_path / "clean")
+    real_run_cell = harness.run_cell
+
+    def failing(cfg, cell, baselines):
+        if cell.seed_index == 0:
+            raise RuntimeError("transient")
+        return real_run_cell(cfg, cell, baselines)
+
+    monkeypatch.setattr(harness, "run_cell", failing)
+    out = tmp_path / "rerun"
+    run_sweep(cfg, out)
+    assert (out / "failures.csv").exists()
+    monkeypatch.undo()
+    run_sweep(cfg, out)
+    rerun = _files(out)
+    # the rerun cells' rows sit at the end of results.csv; every other file is equal
+    rows, clean_rows = rerun.pop("results.csv"), clean.pop("results.csv")
+    assert rows != clean_rows
+    assert sorted(rows.splitlines()) == sorted(clean_rows.splitlines())
+    assert sorted(rerun) == sorted(clean)
+    for name, data in rerun.items():
+        assert data == clean[name], name
+
+
+def test_sweep_force_removes_the_old_configs_summaries(tmp_path):
+    out = tmp_path / "run"
+    train = TrainConfig(epochs=2, hidden_dims=(4,))
+    run_sweep(tiny_config(envs=("point_reach", "cart_balance"), n_seeds=1, ablations=True,
+                          tau_grid=(0.0, 0.25), n_grid=(2, 4), train=train), out)
+    summaries = ["returns_point_reach", "returns_cart_balance", "action_diff_point_reach",
+                 "action_diff_cart_balance", "ablation_tau", "ablation_n"]
+    for name in summaries:
+        assert (out / f"{name}.csv").exists() and (out / f"{name}.svg").exists()
+    run_sweep(tiny_config(n_seeds=1, train=train), out, force=True)
+    left = sorted(p.name for p in out.iterdir() if p.stem in summaries)
+    assert left == ["action_diff_point_reach.csv", "action_diff_point_reach.svg",
+                    "returns_point_reach.csv", "returns_point_reach.svg"]
+    assert sorted(p.name for p in (out / "traces").iterdir()) == [
+        "point_reach__ensemble__ep1__seed0.csv", "point_reach__swarm__ep1__seed0.csv"]
+
+
 def test_sweep_trace_files_written(tmp_path):
     cfg = tiny_config()
     out = tmp_path / "run"

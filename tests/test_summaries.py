@@ -10,9 +10,11 @@ deliberate change of the output format.
 from __future__ import annotations
 
 import json
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
+import pytest
 
 from swarmbc.harness import ExperimentConfig, ResultsStore, enumerate_cells, write_summaries
 from swarmbc.metrics import RunRecord
@@ -40,34 +42,37 @@ def _missing(cell) -> bool:
     )
 
 
-def synthetic_sweep(out_dir: Path):
+def synthetic_sweep(out_dir: Path, cfg=CFG, order=None):
     """Fill ``out_dir`` with a results store and ragged d traces, then write
-    the summaries."""
+    the summaries. ``order(n)`` permutes the n records before they are
+    appended."""
     rng = np.random.default_rng(11)
-    store = ResultsStore(out_dir / "results.csv")
-    for cell in enumerate_cells(CFG):
-        if _missing(cell):
-            continue
-        store.append(RunRecord(
+    records = [
+        RunRecord(
             env=cell.env, method=cell.method, n_expert_episodes=cell.n_episodes,
             tau=cell.tau, n_members=cell.n_members, seed=cell.seed_index,
             scaled_return=float(rng.normal(0.5, 0.3)),
             action_diff=None if cell.n_members == 1 else float(rng.uniform(0.0, 0.2)),
-        ))
+        )
+        for cell in enumerate_cells(cfg) if not _missing(cell)
+    ]
+    store = ResultsStore(out_dir / "results.csv")
+    for i in range(len(records)) if order is None else order(len(records)):
+        store.append(records[i])
     traces = out_dir / "traces"
     traces.mkdir()
-    for env in CFG.envs:
+    for env in cfg.envs:
         for method in ("ensemble", "swarm"):
-            for k in range(CFG.n_seeds):
+            for k in range(cfg.n_seeds):
                 if (env, method, k) == ("cart_balance", "swarm", 1):
                     continue
-                length = 4 + 3 * k + (method == "swarm") + 2 * CFG.envs.index(env)
+                length = 4 + 3 * k + (method == "swarm") + 2 * cfg.envs.index(env)
                 lines = ["t,d_mean"] + [
                     f"{t},{float(d)!r}" for t, d in enumerate(rng.uniform(0.0, 0.3, length))
                 ]
                 name = f"{env}__{method}__ep1__seed{k}.csv"
                 (traces / name).write_text("\n".join(lines) + "\n")
-    write_summaries(CFG, store, out_dir)
+    write_summaries(cfg, store, out_dir)
 
 
 def output_files(out_dir: Path) -> dict:
@@ -84,6 +89,21 @@ def test_summaries_match_golden(tmp_path):
     assert sorted(got) == sorted(golden)
     for name, text in golden.items():
         assert got[name] == text, name
+
+
+@pytest.mark.parametrize("seed", range(5))
+def test_summaries_do_not_depend_on_the_order_of_results_rows(tmp_path, seed):
+    # five seeds, so that a mean over a group depends on the order it is summed in
+    cfg = replace(CFG, n_seeds=5)
+    (tmp_path / "canonical").mkdir()
+    (tmp_path / "permuted").mkdir()
+    synthetic_sweep(tmp_path / "canonical", cfg)
+    synthetic_sweep(tmp_path / "permuted", cfg, order=np.random.default_rng(seed).permutation)
+    canonical = output_files(tmp_path / "canonical")
+    permuted = output_files(tmp_path / "permuted")
+    assert sorted(permuted.pop("results.csv").splitlines()) == sorted(
+        canonical.pop("results.csv").splitlines())
+    assert permuted == canonical
 
 
 if __name__ == "__main__":

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -109,6 +111,26 @@ def test_grid_builders_need_three_cells(build, n_cells):
 def test_gaussian_grid_rejects_a_std_outside_zero_to_inf(std):
     with pytest.raises(ConfigError, match="std"):
         gaussian_grid_density(std=std)
+
+
+@pytest.mark.parametrize("std", [2e-4, 1e-5, 1e-200, 5e-324])
+def test_gaussian_grid_keeps_the_nearest_cell_for_a_tiny_std(std):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        p = gaussian_grid_density(std=std)
+        assert mode_mass(p, tau=0.4) == pytest.approx(1.0, abs=1e-12)
+    centers = -1.0 + p.edge * (np.arange(101) + 0.5)
+    assert np.argmax(p.values) == np.argmin(np.abs(centers - 0.15))
+    assert p.values.max() * p.edge == pytest.approx(1.0, abs=1e-12)
+
+
+@pytest.mark.parametrize("kwargs", [{}, dict(std=0.05), dict(mean=-0.3, std=1.0)])
+def test_gaussian_grid_matches_the_plain_formula(kwargs):
+    p = gaussian_grid_density(**kwargs)
+    mean, std = kwargs.get("mean", 0.15), kwargs.get("std", 0.25)
+    centers = -1.0 + p.edge * (np.arange(101) + 0.5)
+    plain = np.exp(-0.5 * ((centers - mean) / std) ** 2)
+    np.testing.assert_allclose(p.values, plain / (plain.sum() * p.edge), rtol=1e-13)
 
 
 def test_mode_mass_2d():
