@@ -1,7 +1,8 @@
 """Command-line interface.
 
 Subcommands: gen-data, train, eval, sweep, mode-demo, grad-check.
-Exit codes: 0 success, 1 usage/config error, 2 numerical failure.
+Exit codes: 0 success, 1 usage/config error, 2 numerical failure, 130
+interrupted (SIGINT).
 """
 
 from __future__ import annotations
@@ -28,6 +29,7 @@ from .metrics import RunRecord, write_trajectory_csv
 
 USAGE_EXIT = 1
 NUMERICAL_EXIT = 2
+INTERRUPT_EXIT = 130  # 128 + SIGINT, as a shell reports it
 
 
 class _Parser(argparse.ArgumentParser):
@@ -315,6 +317,9 @@ def main(argv=None) -> int:
     except SwarmBCError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return USAGE_EXIT
+    except KeyboardInterrupt:  # sweeps resume; no traceback
+        print("interrupted; rerun the same command to resume", file=sys.stderr)
+        return INTERRUPT_EXIT
 
 
 if __name__ == "__main__":

@@ -28,7 +28,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .data import Dataset, DatasetMeta
+from .data import Dataset
 from .errors import ConfigError, EpisodeDoneError
 
 DT = 0.05
@@ -358,31 +358,8 @@ def random_action(spec: EnvSpec, rng, steps=None):
 
 def generate_dataset(env: DeskEnv, n_episodes: int, seed: int) -> Dataset:
     """Roll the scripted expert for seeded episodes (in lockstep), recording
-    every (observation, expert action) pair. Discrete actions are stored
-    one-hot."""
-    from .metrics import rollouts  # metrics imports this module
+    every (observation, expert action) pair: ``metrics.scripted_rollouts``
+    with one dataset. Discrete actions are stored one-hot."""
+    from .metrics import scripted_rollouts  # metrics imports this module
 
-    if n_episodes < 1:
-        raise ConfigError(f"n_episodes must be >= 1, got {n_episodes}")
-    spec = env.spec
-    episodes = rollouts(
-        env,
-        lambda obs, _: env.expert_action(obs),
-        np.random.SeedSequence(seed).spawn(n_episodes),
-    )
-    actions = np.concatenate([t.actions for t in episodes])
-    if spec.action_kind == "discrete":
-        actions = np.eye(spec.action_dim)[actions]
-    meta = DatasetMeta(
-        env=spec.env_id,
-        episodes=n_episodes,
-        seed=seed,
-        obs_dim=spec.obs_dim,
-        action_dim=spec.action_dim,
-        action_kind=spec.action_kind,
-    )
-    return Dataset(
-        states=np.concatenate([t.observations for t in episodes]),
-        actions=actions,
-        meta=meta,
-    )
+    return scripted_rollouts(env, datasets=[(n_episodes, seed)])[1][0]

@@ -16,6 +16,7 @@ import csv
 import hashlib
 import io
 import os
+import signal
 import socket
 import warnings
 from concurrent.futures import ProcessPoolExecutor
@@ -28,9 +29,9 @@ import numpy as np
 
 from . import svg
 from .ensemble import METHODS, TrainConfig, check_tau, train
-from .envs import ENV_IDS, generate_dataset, make_env
+from .envs import ENV_IDS, make_env
 from .errors import ConfigError
-from .metrics import RunRecord, baseline_returns, rollouts, scaled_return
+from .metrics import RunRecord, rollouts, scaled_return, scripted_rollouts
 
 RESULTS_SCHEMA = "swarmbc.results.v1"
 BASELINES_SCHEMA = "swarmbc.baselines.v1"
@@ -212,23 +213,17 @@ def evaluate(env, policy, eval_seed: int, n_episodes: int, baseline, record_memb
     return trajs, float(np.mean(returns)), float(np.mean(diffs)) if diffs else None
 
 
-# Datasets built in this process by (env, n_episodes, data seed), shared by the
-# cells of a seed index; ``run_sweep`` empties it around its cells.
-_DATASETS = {}
-
-
-def run_cell(cfg: ExperimentConfig, cell: Cell, baselines: dict):
-    """Train and evaluate one cell. Returns ``(RunRecord, d_trace | None)``
-    where the trace is the per-timestep mean d over the eval episodes."""
-    env = make_env(cell.env)
-    data_seed, train_seed, eval_seed = cell_seeds(cfg, cell)
-    key = (cell.env, cell.n_episodes, data_seed)
-    if key not in _DATASETS:
-        _DATASETS[key] = generate_dataset(env, cell.n_episodes, data_seed)
-    ens, _ = train(_DATASETS[key], cell.n_members, cell.tau, cfg.train, train_seed)
+def run_cell(cfg: ExperimentConfig, cell: Cell, inputs):
+    """Train and evaluate one cell on its scripted ``inputs``: its env's
+    ``(r_random, r_expert)`` and its expert ``Dataset`` (``scripted_inputs``).
+    Returns ``(RunRecord, d_trace | None)`` where the trace is the
+    per-timestep mean d over the eval episodes."""
+    baseline, dataset = inputs
+    _, train_seed, eval_seed = cell_seeds(cfg, cell)
+    ens, _ = train(dataset, cell.n_members, cell.tau, cfg.train, train_seed)
 
     trajs, mean_return, mean_diff = evaluate(
-        env, ens, eval_seed, cfg.eval_episodes, baselines[cell.env],
+        make_env(cell.env), ens, eval_seed, cfg.eval_episodes, baseline,
         record_members=cell.n_members >= 2,
     )
     record = RunRecord(
@@ -391,10 +386,23 @@ class ResultsStore:
         self._index[key] = _result_row(rec), rec
 
 
+def dataset_key(cfg: ExperimentConfig, cell: Cell):
+    """(env, n_episodes, data seed): the cells of one key train on one dataset."""
+    return cell.env, cell.n_episodes, cell_seeds(cfg, cell)[0]
+
+
 def load_or_compute_baselines(cfg: ExperimentConfig, out_dir: Path) -> dict:
-    """Per-env (r_random, r_expert), cached in baselines.csv. A cached row is
-    used only if its episode count and seed are the ones this config would
-    use; any other env is recomputed and the file rewritten."""
+    """Per-env (r_random, r_expert): ``scripted_inputs`` without cells."""
+    return scripted_inputs(cfg, out_dir, ())[0]
+
+
+def scripted_inputs(cfg: ExperimentConfig, out_dir: Path, cells):
+    """``(baselines, datasets)``: the per-env (r_random, r_expert) and the
+    ``Dataset`` of each ``dataset_key`` of ``cells``, from one
+    ``scripted_rollouts`` call per env that lacks either. Baselines are cached
+    in baselines.csv; a cached row is used only if its episode count and seed
+    are the ones this config would use, else it is recomputed and the file
+    rewritten."""
     path = Path(out_dir) / "baselines.csv"
 
     def seed_of(env_id):
@@ -408,16 +416,22 @@ def load_or_compute_baselines(cfg: ExperimentConfig, out_dir: Path) -> dict:
              for env, key, returns in read_table(path, BASELINES_COLUMNS, parse, BASELINES_SCHEMA)
              if key == (cfg.eval_episodes, seed_of(env))}
     missing = [e for e in cfg.envs if e not in cache]
-    for env_id in missing:
-        cache[env_id] = baseline_returns(
-            make_env(env_id), n_episodes=cfg.eval_episodes, seed=seed_of(env_id)
-        )
+    keys = dict.fromkeys(dataset_key(cfg, c) for c in cells)
+    datasets = {}
+    for env_id in cfg.envs:
+        wanted = [key for key in keys if key[0] == env_id]
+        baseline = [(cfg.eval_episodes, seed_of(env_id))] if env_id in missing else []
+        if wanted or baseline:
+            returns, built = scripted_rollouts(make_env(env_id), baseline,
+                                              [key[1:] for key in wanted])
+            cache.update(zip([env_id], returns))
+            datasets.update(zip(wanted, built))
     if missing:
         write_table(path, BASELINES_COLUMNS, [
             [env_id, cfg.eval_episodes, seed_of(env_id), repr(r_rand), repr(r_exp)]
             for env_id, (r_rand, r_exp) in sorted(cache.items())
         ], BASELINES_SCHEMA)
-    return cache
+    return cache, datasets
 
 
 def _trace_path(out_dir: Path, cell: Cell) -> Path:
@@ -431,12 +445,19 @@ def _write_trace(path: Path, trace: np.ndarray):
 
 
 def _cell_worker(args):
-    cfg, cell, baselines = args
+    cfg, cell, inputs = args
     try:
-        record, trace = run_cell(cfg, cell, baselines)
+        record, trace = run_cell(cfg, cell, inputs)
         return "ok", cell, record, trace
     except Exception as exc:  # cell failures must not kill the sweep
         return "error", cell, f"{type(exc).__name__}: {exc}", None
+
+
+def _pool(workers: int) -> ProcessPoolExecutor:
+    """Workers ignore SIGINT, which Ctrl-C sends to the whole process group:
+    the parent alone stops the sweep, once the running cells end."""
+    return ProcessPoolExecutor(workers, initializer=signal.signal,
+                               initargs=(signal.SIGINT, signal.SIG_IGN))
 
 
 def _isolated_cell_worker(args):
@@ -444,7 +465,7 @@ def _isolated_cell_worker(args):
     is pinned on the cell it was running. The pool starts its process the
     way the sweep's pool does, so the rerun meets what killed the worker."""
     try:
-        with ProcessPoolExecutor(max_workers=1) as pool:
+        with _pool(1) as pool:
             return pool.submit(_cell_worker, args).result()
     except BrokenProcessPool:
         return "error", args[1], "BrokenProcessPool: the worker process died", None
@@ -532,9 +553,9 @@ def _locked_sweep(cfg: ExperimentConfig, out_dir: Path, workers: int, force: boo
     store = ResultsStore(results_path)
     _prune_failures(out_dir, store)  # also repairs a torn row before any append
     replace_file(fingerprint_path, fingerprint + "\n")
-    baselines = load_or_compute_baselines(cfg, out_dir)
     cells = enumerate_cells(cfg)
     pending = [c for c in cells if not store.has(c)]
+    baselines, datasets = scripted_inputs(cfg, out_dir, pending)
     if log:
         log(f"sweep: {len(cells)} cells, {len(pending)} to run")
 
@@ -556,27 +577,23 @@ def _locked_sweep(cfg: ExperimentConfig, out_dir: Path, workers: int, force: boo
             if log:
                 log(f"  FAILED {cell}: {payload}")
 
-    jobs = [(cfg, c, baselines) for c in pending]
-    _DATASETS.clear()
-    try:
-        if workers > 1:
-            done = 0
-            try:
-                with ProcessPoolExecutor(max_workers=workers) as pool:
-                    for outcome in pool.map(_cell_worker, jobs):
-                        handle(outcome)
-                        done += 1
-            except BrokenProcessPool:
-                if log:
-                    log(f"a worker process died; rerunning {len(jobs) - done} cells "
-                        "one process each")
-                for job in jobs[done:]:
-                    handle(_isolated_cell_worker(job))
-        else:
-            for job in jobs:
-                handle(_cell_worker(job))
-    finally:
-        _DATASETS.clear()
+    jobs = [(cfg, c, (baselines[c.env], datasets[dataset_key(cfg, c)])) for c in pending]
+    if workers > 1:
+        done = 0
+        try:
+            with _pool(workers) as pool:
+                for outcome in pool.map(_cell_worker, jobs):
+                    handle(outcome)
+                    done += 1
+        except BrokenProcessPool:
+            if log:
+                log(f"a worker process died; rerunning {len(jobs) - done} cells "
+                    "one process each")
+            for job in jobs[done:]:
+                handle(_isolated_cell_worker(job))
+    else:
+        for job in jobs:
+            handle(_cell_worker(job))
 
     _prune_failures(out_dir, store)
     write_summaries(cfg, store, out_dir)

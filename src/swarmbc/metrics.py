@@ -23,6 +23,7 @@ from typing import Optional
 
 import numpy as np
 
+from .data import Dataset, DatasetMeta
 from .ensemble import Ensemble, deployed_action
 from .envs import DeskEnv, random_action
 from .errors import ConfigError, DegenerateBaselineError, DimensionMismatchError
@@ -175,28 +176,61 @@ def scaled_return(episode_return, r_random, r_expert) -> float:
     return float((episode_return - r_random) / denom)
 
 
+def scripted_rollouts(env: DeskEnv, baselines=(), datasets=()):
+    """The scripted episodes of baselines and expert datasets, each given as
+    ``(n_episodes, seed)``, in one lockstep ``rollouts`` call. Returns the
+    ``(r_random, r_expert)`` of each baseline and the ``Dataset`` of each
+    dataset; episodes do not depend on their batch, so each equals a call of
+    its own. A baseline runs the uniform-random policy and the expert from
+    the same start states, each random episode drawing its whole horizon
+    from its own generator (the stream of one draw per step). A dataset
+    holds every (observation, expert action) pair, discrete actions one-hot.
+    """
+    for n_episodes, _ in (*baselines, *datasets):
+        if n_episodes < 1:
+            raise ConfigError(f"n_episodes must be >= 1, got {n_episodes}")
+    spec = env.spec
+    pairs = [np.random.SeedSequence(seed).spawn(2 * n) for n, seed in baselines]
+    starts = [s for p in pairs for s in p[0::2]]
+    n_random = len(starts)
+    if n_random:  # one (E_random, ...) block per step
+        draws = iter(np.stack([random_action(spec, np.random.default_rng(s), spec.max_steps)
+                               for p in pairs for s in p[1::2]], axis=1))
+
+    def policy(obs, episodes):  # episodes < n_random are random, the rest expert
+        n = np.searchsorted(episodes, n_random)
+        expert = env.expert_action(obs[n:])
+        return np.concatenate([next(draws)[episodes[:n]], expert]) if n_random else expert
+
+    trajs = iter(rollouts(env, policy, starts + starts + [
+        s for n, seed in datasets for s in np.random.SeedSequence(seed).spawn(n)]))
+
+    def take(n):
+        return [next(trajs) for _ in range(n)]
+
+    randoms = [take(n) for n, _ in baselines]  # then the expert episodes, in the same order
+    returns = [(_mean_return(r), _mean_return(take(len(r)))) for r in randoms]
+    return returns, [_dataset(spec, take(n), n, seed) for n, seed in datasets]
+
+
+def _mean_return(trajs) -> float:
+    return float(np.mean([t.episode_return for t in trajs]))
+
+
+def _dataset(spec, episodes, n_episodes: int, seed: int) -> Dataset:
+    actions = np.concatenate([t.actions for t in episodes])
+    if spec.action_kind == "discrete":
+        actions = np.eye(spec.action_dim)[actions]
+    meta = DatasetMeta(env=spec.env_id, episodes=n_episodes, seed=seed, obs_dim=spec.obs_dim,
+                       action_dim=spec.action_dim, action_kind=spec.action_kind)
+    return Dataset(np.concatenate([t.observations for t in episodes]), actions, meta)
+
+
 def baseline_returns(env: DeskEnv, n_episodes: int = 20, seed: int = 0):
     """Mean episode returns of the uniform-random policy and the scripted
-    expert over seeded episodes: returns ``(r_random, r_expert)``. Both run
-    from the same start states, in one lockstep ``rollouts`` call."""
-    if n_episodes < 1:
-        raise ConfigError(f"n_episodes must be >= 1, got {n_episodes}")
-    episode_seeds = np.random.SeedSequence(seed).spawn(2 * n_episodes)
-    starts = episode_seeds[0::2]
-    # each random episode draws its whole horizon from its own generator, the
-    # stream of one draw per step; rollouts takes one (E, ...) block per step
-    spec = env.spec
-    draws = iter(np.stack([random_action(spec, np.random.default_rng(s), spec.max_steps)
-                           for s in episode_seeds[1::2]], axis=1))
-
-    def policy(obs, episodes):  # episodes < n_episodes are random, the rest expert
-        n_random = np.searchsorted(episodes, n_episodes)
-        return np.concatenate([next(draws)[episodes[:n_random]],
-                               env.expert_action(obs[n_random:])])
-
-    trajs = rollouts(env, policy, starts + starts)
-    returns = [t.episode_return for t in trajs]
-    return float(np.mean(returns[:n_episodes])), float(np.mean(returns[n_episodes:]))
+    expert over seeded episodes from the same start states: returns
+    ``(r_random, r_expert)``, as ``scripted_rollouts`` with one baseline."""
+    return scripted_rollouts(env, baselines=[(n_episodes, seed)])[0][0]
 
 
 def write_trajectory_csv(traj: Trajectory, path) -> None:

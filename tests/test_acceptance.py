@@ -18,8 +18,8 @@ from swarmbc.ensemble import (
     standard_loss,
     swarm_loss,
 )
-from swarmbc.envs import ENV_IDS, make_env
-from swarmbc.harness import ExperimentConfig, enumerate_cells, run_cell
+from swarmbc.envs import ENV_IDS, generate_dataset, make_env
+from swarmbc.harness import ExperimentConfig, dataset_key, enumerate_cells, run_cell
 from swarmbc.ensemble import TrainConfig
 from swarmbc.metrics import baseline_returns, mean_action_difference, scaled_return
 from swarmbc.theory import (
@@ -111,8 +111,12 @@ def paired_sweep():
     }
     start = time.perf_counter()
     records = {}
+    datasets = {}  # shared by the cells of a dataset_key, as in a sweep
     for cell in enumerate_cells(cfg):
-        rec, _ = run_cell(cfg, cell, baselines)
+        key = dataset_key(cfg, cell)
+        if key not in datasets:
+            datasets[key] = generate_dataset(make_env(cell.env), *key[1:])
+        rec, _ = run_cell(cfg, cell, (baselines[cell.env], datasets[key]))
         records.setdefault(
             (cell.env, cell.method, cell.n_episodes), []
         ).append(rec)

@@ -1,10 +1,17 @@
 import csv
 import hashlib
 import json
+import os
+import signal
+import subprocess
+import sys
+import time
 import warnings
+from pathlib import Path
 
 import pytest
 
+import swarmbc
 from swarmbc.cli import _resolve_method_params, main
 from swarmbc.ensemble import METHODS
 from swarmbc.harness import ExperimentConfig, method_params
@@ -483,3 +490,51 @@ def test_sweep_into_a_locked_directory_exits_1_naming_the_holder(tmp_path, capsy
     assert err.startswith("error:") and "4242 elsewhere.invalid" in err
     assert "Traceback" not in err
     assert sorted(p.name for p in out_dir.iterdir()) == ["sweep.lock"]
+
+
+def _tree(out):
+    return {p.relative_to(out).as_posix(): p.read_bytes()
+            for p in sorted(out.rglob("*")) if p.is_file()}
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_sigint_exits_130_with_one_line_and_the_rerun_completes_the_sweep(
+        tmp_path, capsys, workers):
+    cfg_path = tmp_path / "sweep.cfg"
+    cfg_path.write_text("envs = point_reach, cart_balance\nmethods = bc, ensemble, swarm\n"
+                        "episode_counts = 1, 2\nn_seeds = 6\neval_episodes = 2\n"
+                        "ablations = false\nepochs = 20\nhidden_dims = 8\n")
+    argv = ["sweep", "--config", str(cfg_path), "--out", str(tmp_path / "out"),
+            "--workers", str(workers)]
+    env = dict(os.environ, PYTHONUNBUFFERED="1",
+               PYTHONPATH=str(Path(swarmbc.__file__).resolve().parents[1]))
+    # a session of its own, so that the signal reaches the sweep's whole
+    # process group, as Ctrl-C in a terminal does
+    proc = subprocess.Popen([sys.executable, "-m", "swarmbc.cli", *argv], env=env, text=True,
+                            stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+                            start_new_session=True)
+    try:
+        for line in proc.stdout:
+            if line.startswith("  "):  # the first cell's progress line
+                break
+        os.killpg(proc.pid, signal.SIGINT)
+        _, err = proc.communicate(timeout=120)
+    finally:
+        if proc.poll() is None:
+            proc.kill()
+            proc.wait()
+    assert proc.returncode == 130
+    assert err.splitlines() == ["interrupted; rerun the same command to resume"]
+    assert not (tmp_path / "out" / "sweep.lock").exists()
+    for _ in range(100):  # no process of the group is left
+        try:
+            os.killpg(proc.pid, 0)
+        except ProcessLookupError:
+            break
+        time.sleep(0.1)
+    else:
+        pytest.fail("a process of the interrupted sweep is still alive")
+
+    assert run_cli(*argv) == 0
+    assert run_cli(*argv[:3], "--out", tmp_path / "clean") == 0
+    assert _tree(tmp_path / "out") == _tree(tmp_path / "clean")

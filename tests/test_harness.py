@@ -7,7 +7,7 @@ import sys
 
 import pytest
 
-from swarmbc import harness
+from swarmbc import harness, metrics
 from swarmbc.ensemble import TrainConfig
 from swarmbc.errors import ConfigError
 from swarmbc.harness import (
@@ -23,7 +23,7 @@ from swarmbc.harness import (
     run_sweep,
 )
 from swarmbc.harness import _prune_failures, _record_failure
-from swarmbc.envs import make_env
+from swarmbc.envs import generate_dataset, make_env
 from swarmbc.metrics import RunRecord, baseline_returns
 
 
@@ -440,21 +440,119 @@ def test_sweep_runs_resumes_and_is_deterministic(tmp_path):
     assert (out1 / "action_diff_point_reach.csv").exists()
 
 
-def test_sweep_builds_each_dataset_once(tmp_path, monkeypatch):
-    built = []
-    generate_dataset = harness.generate_dataset
+def _scripted_calls(monkeypatch):
+    """(env, episodes) of every scripted ``rollouts`` call from now on (the
+    sweep's evaluation runs through ``harness.rollouts``, not counted)."""
+    calls, real = [], metrics.rollouts
 
-    def counting(env, n_episodes, seed):
-        built.append((env.spec.env_id, n_episodes, seed))
-        return generate_dataset(env, n_episodes, seed)
+    def counting(env, policy, seeds, record_members=False):
+        seeds = list(seeds)
+        calls.append((env.spec.env_id, len(seeds)))
+        return real(env, policy, seeds, record_members)
 
-    monkeypatch.setattr(harness, "generate_dataset", counting)
-    cfg = tiny_config(methods=("bc", "ensemble", "swarm"), episode_counts=(1, 2),
+    monkeypatch.setattr(metrics, "rollouts", counting)
+    return calls
+
+
+def _module_state():
+    """repr of every module-level container of the package."""
+    return {(name, key): repr(value) for name, module in list(sys.modules.items())
+            if name.split(".")[0] == "swarmbc" for key, value in vars(module).items()
+            if not key.startswith("__") and isinstance(value, (dict, list, set))}
+
+
+def _bytes(array):
+    return array.dtype, array.shape, array.tobytes()
+
+
+def test_sweep_trains_on_datasets_and_baselines_from_one_call_per_env(tmp_path, monkeypatch):
+    # cart_balance first, so that the ablations run on it too: its random
+    # episodes fail early and the live set compacts
+    cfg = tiny_config(envs=("cart_balance", "point_reach"), methods=("bc", "ensemble", "swarm"),
+                      episode_counts=(1, 2), eval_episodes=4, ablations=True,
+                      tau_grid=(0.0, 0.5), n_grid=(2, 3),
                       train=TrainConfig(epochs=2, hidden_dims=(4,)))
-    store = run_sweep(cfg, tmp_path)
-    assert len(store.records) == 12  # 3 methods x 2 sizes x 2 seeds
-    assert len(built) == len(set(built)) == 4
-    assert harness._DATASETS == {}  # nothing carries over to the next sweep
+    calls, state, seen = _scripted_calls(monkeypatch), _module_state(), {}
+    real_run_cell = harness.run_cell
+
+    def recording(cfg, cell, inputs):
+        assert _module_state() == state
+        seen[cell] = inputs
+        result = real_run_cell(cfg, cell, inputs)
+        assert _module_state() == state  # nothing is kept for the next cell
+        return result
+
+    monkeypatch.setattr(harness, "run_cell", recording)
+    run_sweep(cfg, tmp_path)
+    monkeypatch.undo()
+    assert _module_state() == state
+    assert set(seen) == set(enumerate_cells(cfg))
+    keys = {harness.dataset_key(cfg, cell) for cell in seen}
+    assert sorted(calls) == sorted(
+        (env, 2 * cfg.eval_episodes + sum(n for e, n, _ in keys if e == env)) for env in cfg.envs)
+
+    rows = {row[0]: row[1:] for row in csv.reader((tmp_path / "baselines.csv").open())}
+    for env_id in cfg.envs:
+        seed = fan_out_seed(cfg.master_seed, "baseline", env_id)
+        want = baseline_returns(make_env(env_id), cfg.eval_episodes, seed)
+        assert rows[env_id] == [str(cfg.eval_episodes), str(seed), *map(repr, want)]
+    datasets = {}
+    for cell, (baseline, data) in seen.items():
+        assert baseline == tuple(map(float, rows[cell.env][2:]))
+        env, n_episodes, data_seed = key = harness.dataset_key(cfg, cell)
+        want = datasets.setdefault(key, generate_dataset(make_env(env), n_episodes, data_seed))
+        assert data.meta == want.meta
+        for name in ("states", "actions", "obs_mean", "obs_std"):
+            assert _bytes(getattr(data, name)) == _bytes(getattr(want, name)), (cell, name)
+    assert len(datasets) == 2 * 2 * 2  # envs x sizes x seeds
+
+
+def test_a_resume_rolls_out_only_what_is_missing(tmp_path, monkeypatch):
+    cfg = tiny_config(envs=("point_reach", "cart_balance"), methods=("bc", "swarm"),
+                      episode_counts=(1, 2), train=TrainConfig(epochs=2, hidden_dims=(4,)))
+    run_sweep(cfg, tmp_path / "clean")
+    clean = _files(tmp_path / "clean")
+    out = tmp_path / "run"
+    run_sweep(cfg, out)
+    results = out / "results.csv"
+    # lose the last two cells: cart_balance swarm on 2 episodes, seeds 0 and 1
+    results.write_bytes(b"".join(results.read_bytes().splitlines(keepends=True)[:-2]))
+    calls = _scripted_calls(monkeypatch)
+    run_sweep(cfg, out)
+    assert calls == [("cart_balance", 2 + 2)]  # their datasets; both baselines cached
+    assert _files(out) == clean
+    calls.clear()
+    run_sweep(cfg, out)
+    assert calls == []
+    (out / "baselines.csv").unlink()
+    run_sweep(cfg, out)
+    assert calls == [("point_reach", 2 * cfg.eval_episodes), ("cart_balance", 2 * cfg.eval_episodes)]
+    assert _files(out) == clean
+
+
+def test_sweep_outputs_are_identical_across_workers_and_a_resume(tmp_path):
+    cfg = tiny_config(envs=("pendulum_swing", "cart_balance"), methods=("bc", "ensemble", "swarm"),
+                      episode_counts=(1, 2), ablations=True, tau_grid=(0.0, 0.5), n_grid=(2, 3),
+                      train=TrainConfig(epochs=3, hidden_dims=(8,)))
+    run_sweep(cfg, tmp_path / "serial")
+    want = _files(tmp_path / "serial")
+    run_sweep(cfg, tmp_path / "parallel", workers=2)
+    assert _files(tmp_path / "parallel") == want
+
+    progress = []
+
+    def interrupt(line):
+        progress.append(line)
+        if len(progress) == 6:  # the log line, then five cells
+            raise KeyboardInterrupt
+
+    out = tmp_path / "resumed"
+    with pytest.raises(KeyboardInterrupt):
+        run_sweep(cfg, out, log=interrupt)
+    assert not (out / harness.LOCK_FILE).exists()
+    assert len(ResultsStore(out / "results.csv").records) == 5
+    run_sweep(cfg, out, workers=2)
+    assert _files(out) == want
 
 
 def test_sweep_force_reruns(tmp_path):
