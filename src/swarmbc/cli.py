@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import math
+import os
 import sys
 from pathlib import Path
 
@@ -38,6 +39,18 @@ class _Parser(argparse.ArgumentParser):
         self.print_usage(sys.stderr)
         print(f"{self.prog}: error: {message}", file=sys.stderr)
         raise SystemExit(USAGE_EXIT)
+
+
+def _echo(text: str):
+    """Print a line to stdout. Once its reader is gone (``swarmbc sweep |
+    head``), stdout goes to the null device: the output ends, the command
+    does not."""
+    try:
+        print(text, flush=True)
+    except BrokenPipeError:
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
 
 
 def _int_list(flag: str, text: str) -> tuple:
@@ -82,7 +95,7 @@ def cmd_gen_data(args) -> int:
     dataset = generate_dataset(env, args.episodes, args.seed)
     out.parent.mkdir(parents=True, exist_ok=True)
     save_dataset(dataset, out)
-    print(f"wrote {len(dataset)} samples ({args.episodes} episodes) to {out}")
+    _echo(f"wrote {len(dataset)} samples ({args.episodes} episodes) to {out}")
     return 0
 
 
@@ -110,12 +123,12 @@ def cmd_train(args) -> int:
         for epoch, h in enumerate(history)
     ])
     final = history[-1]
-    print(
+    _echo(
         f"trained {args.method} (tau={tau}, N={n}) for {len(history)} epochs; "
         f"final loss {final.total:.6f} (bc {final.bc_term:.6f}, "
         f"swarm {final.swarm_term:.6f})"
     )
-    print(f"model: {out}\nhistory: {history_path}")
+    _echo(f"model: {out}\nhistory: {history_path}")
     return 0
 
 
@@ -171,11 +184,11 @@ def cmd_eval(args) -> int:
     ))
 
     d_text = "" if mean_diff is None else f", mean action difference {mean_diff:.6f}"
-    print(
+    _echo(
         f"{env_id} {method}: mean scaled return {mean_return:.4f} over "
         f"{args.episodes} episodes{d_text}"
     )
-    print(f"trajectories and results in {out_dir}")
+    _echo(f"trajectories and results in {out_dir}")
     return 0
 
 
@@ -185,7 +198,7 @@ def cmd_sweep(args) -> int:
         if path.exists() and not args.force:
             raise ConfigError(f"{path} exists; rerun with --force to overwrite")
         path.write_text(harness.default_config_text())
-        print(f"wrote default config to {path}")
+        _echo(f"wrote default config to {path}")
         return 0
     cfg = (
         harness.parse_config_file(args.config)
@@ -193,9 +206,9 @@ def cmd_sweep(args) -> int:
         else harness.ExperimentConfig()
     )
     store = harness.run_sweep(
-        cfg, args.out, workers=args.workers, force=args.force, log=print
+        cfg, args.out, workers=args.workers, force=args.force, log=_echo
     )
-    print(f"{len(store.records)} records in {Path(args.out) / 'results.csv'}")
+    _echo(f"{len(store.records)} records in {Path(args.out) / 'results.csv'}")
     return 0
 
 
@@ -216,10 +229,10 @@ def cmd_mode_demo(args) -> int:
     out = Path(args.out)
     out.parent.mkdir(parents=True, exist_ok=True)
     harness.write_table(out, ["N", "mode_mass"], [[n, repr(mass)] for n, mass in report])
-    print(f"{'N':>4}  mode_mass")
+    _echo(f"{'N':>4}  mode_mass")
     for n, mass in report:
-        print(f"{n:>4}  {mass:.6f}")
-    print(f"wrote {out}")
+        _echo(f"{n:>4}  {mass:.6f}")
+    _echo(f"wrote {out}")
     return 0
 
 
@@ -229,11 +242,11 @@ def cmd_grad_check(args) -> int:
     worst = gradient_max_rel_error(
         n_trials=args.trials, seed=args.seed, step=args.step
     )
-    print(f"max relative error over {args.trials} random ensembles: {worst:.3e}")
+    _echo(f"max relative error over {args.trials} random ensembles: {worst:.3e}")
     if not worst < 1e-4:
         print("FAIL: exceeds 1e-4", file=sys.stderr)
         return NUMERICAL_EXIT
-    print("PASS: below 1e-4")
+    _echo("PASS: below 1e-4")
     return 0
 
 
@@ -315,6 +328,9 @@ def main(argv=None) -> int:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return NUMERICAL_EXIT
     except SwarmBCError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return USAGE_EXIT
+    except OSError as exc:  # e.g. an output path that cannot be written
         print(f"error: {exc}", file=sys.stderr)
         return USAGE_EXIT
     except KeyboardInterrupt:  # sweeps resume; no traceback

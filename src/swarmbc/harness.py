@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import contextlib
 import csv
+import fcntl
 import hashlib
 import io
 import os
@@ -453,65 +454,66 @@ def _cell_worker(args):
         return "error", cell, f"{type(exc).__name__}: {exc}", None
 
 
-def _pool(workers: int) -> ProcessPoolExecutor:
+def _pool(workers: int, lock: int) -> ProcessPoolExecutor:
     """Workers ignore SIGINT, which Ctrl-C sends to the whole process group:
-    the parent alone stops the sweep, once the running cells end."""
-    return ProcessPoolExecutor(workers, initializer=signal.signal,
-                               initargs=(signal.SIGINT, signal.SIG_IGN))
+    the parent alone stops the sweep, once the running cells end. A forked
+    worker closes its copy of ``lock``, the sweep lock's descriptor, so that
+    the lock ends with the parent."""
+    return ProcessPoolExecutor(workers, initializer=_init_worker,
+                               initargs=(lock, os.fstat(lock)))
 
 
-def _isolated_cell_worker(args):
+def _init_worker(lock: int, lock_stat):
+    signal.signal(signal.SIGINT, signal.SIG_IGN)
+    with contextlib.suppress(OSError):  # not forked: the number names another file, or none
+        if os.path.samestat(os.fstat(lock), lock_stat):
+            os.close(lock)
+
+
+def _isolated_cell_worker(args, lock: int):
     """Run one cell in a fresh one-process pool, so that a worker that dies
     is pinned on the cell it was running. The pool starts its process the
     way the sweep's pool does, so the rerun meets what killed the worker."""
     try:
-        with _pool(1) as pool:
+        with _pool(1, lock) as pool:
             return pool.submit(_cell_worker, args).result()
     except BrokenProcessPool:
         return "error", args[1], "BrokenProcessPool: the worker process died", None
 
 
-def _pid_alive(pid: int) -> bool:
-    try:
-        os.kill(pid, 0)
-    except ProcessLookupError:
-        return False
-    except PermissionError:  # another user's process
-        pass
-    return True
-
-
 @contextlib.contextmanager
 def sweep_lock(out_dir: Path):
-    """Hold ``out_dir``'s lock file, created with ``O_CREAT | O_EXCL`` and
-    naming this process and host, while the block runs. Another holder is a
-    ``ConfigError`` naming it, except that a lock whose process is gone from
-    this host is taken over with a warning."""
-    path, host = out_dir / LOCK_FILE, socket.gethostname()
+    """Hold an exclusive ``flock`` on ``out_dir``'s lock file, which names this
+    process and host, while the block runs; yields its descriptor. The kernel
+    drops the lock when the holder ends, however it ends. A held lock is a
+    ``ConfigError`` naming its holder; a file no process holds is taken over
+    with a warning."""
+    path = out_dir / LOCK_FILE
     while True:
+        left = path.exists()
+        fd = os.open(path, os.O_CREAT | os.O_RDWR, 0o644)
         try:
-            fd = os.open(path, os.O_CREAT | os.O_EXCL | os.O_WRONLY, 0o644)
-            break
-        except FileExistsError:
-            try:
-                holder = path.read_text().split()
-            except FileNotFoundError:
-                continue  # released in between
-            if not (len(holder) == 2 and holder[0].isdigit() and holder[1] == host
-                    and not _pid_alive(int(holder[0]))):
-                raise ConfigError(
-                    f"{out_dir} is in use by another sweep ({' '.join(holder) or '?'}: "
-                    f"pid and host in {path}); wait for it, or delete the file if no "
-                    "sweep is running") from None
+            fcntl.flock(fd, fcntl.LOCK_EX | fcntl.LOCK_NB)
+        except BlockingIOError:
+            holder = os.read(fd, 256).decode(errors="replace").strip() or "?"
+            os.close(fd)
+            raise ConfigError(f"{out_dir} is in use by another sweep ({holder}: pid and "
+                              f"host in {path}); wait for it to end") from None
+        with contextlib.suppress(FileNotFoundError):
+            if os.path.samestat(os.fstat(fd), os.stat(path)):
+                break
+        os.close(fd)  # its holder removed the file before this process locked it
+    try:
+        if left:
+            holder = os.read(fd, 256).decode(errors="replace").split() or ["?"]
             warnings.warn(f"{path}: taking over the lock of pid {holder[0]}, which is gone",
                           RuntimeWarning)
-            path.unlink(missing_ok=True)
-    with os.fdopen(fd, "w") as f:
-        f.write(f"{os.getpid()} {host}\n")
-    try:
-        yield
+        os.ftruncate(fd, 0)
+        os.pwrite(fd, f"{os.getpid()} {socket.gethostname()}\n".encode(), 0)
+        yield fd
     finally:
-        path.unlink(missing_ok=True)
+        path.unlink(missing_ok=True)  # before the unlock, so that it is this sweep's file
+        os.close(fd)
 
 
 def run_sweep(cfg: ExperimentConfig, out_dir, workers: int = 1,
@@ -530,11 +532,12 @@ def run_sweep(cfg: ExperimentConfig, out_dir, workers: int = 1,
         raise ConfigError(f"workers must be >= 1, got {workers}")
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    with sweep_lock(out_dir):
-        return _locked_sweep(cfg, out_dir, workers, force, log)
+    with sweep_lock(out_dir) as lock:
+        return _locked_sweep(cfg, out_dir, workers, force, log, lock)
 
 
-def _locked_sweep(cfg: ExperimentConfig, out_dir: Path, workers: int, force: bool, log):
+def _locked_sweep(cfg: ExperimentConfig, out_dir: Path, workers: int, force: bool, log,
+                  lock: int):
     results_path = out_dir / "results.csv"
     fingerprint_path = out_dir / FINGERPRINT_FILE
     if force:  # every file a sweep writes, so that none of the old config's remain
@@ -581,7 +584,7 @@ def _locked_sweep(cfg: ExperimentConfig, out_dir: Path, workers: int, force: boo
     if workers > 1:
         done = 0
         try:
-            with _pool(workers) as pool:
+            with _pool(workers, lock) as pool:
                 for outcome in pool.map(_cell_worker, jobs):
                     handle(outcome)
                     done += 1
@@ -590,7 +593,7 @@ def _locked_sweep(cfg: ExperimentConfig, out_dir: Path, workers: int, force: boo
                 log(f"a worker process died; rerunning {len(jobs) - done} cells "
                     "one process each")
             for job in jobs[done:]:
-                handle(_isolated_cell_worker(job))
+                handle(_isolated_cell_worker(job, lock))
     else:
         for job in jobs:
             handle(_cell_worker(job))

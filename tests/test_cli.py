@@ -1,4 +1,6 @@
+import contextlib
 import csv
+import fcntl
 import hashlib
 import json
 import os
@@ -485,7 +487,9 @@ def test_sweep_into_a_locked_directory_exits_1_naming_the_holder(tmp_path, capsy
     cfg_path.write_text(TINY_SWEEP)
     out_dir.mkdir()
     (out_dir / "sweep.lock").write_text("4242 elsewhere.invalid\n")
-    assert run_cli("sweep", "--config", cfg_path, "--out", out_dir) == 1
+    with open(out_dir / "sweep.lock") as held:  # as the running sweep 4242 holds it
+        fcntl.flock(held, fcntl.LOCK_EX)
+        assert run_cli("sweep", "--config", cfg_path, "--out", out_dir) == 1
     err = capsys.readouterr().err
     assert err.startswith("error:") and "4242 elsewhere.invalid" in err
     assert "Traceback" not in err
@@ -497,6 +501,26 @@ def _tree(out):
             for p in sorted(out.rglob("*")) if p.is_file()}
 
 
+def _cli(*argv, **kwargs):
+    """``swarmbc *argv`` as a subprocess in a session of its own, so that a
+    signal to its process group reaches its pool workers too."""
+    env = dict(os.environ, PYTHONUNBUFFERED="1",
+               PYTHONPATH=str(Path(swarmbc.__file__).resolve().parents[1]))
+    return subprocess.Popen([sys.executable, "-m", "swarmbc.cli", *map(str, argv)], env=env,
+                            text=True, start_new_session=True, **kwargs)
+
+
+def _wait_for_no_process_of(group, timeout=30.0):
+    deadline = time.monotonic() + timeout
+    while True:
+        try:
+            os.killpg(group, 0)
+        except ProcessLookupError:
+            return
+        assert time.monotonic() < deadline, f"a process of group {group} is still alive"
+        time.sleep(0.1)
+
+
 @pytest.mark.parametrize("workers", [1, 2])
 def test_sigint_exits_130_with_one_line_and_the_rerun_completes_the_sweep(
         tmp_path, capsys, workers):
@@ -506,13 +530,8 @@ def test_sigint_exits_130_with_one_line_and_the_rerun_completes_the_sweep(
                         "ablations = false\nepochs = 20\nhidden_dims = 8\n")
     argv = ["sweep", "--config", str(cfg_path), "--out", str(tmp_path / "out"),
             "--workers", str(workers)]
-    env = dict(os.environ, PYTHONUNBUFFERED="1",
-               PYTHONPATH=str(Path(swarmbc.__file__).resolve().parents[1]))
-    # a session of its own, so that the signal reaches the sweep's whole
-    # process group, as Ctrl-C in a terminal does
-    proc = subprocess.Popen([sys.executable, "-m", "swarmbc.cli", *argv], env=env, text=True,
-                            stdout=subprocess.PIPE, stderr=subprocess.PIPE,
-                            start_new_session=True)
+    # SIGINT to the sweep's whole process group, as Ctrl-C in a terminal sends it
+    proc = _cli(*argv, stdout=subprocess.PIPE, stderr=subprocess.PIPE)
     try:
         for line in proc.stdout:
             if line.startswith("  "):  # the first cell's progress line
@@ -526,15 +545,82 @@ def test_sigint_exits_130_with_one_line_and_the_rerun_completes_the_sweep(
     assert proc.returncode == 130
     assert err.splitlines() == ["interrupted; rerun the same command to resume"]
     assert not (tmp_path / "out" / "sweep.lock").exists()
-    for _ in range(100):  # no process of the group is left
-        try:
-            os.killpg(proc.pid, 0)
-        except ProcessLookupError:
-            break
-        time.sleep(0.1)
-    else:
-        pytest.fail("a process of the interrupted sweep is still alive")
+    _wait_for_no_process_of(proc.pid, timeout=10)
 
     assert run_cli(*argv) == 0
+    assert run_cli(*argv[:3], "--out", tmp_path / "clean") == 0
+    assert _tree(tmp_path / "out") == _tree(tmp_path / "clean")
+
+
+SMALL_SWEEP = ("envs = point_reach, cart_balance\nmethods = bc, ensemble, swarm\n"
+               "episode_counts = 1, 2\nn_seeds = 2\neval_episodes = 1\n"
+               "ablations = false\nepochs = 3\nhidden_dims = 4\n")
+
+
+def test_a_closed_stdout_ends_the_progress_log_not_the_sweep(tmp_path):
+    cfg_path = tmp_path / "sweep.cfg"
+    cfg_path.write_text(SMALL_SWEEP)
+    proc = _cli("sweep", "--config", cfg_path, "--out", tmp_path / "out",
+                stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+    try:
+        assert proc.stdout.readline().startswith("sweep:")
+        proc.stdout.close()  # as `swarmbc sweep ... | head -1` does
+        _, err = proc.communicate(timeout=120)
+    finally:
+        if proc.poll() is None:
+            proc.kill()
+            proc.wait()
+    assert proc.returncode == 0
+    assert err == ""  # no traceback, none at interpreter shutdown either
+    assert run_cli("sweep", "--config", cfg_path, "--out", tmp_path / "clean") == 0
+    assert _tree(tmp_path / "out") == _tree(tmp_path / "clean")
+
+
+@pytest.mark.parametrize("argv", [
+    ("train", "--data", "{data}", "--method", "bc", "--epochs", "1", "--out", "{tmp}/m.json",
+     "--history", "{tmp}/nodir/h.csv"),
+    ("sweep", "--write-config", "{tmp}/nodir/x.cfg"),
+    ("sweep", "--config", "{tmp}/sweep.cfg", "--out", "{tmp}/file"),
+    ("eval", "--expert", "--env", "point_reach", "--episodes", "1", "--out", "{tmp}/file"),
+    ("train", "--data", "{data}", "--method", "bc", "--epochs", "1",
+     "--out", "{tmp}/file/m.json"),
+    ("mode-demo", "--out", "{tmp}/file/demo.csv"),
+    ("gen-data", "--env", "point_reach", "--out", "{tmp}/file/d.jsonl"),
+    ("gen-data", "--env", "point_reach", "--force", "--out", "{tmp}"),
+], ids=["train_history", "write_config", "sweep_out", "eval_out", "train_out", "mode_demo_out",
+        "gen_data_out", "gen_data_directory"])
+def test_unwritable_output_paths_exit_1_with_one_error_line(tmp_path, capsys, small_dataset,
+                                                            argv):
+    (tmp_path / "file").write_text("a regular file\n")
+    (tmp_path / "sweep.cfg").write_text(TINY_SWEEP)
+    assert run_cli(*(a.format(tmp=tmp_path, data=small_dataset) for a in argv)) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and len(err.splitlines()) == 1
+    assert (tmp_path / "file").read_text() == "a regular file\n"
+
+
+def test_a_sweep_whose_parent_is_killed_reruns_at_once_to_a_clean_sweeps_files(tmp_path):
+    cfg_path = tmp_path / "sweep.cfg"
+    cfg_path.write_text(SMALL_SWEEP.replace("n_seeds = 2", "n_seeds = 6"))
+    argv = ("sweep", "--config", cfg_path, "--out", tmp_path / "out", "--workers", 2)
+    proc = _cli(*argv, stdout=subprocess.PIPE, stderr=subprocess.DEVNULL)
+    try:
+        for line in proc.stdout:
+            if line.startswith("  "):  # the first cell's progress line
+                break
+        os.kill(proc.pid, signal.SIGKILL)  # the parent alone: its workers run on
+        proc.wait(timeout=60)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            assert run_cli(*argv) == 0
+        assert any("taking over the lock of pid" in str(w.message) for w in caught)
+    finally:
+        if proc.poll() is None:
+            proc.kill()
+            proc.wait()
+        proc.stdout.close()
+        with contextlib.suppress(ProcessLookupError):
+            os.killpg(proc.pid, signal.SIGKILL)
+        _wait_for_no_process_of(proc.pid)
     assert run_cli(*argv[:3], "--out", tmp_path / "clean") == 0
     assert _tree(tmp_path / "out") == _tree(tmp_path / "clean")

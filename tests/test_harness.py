@@ -1,13 +1,22 @@
+import contextlib
 import csv
+import fcntl
+import itertools
+import json
 import multiprocessing
 import os
+import re
+import signal
 import socket
 import subprocess
 import sys
+import time
+import warnings
+from pathlib import Path
 
 import pytest
 
-from swarmbc import harness, metrics
+from swarmbc import harness, metrics, svg
 from swarmbc.ensemble import TrainConfig
 from swarmbc.errors import ConfigError
 from swarmbc.harness import (
@@ -801,17 +810,86 @@ def test_stale_lock_of_a_dead_process_is_taken_over_with_a_warning(tmp_path):
     assert not (out / harness.LOCK_FILE).exists()
 
 
-@pytest.mark.parametrize("holder", ["{pid} elsewhere.invalid", "{pid} {host}", "", "garbage"])
+LOCK_TEXTS = ["{pid} elsewhere.invalid", "{pid} {host}", "", "garbage"]
+
+
+@pytest.mark.parametrize("holder", LOCK_TEXTS)
 def test_a_lock_that_may_be_live_is_not_taken_over(tmp_path, holder):
-    # any pid on another host, a live pid on this host, or an unreadable lock
+    # whatever the file says, a lock that a process holds is not taken over
     out = tmp_path / "out"
     out.mkdir()
     text = holder.format(pid=os.getpid(), host=socket.gethostname())
     (out / harness.LOCK_FILE).write_text(text)
-    with pytest.raises(ConfigError, match="in use by another sweep"):
-        run_sweep(tiny_config(n_seeds=1), out)
+    with open(out / harness.LOCK_FILE) as held:
+        fcntl.flock(held, fcntl.LOCK_EX)
+        with pytest.raises(ConfigError, match="in use by another sweep"):
+            run_sweep(tiny_config(n_seeds=1), out)
     assert (out / harness.LOCK_FILE).read_text() == text
     assert not (out / "results.csv").exists()
+
+
+@pytest.mark.parametrize("holder", LOCK_TEXTS)
+def test_a_lock_file_no_process_holds_is_taken_over_with_a_warning(tmp_path, holder):
+    # a live pid, another host or an unreadable text: the flock alone decides
+    cfg, out = tiny_config(n_seeds=1), tmp_path / "out"
+    out.mkdir()
+    text = holder.format(pid=os.getpid(), host=socket.gethostname())
+    (out / harness.LOCK_FILE).write_text(text)
+    pid = re.escape((text.split() or ["?"])[0])
+    with pytest.warns(RuntimeWarning, match=f"taking over the lock of pid {pid}, "):
+        store = run_sweep(cfg, out)
+    assert len(store.records) == len(enumerate_cells(cfg))
+    assert not (out / harness.LOCK_FILE).exists()
+
+
+# A contender: at ``start + 0.2 s * k``, take the lock of the k-th directory,
+# hold it 0.05 s, and print the interval it held it, or the refusal.
+CONTENDER = """
+import json, sys, time
+from pathlib import Path
+from swarmbc import harness
+from swarmbc.errors import ConfigError
+start, dirs = float(sys.argv[1]), sys.argv[2:]
+for k, out in enumerate(dirs):
+    time.sleep(max(0.0, start + 0.2 * k - time.time()))
+    try:
+        with harness.sweep_lock(Path(out)):
+            begin = time.monotonic()
+            time.sleep(0.05)
+            end = time.monotonic()
+        print(json.dumps([k, begin, end]), flush=True)
+    except ConfigError as exc:
+        print(json.dumps([k, str(exc)]), flush=True)
+"""
+
+
+def test_contenders_for_a_stale_lock_never_hold_it_together(tmp_path):
+    # each round: 4 interpreters started together on a directory whose lock
+    # names a dead process; their takeover warnings go to stderr, as in the CLI
+    dead = subprocess.Popen([sys.executable, "-c", ""])
+    dead.wait()  # reaped, so its pid names no process
+    dirs = [tmp_path / f"out{k}" for k in range(20)]
+    for out in dirs:
+        out.mkdir()
+        (out / harness.LOCK_FILE).write_text(f"{dead.pid} {socket.gethostname()}\n")
+    env = dict(os.environ, PYTHONPATH=str(Path(harness.__file__).resolve().parents[1]))
+    start = time.time() + 2  # after every interpreter has imported the package
+    procs = [subprocess.Popen([sys.executable, "-c", CONTENDER, str(start), *map(str, dirs)],
+                              env=env, stdout=subprocess.PIPE, stderr=subprocess.DEVNULL,
+                              text=True) for _ in range(4)]
+    outcomes = {}
+    for proc in procs:
+        out, _ = proc.communicate(timeout=120)
+        assert proc.returncode == 0
+        for k, *outcome in map(json.loads, out.splitlines()):
+            outcomes.setdefault(k, []).append(outcome)
+    assert sorted(outcomes) == list(range(len(dirs)))
+    for k, round_ in outcomes.items():
+        held = sorted(o for o in round_ if len(o) == 2)
+        assert held, round_
+        assert all(a[1] <= b[0] for a, b in zip(held, held[1:])), (k, held)
+        assert all("in use by another sweep" in o[0] for o in round_ if len(o) == 1)
+        assert not (dirs[k] / harness.LOCK_FILE).exists()
 
 
 @pytest.mark.parametrize("workers", [1, 2])
@@ -833,3 +911,97 @@ def test_only_the_parent_holds_the_lock(tmp_path, monkeypatch, workers):
     assert len(store.records) == len(enumerate_cells(cfg))
     assert not (out / "failures.csv").exists()
     assert not (out / harness.LOCK_FILE).exists()
+
+
+FAULT_EXIT = 3
+
+
+def _end_at_write(k):
+    """Make the k-th write of a sweep in this process its last: it is cut
+    halfway and the process ends at once. ``append_row`` leaves a torn row,
+    ``replace_file`` a stray ``.tmp`` and ``svg.line_chart`` a torn chart."""
+    writes = itertools.count(1)
+    append_row, replace_file, line_chart = harness.append_row, harness.replace_file, svg.line_chart
+
+    def torn(path, write):
+        size = path.stat().st_size if path.exists() else 0
+        write()
+        if next(writes) == k:
+            os.truncate(path, (size + path.stat().st_size) // 2)
+            os._exit(FAULT_EXIT)
+
+    def stray_tmp(path, text):
+        if next(writes) == k:
+            path.with_name(path.name + ".tmp").write_text(text[:len(text) // 2])
+            os._exit(FAULT_EXIT)
+        replace_file(path, text)
+
+    harness.append_row = lambda path, *args: torn(Path(path), lambda: append_row(path, *args))
+    harness.replace_file = stray_tmp
+    svg.line_chart = lambda path, *args, **kw: torn(Path(path),
+                                                    lambda: line_chart(path, *args, **kw))
+
+
+def _faulted_sweep(cfg, out, workers, k, sessions, timeout=120.0):
+    """Run the sweep in a forked child that leads a session of its own and
+    ends at the sweep's k-th write. Appends the child's pid, which names the
+    session of the pool workers it may leave behind, to ``sessions``; returns
+    its exit code: ``FAULT_EXIT``, or 0 if the sweep has fewer than k writes."""
+    pid = os.fork()
+    if pid == 0:
+        code = 1
+        try:
+            os.setsid()
+            _end_at_write(k)
+            run_sweep(cfg, out, workers=workers)
+            code = 0
+        finally:
+            os._exit(code)
+    sessions.append(pid)
+    deadline = time.monotonic() + timeout
+    while not (ended := os.waitpid(pid, os.WNOHANG))[0]:
+        assert time.monotonic() < deadline, f"the sweep ended at write {k} is still running"
+        time.sleep(0.01)
+    return os.waitstatus_to_exitcode(ended[1])
+
+
+def _kill_sessions(pids, timeout=30.0):
+    """SIGKILL every process of the sessions led by ``pids``; wait until
+    none is left (orphans are reaped by init)."""
+    for pid in pids:
+        with contextlib.suppress(ProcessLookupError):
+            os.killpg(pid, signal.SIGKILL)
+    deadline = time.monotonic() + timeout
+    for pid in pids:
+        while True:
+            try:
+                os.killpg(pid, 0)
+            except ProcessLookupError:
+                break
+            assert time.monotonic() < deadline, f"a process of session {pid} is still alive"
+            time.sleep(0.05)
+
+
+@pytest.mark.skipif(not hasattr(os, "fork"), reason="the faulted sweeps run in forked processes")
+@pytest.mark.parametrize("workers", [1, 2])
+def test_a_sweep_ended_at_any_write_resumes_to_a_clean_sweeps_files(tmp_path, workers):
+    cfg = tiny_config(n_seeds=2, train=TrainConfig(epochs=3, hidden_dims=(4,)))
+    run_sweep(cfg, tmp_path / "clean")
+    want = _files(tmp_path / "clean")
+    sessions = []
+    try:
+        for k in itertools.count(1):
+            out = tmp_path / f"ended_at_{k}"
+            code = _faulted_sweep(cfg, out, workers, k, sessions)
+            if code == 0:  # every write was cut once
+                break
+            assert code == FAULT_EXIT
+            with warnings.catch_warnings(record=True) as caught:
+                warnings.simplefilter("always")
+                run_sweep(cfg, out, workers=workers)  # at once: the workers may still run
+            assert any("taking over the lock" in str(w.message) for w in caught), k
+            assert _files(out) == want, k
+    finally:
+        _kill_sessions(sessions)
+    assert k > len(want)  # each file was written, and so cut, at least once
+    assert _files(out) == want
