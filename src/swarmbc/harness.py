@@ -19,6 +19,8 @@ import io
 import os
 import signal
 import socket
+import threading
+import time
 import warnings
 from concurrent.futures import ProcessPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
@@ -458,16 +460,26 @@ def _pool(workers: int, lock: int) -> ProcessPoolExecutor:
     """Workers ignore SIGINT, which Ctrl-C sends to the whole process group:
     the parent alone stops the sweep, once the running cells end. A forked
     worker closes its copy of ``lock``, the sweep lock's descriptor, so that
-    the lock ends with the parent."""
+    the lock ends with the parent, and ends itself, mid-cell too, once the
+    parent is gone."""
     return ProcessPoolExecutor(workers, initializer=_init_worker,
-                               initargs=(lock, os.fstat(lock)))
+                               initargs=(lock, os.fstat(lock), os.getpid()))
 
 
-def _init_worker(lock: int, lock_stat):
+def _init_worker(lock: int, lock_stat, parent: int):
     signal.signal(signal.SIGINT, signal.SIG_IGN)
     with contextlib.suppress(OSError):  # not forked: the number names another file, or none
         if os.path.samestat(os.fstat(lock), lock_stat):
             os.close(lock)
+    threading.Thread(target=_exit_when_orphaned, args=(parent,), daemon=True).start()
+
+
+def _exit_when_orphaned(parent: int):
+    """End this worker once its parent has died: an orphan is adopted by
+    another process, so ``os.getppid()`` changes."""
+    while os.getppid() == parent:
+        time.sleep(0.5)
+    os._exit(1)
 
 
 def _isolated_cell_worker(args, lock: int):

@@ -12,7 +12,10 @@ random-policy level to 0 and the expert level to 1.
 ``rollouts`` runs E episodes in lockstep: one policy call and one batched
 env step per timestep for all episodes still running. An episode that
 fails leaves the live set (a done-mask, as in Gymnasium's
-``SyncVectorEnv``), and the set is compacted only at such steps.
+``SyncVectorEnv``). Each column of a call (observations, actions, rewards,
+member outputs) is one ``(horizon, E, ...)`` record allocated up front;
+step t writes the live episodes' rows of row t, and each episode's
+trajectory copies out its first ``length`` rows.
 """
 
 from __future__ import annotations
@@ -68,7 +71,7 @@ class Trajectory:
     rollout recorded them; ``action_diffs`` is None unless N >= 2."""
 
     observations: np.ndarray
-    actions: np.ndarray  # (T, action_dim), or (T,) action indices
+    actions: np.ndarray  # (T, action_dim) float64, or (T,) int64 action indices
     rewards: np.ndarray
     episode_return: float
     member_actions: Optional[np.ndarray] = None
@@ -112,13 +115,21 @@ def rollouts(env: DeskEnv, policy, seeds, record_members: bool = False) -> list[
     is_ensemble = isinstance(policy, Ensemble)
     if record_members and not is_ensemble:
         raise ConfigError("record_members requires an Ensemble policy")
-    seeds = list(seeds)
-    horizon = env.spec.max_steps
+    spec, seeds = env.spec, list(seeds)
+    horizon, n = spec.max_steps, len(seeds)
     states = env.start_states(seeds)
-    live = np.arange(len(seeds))
-    pieces = [[] for _ in seeds]  # per episode: one column tuple per segment
-    steps = []
-    for t in range(1, horizon + 1):
+    # one (horizon, E, ...) record per column: observations, actions (integer
+    # indices for discrete envs), rewards and the recorded member outputs
+    discrete = spec.action_kind == "discrete"
+    records = [np.empty((horizon, n, spec.obs_dim)),
+               np.empty((horizon, n) if discrete else (horizon, n, spec.action_dim),
+                        np.int64 if discrete else np.float64),
+               np.empty((horizon, n))]
+    if record_members:
+        records.append(np.empty((horizon, n, policy.n_members, policy.action_dim)))
+    lengths = np.full(n, horizon)  # an episode that fails at step t has t + 1 steps
+    live, rows, outputs = np.arange(n), slice(None), None  # rows: the live episodes
+    for t in range(horizon):
         obs = env.observe(states)
         if is_ensemble:
             outputs = policy.predict_members(obs)  # (E_live, N, action_dim)
@@ -126,33 +137,24 @@ def rollouts(env: DeskEnv, policy, seeds, record_members: bool = False) -> list[
         else:
             actions = np.asarray(policy(obs, live))
         states, rewards, failed = env.advance(states, actions)
-        steps.append((obs, actions, rewards, outputs) if record_members else (obs, actions, rewards))
-        if t < horizon and not np.count_nonzero(failed):  # cheaper than failed.any()
+        for record, column in zip(records, (obs, actions, rewards, outputs)):
+            record[t, rows] = column
+        if not np.count_nonzero(failed):  # cheaper than failed.any()
             continue
-        # close the segment: every live episode takes its column
-        segment = [np.stack(column) for column in zip(*steps)]
-        for j, episode in enumerate(live):
-            pieces[episode].append([column[:, j] for column in segment])
-        steps = []
+        lengths[live[failed]] = t + 1
         live, states = live[~failed], states[~failed]
         if not live.size:
             break
-    return [_trajectory(p, record_members) for p in pieces]
+        rows = live
+    return [_trajectory(records, e, length) for e, length in enumerate(lengths.tolist())]
 
 
-def _trajectory(pieces, record_members: bool) -> Trajectory:
-    observations, actions, rewards, *outputs = (np.concatenate(c) for c in zip(*pieces))
-    traj = Trajectory(
-        observations=observations,
-        actions=actions,
-        rewards=rewards,
-        episode_return=float(rewards.sum()),
-    )
-    if record_members:
-        traj.member_actions = outputs[0]  # (T, N, action_dim)
-        if traj.member_actions.shape[1] >= 2:
-            traj.action_diffs = action_differences(traj.member_actions)
-    return traj
+def _trajectory(records, episode: int, length: int) -> Trajectory:
+    """Episode ``episode``'s rows of the records, as C-contiguous copies."""
+    observations, actions, rewards, *outputs = (r[:length, episode].copy() for r in records)
+    members = outputs[0] if outputs else None  # (T, N, action_dim)
+    diffs = action_differences(members) if members is not None and members.shape[1] >= 2 else None
+    return Trajectory(observations, actions, rewards, float(rewards.sum()), members, diffs)
 
 
 def rollout(env: DeskEnv, policy, seed, record_members: bool = False) -> Trajectory:
@@ -237,23 +239,15 @@ def write_trajectory_csv(traj: Trajectory, path) -> None:
     """Per-timestep CSV: t, reward, d, then a_member{i}_{dim} columns when
     member actions were recorded. d is blank for single-member rollouts."""
     header = ["t", "reward", "d"]
-    n_members = action_dim = 0
     if traj.member_actions is not None:
         _, n_members, action_dim = traj.member_actions.shape
-        for i in range(n_members):
-            for j in range(action_dim):
-                header.append(f"a_member{i}_{j}")
+        header += [f"a_member{i}_{j}" for i in range(n_members) for j in range(action_dim)]
     with open(path, "w", newline="") as f:
         writer = csv.writer(f)
         writer.writerow(header)
         for t in range(len(traj)):
-            row = [t, repr(float(traj.rewards[t]))]
-            if traj.action_diffs is not None:
-                row.append(repr(float(traj.action_diffs[t])))
-            else:
-                row.append("")
+            d = "" if traj.action_diffs is None else repr(float(traj.action_diffs[t]))
+            row = [t, repr(float(traj.rewards[t])), d]
             if traj.member_actions is not None:
-                row.extend(
-                    repr(float(v)) for v in traj.member_actions[t].reshape(-1)
-                )
+                row.extend(repr(float(v)) for v in traj.member_actions[t].reshape(-1))
             writer.writerow(row)

@@ -1,9 +1,11 @@
-"""Tiny standalone SVG line charts: polylines, optional mean +/- std bands,
-axis ticks, and a legend. No plotting dependency."""
+"""Tiny SVG line charts: polylines, optional mean +/- std bands, axis
+ticks, and a legend. No plotting dependency; each chart is written whole
+through ``harness.replace_file``."""
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from pathlib import Path
 from typing import Optional, Sequence
 
 PALETTE = ("#1f77b4", "#d62728", "#2ca02c", "#ff7f0e", "#9467bd", "#8c564b")
@@ -140,5 +142,6 @@ def line_chart(path, series, title="", x_label="", y_label="",
         )
 
     out.append("</svg>")
-    with open(path, "w") as f:
-        f.write("\n".join(out) + "\n")
+    from .harness import replace_file  # harness imports this module
+
+    replace_file(Path(path), "\n".join(out) + "\n")

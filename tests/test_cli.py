@@ -599,6 +599,34 @@ def test_unwritable_output_paths_exit_1_with_one_error_line(tmp_path, capsys, sm
     assert (tmp_path / "file").read_text() == "a regular file\n"
 
 
+def test_the_workers_of_a_killed_sweep_parent_end_by_themselves(tmp_path):
+    cfg_path = tmp_path / "sweep.cfg"
+    cfg_path.write_text(SMALL_SWEEP.replace("n_seeds = 2", "n_seeds = 6"))
+    argv = ("sweep", "--config", cfg_path, "--out", tmp_path / "out", "--workers", 2)
+    proc = _cli(*argv, stdout=subprocess.PIPE, stderr=subprocess.DEVNULL)
+    try:
+        for line in proc.stdout:
+            if line.startswith("  "):  # the first cell's progress line
+                break
+        os.kill(proc.pid, signal.SIGKILL)  # the parent alone
+        proc.wait(timeout=60)
+        _wait_for_no_process_of(proc.pid, timeout=10)  # its workers end without a signal
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            assert run_cli(*argv) == 0
+        assert any("taking over the lock of pid" in str(w.message) for w in caught)
+    finally:
+        if proc.poll() is None:
+            proc.kill()
+            proc.wait()
+        proc.stdout.close()
+        with contextlib.suppress(ProcessLookupError):
+            os.killpg(proc.pid, signal.SIGKILL)
+        _wait_for_no_process_of(proc.pid)
+    assert run_cli(*argv[:3], "--out", tmp_path / "clean") == 0
+    assert _tree(tmp_path / "out") == _tree(tmp_path / "clean")
+
+
 def test_a_sweep_whose_parent_is_killed_reruns_at_once_to_a_clean_sweeps_files(tmp_path):
     cfg_path = tmp_path / "sweep.cfg"
     cfg_path.write_text(SMALL_SWEEP.replace("n_seeds = 2", "n_seeds = 6"))

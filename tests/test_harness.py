@@ -16,7 +16,7 @@ from pathlib import Path
 
 import pytest
 
-from swarmbc import harness, metrics, svg
+from swarmbc import harness, metrics
 from swarmbc.ensemble import TrainConfig
 from swarmbc.errors import ConfigError
 from swarmbc.harness import (
@@ -913,15 +913,43 @@ def test_only_the_parent_holds_the_lock(tmp_path, monkeypatch, workers):
     assert not (out / harness.LOCK_FILE).exists()
 
 
+@pytest.mark.skipif(not hasattr(os, "fork"), reason="the pool's parent is a forked process")
+def test_a_pool_worker_ends_mid_job_once_its_parent_is_gone(tmp_path):
+    lock = os.open(tmp_path / "lock", os.O_CREAT | os.O_RDWR)
+    pid = os.fork()
+    if pid == 0:  # leads a session of its own; dies while its worker runs a long job
+        try:
+            os.setsid()
+            pool = harness._pool(1, lock)
+            pool.submit(os.getpid).result()  # the worker is up
+            pool.submit(time.sleep, 600)
+            time.sleep(0.5)  # and in the job
+        finally:
+            os._exit(0)
+    os.close(lock)
+    os.waitpid(pid, 0)
+    deadline = time.monotonic() + 10
+    try:
+        while True:
+            try:
+                os.killpg(pid, 0)
+            except ProcessLookupError:
+                break
+            assert time.monotonic() < deadline, "the orphaned worker is still alive"
+            time.sleep(0.05)
+    finally:
+        _kill_sessions([pid])
+
+
 FAULT_EXIT = 3
 
 
 def _end_at_write(k):
     """Make the k-th write of a sweep in this process its last: it is cut
     halfway and the process ends at once. ``append_row`` leaves a torn row,
-    ``replace_file`` a stray ``.tmp`` and ``svg.line_chart`` a torn chart."""
+    ``replace_file`` (summaries and charts) a stray ``.tmp``."""
     writes = itertools.count(1)
-    append_row, replace_file, line_chart = harness.append_row, harness.replace_file, svg.line_chart
+    append_row, replace_file = harness.append_row, harness.replace_file
 
     def torn(path, write):
         size = path.stat().st_size if path.exists() else 0
@@ -938,8 +966,6 @@ def _end_at_write(k):
 
     harness.append_row = lambda path, *args: torn(Path(path), lambda: append_row(path, *args))
     harness.replace_file = stray_tmp
-    svg.line_chart = lambda path, *args, **kw: torn(Path(path),
-                                                    lambda: line_chart(path, *args, **kw))
 
 
 def _faulted_sweep(cfg, out, workers, k, sessions, timeout=120.0):
@@ -996,6 +1022,7 @@ def test_a_sweep_ended_at_any_write_resumes_to_a_clean_sweeps_files(tmp_path, wo
             if code == 0:  # every write was cut once
                 break
             assert code == FAULT_EXIT
+            assert all(p.read_text().endswith("</svg>\n") for p in out.glob("*.svg")), k
             with warnings.catch_warnings(record=True) as caught:
                 warnings.simplefilter("always")
                 run_sweep(cfg, out, workers=workers)  # at once: the workers may still run

@@ -55,6 +55,38 @@ def test_lockstep_callable_policy_matches_golden(env_id, n_episodes):
     assert [gc.trajectory_record(t) for t in got] == want
 
 
+@pytest.mark.parametrize("record_members", (False, True))
+@pytest.mark.parametrize("env_id", ENV_IDS)
+def test_trajectory_arrays_are_contiguous_and_own_their_memory(env_id, record_members):
+    # cart_balance's episodes end at different steps, so the live rows thin out
+    env = make_env(env_id)
+    trajs = rollouts(env, gc.golden_ensemble(env_id, 3), gc.episode_seeds(env_id),
+                     record_members=record_members)
+    arrays = [a for t in trajs for a in (t.observations, t.actions, t.rewards,
+                                         t.member_actions, t.action_diffs) if a is not None]
+    assert len(arrays) == len(trajs) * (5 if record_members else 3)
+    assert all(a.flags.c_contiguous for a in arrays)
+    for i, a in enumerate(arrays):
+        for b in arrays[i + 1:]:
+            assert not np.shares_memory(a, b)
+
+
+@pytest.mark.parametrize("env_id", ENV_IDS)
+def test_trajectory_actions_take_their_dtype_from_the_action_kind(env_id):
+    env = make_env(env_id)
+    want = np.int64 if env.spec.action_kind == "discrete" else np.float64
+    seeds = gc.episode_seeds(env_id)[:3]
+    if env.spec.action_kind == "discrete":  # Python ints, and a float 0.0 / 1.0
+        by_callable = [lambda obs, episodes: [int(a) for a in env.expert_action(obs)],
+                       lambda obs, episodes: env.expert_action(obs).astype(np.float64)]
+    else:
+        by_callable = [lambda obs, episodes: [[1] * env.spec.action_dim for _ in obs]]
+    for policy in [gc.golden_ensemble(env_id, 2), *by_callable]:
+        for traj in rollouts(env, policy, seeds):
+            assert traj.actions.dtype == want
+            assert traj.actions.shape[1:] == (() if want is np.int64 else (env.spec.action_dim,))
+
+
 @pytest.mark.parametrize("n_members", (2, 3))
 @pytest.mark.parametrize("env_id", ENV_IDS)
 def test_rollouts_equal_separate_single_episode_calls(env_id, n_members):
