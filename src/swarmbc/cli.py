@@ -71,12 +71,20 @@ def _load(loader, path):
 
 
 def _train_config(args) -> TrainConfig:
-    given = {"epochs": args.epochs, "batch_size": args.batch_size, "learning_rate": args.lr,
-             "patience": args.patience}
-    kwargs = {key: value for key, value in given.items() if value is not None}
+    kwargs = {}
+    if args.epochs is not None:
+        kwargs["epochs"] = args.epochs
+    if args.batch_size is not None:
+        kwargs["batch_size"] = args.batch_size
+    if args.lr is not None:
+        kwargs["learning_rate"] = args.lr
+    if args.patience is not None:
+        kwargs["patience"] = args.patience
     if args.hidden_dims is not None:
         kwargs["hidden_dims"] = _int_list("--hidden-dims", args.hidden_dims)
-    return TrainConfig(**kwargs, normalize_swarm=args.normalize_swarm)
+    if args.normalize_swarm:
+        kwargs["normalize_swarm"] = True
+    return TrainConfig(**kwargs)
 
 
 def cmd_gen_data(args) -> int:
@@ -313,10 +321,16 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
+    except (ConfigError, DimensionMismatchError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return USAGE_EXIT
     except (TrainingDivergedError, DegenerateBaselineError, TiedModeError) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return NUMERICAL_EXIT
-    except (SwarmBCError, OSError) as exc:  # OSError: e.g. an unwritable output path
+    except SwarmBCError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return USAGE_EXIT
+    except OSError as exc:  # e.g. an output path that cannot be written
         print(f"error: {exc}", file=sys.stderr)
         return USAGE_EXIT
     except KeyboardInterrupt:  # sweeps resume; no traceback

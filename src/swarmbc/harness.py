@@ -16,11 +16,11 @@ import csv
 import fcntl
 import hashlib
 import io
+import multiprocessing
 import os
 import signal
 import socket
 import threading
-import time
 import warnings
 from concurrent.futures import ProcessPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
@@ -463,22 +463,23 @@ def _pool(workers: int, lock: int) -> ProcessPoolExecutor:
     the lock ends with the parent, and ends itself, mid-cell too, once the
     parent is gone."""
     return ProcessPoolExecutor(workers, initializer=_init_worker,
-                               initargs=(lock, os.fstat(lock), os.getpid()))
+                               initargs=(lock, os.fstat(lock)))
 
 
-def _init_worker(lock: int, lock_stat, parent: int):
+def _init_worker(lock: int, lock_stat):
     signal.signal(signal.SIGINT, signal.SIG_IGN)
     with contextlib.suppress(OSError):  # not forked: the number names another file, or none
         if os.path.samestat(os.fstat(lock), lock_stat):
             os.close(lock)
-    threading.Thread(target=_exit_when_orphaned, args=(parent,), daemon=True).start()
+    threading.Thread(target=_exit_when_orphaned, daemon=True).start()
 
 
-def _exit_when_orphaned(parent: int):
-    """End this worker once its parent has died: an orphan is adopted by
-    another process, so ``os.getppid()`` changes."""
-    while os.getppid() == parent:
-        time.sleep(0.5)
+def _exit_when_orphaned():
+    """End this worker once the process that started it has died, under any
+    start method: its sentinel, a pipe that process holds open, then reads
+    EOF. A forked worker also holds the pipes of the workers forked before
+    it, so they end one after another, the last started first."""
+    multiprocessing.parent_process().join()
     os._exit(1)
 
 
@@ -653,8 +654,8 @@ def _write_summary(path: Path, columns, groups, row_key=None, **chart):
     write_table(path.with_name(path.name + ".csv"),
                 [*columns, "scaled_return_mean", "scaled_return_std", "n_runs"],
                 sorted(rows, key=row_key) if row_key else rows)
-    svg.line_chart(path.with_name(path.name + ".svg"), list(series.values()),
-                   y_label="mean scaled return", **chart)
+    replace_file(path.with_name(path.name + ".svg"),
+                 svg.line_chart(list(series.values()), y_label="mean scaled return", **chart))
 
 
 def write_summaries(cfg: ExperimentConfig, store: ResultsStore, out_dir):
@@ -724,12 +725,12 @@ def _write_trace_summaries(cfg: ExperimentConfig, out_dir: Path):
             svg.Series(m, list(range(len(v))), list(v))
             for m, v in sorted(per_method.items())
         ]
-        svg.line_chart(
-            out_dir / f"action_diff_{env}.svg", series,
+        replace_file(out_dir / f"action_diff_{env}.svg", svg.line_chart(
+            series,
             title=f"Member disagreement over an episode ({env}, {n_ep} expert ep)",
             x_label="timestep",
             y_label="mean action difference d",
-        )
+        ))
 
 
 # --- config file -----------------------------------------------------------

@@ -239,15 +239,23 @@ def write_trajectory_csv(traj: Trajectory, path) -> None:
     """Per-timestep CSV: t, reward, d, then a_member{i}_{dim} columns when
     member actions were recorded. d is blank for single-member rollouts."""
     header = ["t", "reward", "d"]
+    n_members = action_dim = 0
     if traj.member_actions is not None:
         _, n_members, action_dim = traj.member_actions.shape
-        header += [f"a_member{i}_{j}" for i in range(n_members) for j in range(action_dim)]
+        for i in range(n_members):
+            for j in range(action_dim):
+                header.append(f"a_member{i}_{j}")
     with open(path, "w", newline="") as f:
         writer = csv.writer(f)
         writer.writerow(header)
         for t in range(len(traj)):
-            d = "" if traj.action_diffs is None else repr(float(traj.action_diffs[t]))
-            row = [t, repr(float(traj.rewards[t])), d]
+            row = [t, repr(float(traj.rewards[t]))]
+            if traj.action_diffs is not None:
+                row.append(repr(float(traj.action_diffs[t])))
+            else:
+                row.append("")
             if traj.member_actions is not None:
-                row.extend(repr(float(v)) for v in traj.member_actions[t].reshape(-1))
+                row.extend(
+                    repr(float(v)) for v in traj.member_actions[t].reshape(-1)
+                )
             writer.writerow(row)

@@ -1,11 +1,10 @@
-"""Tiny SVG line charts: polylines, optional mean +/- std bands, axis
-ticks, and a legend. No plotting dependency; each chart is written whole
-through ``harness.replace_file``."""
+"""Tiny standalone SVG line charts: polylines, optional mean +/- std bands,
+axis ticks, and a legend. No plotting dependency; ``line_chart`` returns
+the SVG text and the caller writes it."""
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from pathlib import Path
 from typing import Optional, Sequence
 
 PALETTE = ("#1f77b4", "#d62728", "#2ca02c", "#ff7f0e", "#9467bd", "#8c564b")
@@ -31,7 +30,7 @@ def _fmt(v):
     return f"{v:.4g}"
 
 
-def line_chart(path, series, title="", x_label="", y_label="",
+def line_chart(series, title="", x_label="", y_label="",
                width=640, height=420):
     if not series:
         raise ValueError("need at least one series")
@@ -142,6 +141,4 @@ def line_chart(path, series, title="", x_label="", y_label="",
         )
 
     out.append("</svg>")
-    from .harness import replace_file  # harness imports this module
-
-    replace_file(Path(path), "\n".join(out) + "\n")
+    return "\n".join(out) + "\n"

@@ -599,7 +599,11 @@ def test_unwritable_output_paths_exit_1_with_one_error_line(tmp_path, capsys, sm
     assert (tmp_path / "file").read_text() == "a regular file\n"
 
 
-def test_the_workers_of_a_killed_sweep_parent_end_by_themselves(tmp_path):
+def _kill_the_parent_mid_sweep_and_rerun(tmp_path, wait_for_workers):
+    """SIGKILL a ``--workers 2`` sweep's parent alone after its first cell;
+    with ``wait_for_workers``, its workers must then end by themselves within
+    10 s. A rerun takes the lock over at once and ends with a clean sweep's
+    files."""
     cfg_path = tmp_path / "sweep.cfg"
     cfg_path.write_text(SMALL_SWEEP.replace("n_seeds = 2", "n_seeds = 6"))
     argv = ("sweep", "--config", cfg_path, "--out", tmp_path / "out", "--workers", 2)
@@ -610,7 +614,8 @@ def test_the_workers_of_a_killed_sweep_parent_end_by_themselves(tmp_path):
                 break
         os.kill(proc.pid, signal.SIGKILL)  # the parent alone
         proc.wait(timeout=60)
-        _wait_for_no_process_of(proc.pid, timeout=10)  # its workers end without a signal
+        if wait_for_workers:
+            _wait_for_no_process_of(proc.pid, timeout=10)  # no signal sent to them
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
             assert run_cli(*argv) == 0
@@ -628,27 +633,8 @@ def test_the_workers_of_a_killed_sweep_parent_end_by_themselves(tmp_path):
 
 
 def test_a_sweep_whose_parent_is_killed_reruns_at_once_to_a_clean_sweeps_files(tmp_path):
-    cfg_path = tmp_path / "sweep.cfg"
-    cfg_path.write_text(SMALL_SWEEP.replace("n_seeds = 2", "n_seeds = 6"))
-    argv = ("sweep", "--config", cfg_path, "--out", tmp_path / "out", "--workers", 2)
-    proc = _cli(*argv, stdout=subprocess.PIPE, stderr=subprocess.DEVNULL)
-    try:
-        for line in proc.stdout:
-            if line.startswith("  "):  # the first cell's progress line
-                break
-        os.kill(proc.pid, signal.SIGKILL)  # the parent alone: its workers run on
-        proc.wait(timeout=60)
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            assert run_cli(*argv) == 0
-        assert any("taking over the lock of pid" in str(w.message) for w in caught)
-    finally:
-        if proc.poll() is None:
-            proc.kill()
-            proc.wait()
-        proc.stdout.close()
-        with contextlib.suppress(ProcessLookupError):
-            os.killpg(proc.pid, signal.SIGKILL)
-        _wait_for_no_process_of(proc.pid)
-    assert run_cli(*argv[:3], "--out", tmp_path / "clean") == 0
-    assert _tree(tmp_path / "out") == _tree(tmp_path / "clean")
+    _kill_the_parent_mid_sweep_and_rerun(tmp_path, wait_for_workers=False)
+
+
+def test_the_workers_of_a_killed_sweep_parent_end_by_themselves(tmp_path):
+    _kill_the_parent_mid_sweep_and_rerun(tmp_path, wait_for_workers=True)

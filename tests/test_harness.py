@@ -914,22 +914,26 @@ def test_only_the_parent_holds_the_lock(tmp_path, monkeypatch, workers):
 
 
 @pytest.mark.skipif(not hasattr(os, "fork"), reason="the pool's parent is a forked process")
-def test_a_pool_worker_ends_mid_job_once_its_parent_is_gone(tmp_path):
+@pytest.mark.parametrize("method", ["fork", "forkserver", "spawn"])
+def test_a_pool_worker_ends_mid_job_once_its_parent_is_gone(tmp_path, method):
     lock = os.open(tmp_path / "lock", os.O_CREAT | os.O_RDWR)
     pid = os.fork()
     if pid == 0:  # leads a session of its own; dies while its worker runs a long job
+        code = 1
         try:
             os.setsid()
+            multiprocessing.set_start_method(method, force=True)
             pool = harness._pool(1, lock)
-            pool.submit(os.getpid).result()  # the worker is up
+            pool.submit(os.getpid).result()  # the worker is up and runs jobs
             pool.submit(time.sleep, 600)
             time.sleep(0.5)  # and in the job
+            code = 0
         finally:
-            os._exit(0)
+            os._exit(code)
     os.close(lock)
-    os.waitpid(pid, 0)
     deadline = time.monotonic() + 10
     try:
+        assert os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1]) == 0, "the worker failed"
         while True:
             try:
                 os.killpg(pid, 0)

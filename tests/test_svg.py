@@ -3,16 +3,13 @@ import pytest
 from swarmbc.svg import Series, line_chart
 
 
-def test_chart_contains_polyline_and_labels(tmp_path):
-    path = tmp_path / "chart.svg"
-    line_chart(
-        path,
+def test_chart_contains_polyline_and_labels():
+    text = line_chart(
         [Series("a", [1, 2, 3], [0.1, 0.5, 0.3]),
          Series("b", [1, 2, 3], [0.4, 0.2, 0.6], lo=[0.3, 0.1, 0.5],
                 hi=[0.5, 0.3, 0.7])],
         title="demo", x_label="x", y_label="y",
     )
-    text = path.read_text()
     assert text.startswith("<svg")
     assert text.rstrip().endswith("</svg>")
     assert text.count("<polyline") == 2
@@ -21,12 +18,10 @@ def test_chart_contains_polyline_and_labels(tmp_path):
         assert token in text
 
 
-def test_chart_handles_flat_series(tmp_path):
-    path = tmp_path / "flat.svg"
-    line_chart(path, [Series("flat", [0, 1], [2.0, 2.0])])
-    assert "<polyline" in path.read_text()
+def test_chart_handles_flat_series():
+    assert "<polyline" in line_chart([Series("flat", [0, 1], [2.0, 2.0])])
 
 
-def test_chart_rejects_empty(tmp_path):
+def test_chart_rejects_empty():
     with pytest.raises(ValueError):
-        line_chart(tmp_path / "x.svg", [])
+        line_chart([])
