@@ -14,7 +14,7 @@ import sys
 from pathlib import Path
 
 from . import harness, theory
-from .data import load_dataset, save_dataset
+from .data import load_dataset, replace_file, save_dataset
 from .ensemble import TrainConfig, load_ensemble, save_ensemble, train
 from .ensemble import gradient_max_rel_error
 from .envs import ENV_IDS, generate_dataset, make_env
@@ -197,7 +197,7 @@ def cmd_sweep(args) -> int:
         path = Path(args.write_config)
         if path.exists() and not args.force:
             raise ConfigError(f"{path} exists; rerun with --force to overwrite")
-        path.write_text(harness.default_config_text())
+        replace_file(path, harness.default_config_text())
         _echo(f"wrote default config to {path}")
         return 0
     cfg = (

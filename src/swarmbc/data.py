@@ -8,11 +8,15 @@ A dataset file starts with one header record::
 followed by one ``{"s": [...], "a": [...]}`` record per sample. Floats are
 written with Python's shortest round-trip representation, so a load/save
 cycle is lossless at 64-bit precision.
+
+``replace_file`` is the package's one writer of whole files; it lives here
+because every module that writes one imports this one.
 """
 
 from __future__ import annotations
 
 import json
+import os
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -79,6 +83,20 @@ class Dataset:
         return len(self.states)
 
 
+def replace_file(path, text: str):
+    """Write ``text`` to ``path`` through a temporary file and ``os.replace``,
+    so a crash leaves the old file or the new one, never a mix. A failed
+    write removes its temporary file."""
+    path = Path(path)
+    tmp = path.with_name(path.name + ".tmp")
+    try:
+        tmp.write_text(text, encoding="utf-8", newline="")
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
+
+
 def save_dataset(dataset: Dataset, path) -> None:
     m = dataset.meta
     header = {
@@ -89,10 +107,10 @@ def save_dataset(dataset: Dataset, path) -> None:
         "action_dim": m.action_dim,
         "action_kind": m.action_kind,
     }
-    with open(path, "w") as f:
-        f.write(json.dumps(header) + "\n")
-        for s, a in zip(dataset.states, dataset.actions):
-            f.write(json.dumps({"s": s.tolist(), "a": a.tolist()}) + "\n")
+    lines = [json.dumps(header)]
+    lines += [json.dumps({"s": s.tolist(), "a": a.tolist()})
+              for s, a in zip(dataset.states, dataset.actions)]
+    replace_file(path, "\n".join(lines) + "\n")
 
 
 def load_dataset(path) -> Dataset:

@@ -30,7 +30,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from . import nn
-from .data import Dataset
+from .data import Dataset, replace_file
 from .envs import ENV_IDS, env_spec
 from .errors import ConfigError, DimensionMismatchError, TrainingDivergedError
 
@@ -481,8 +481,7 @@ def save_ensemble(ensemble: Ensemble, path) -> None:
             for i in range(ensemble.n_members)
         ],
     }
-    with open(path, "w") as f:
-        json.dump(doc, f)
+    replace_file(path, json.dumps(doc))
 
 
 def load_ensemble(path) -> Ensemble:

@@ -16,14 +16,8 @@ import csv
 import fcntl
 import hashlib
 import io
-import multiprocessing
 import os
-import signal
-import socket
-import threading
 import warnings
-from concurrent.futures import ProcessPoolExecutor
-from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass, field
 from operator import attrgetter
 from pathlib import Path
@@ -31,6 +25,7 @@ from pathlib import Path
 import numpy as np
 
 from . import svg
+from .data import replace_file
 from .ensemble import METHODS, TrainConfig, check_tau, train
 from .envs import ENV_IDS, make_env
 from .errors import ConfigError
@@ -305,14 +300,6 @@ def append_row(path: Path, row, columns, schema=None):
         f.write(_csv_text([columns, row], schema) if f.tell() == 0 else _csv_text([row]))
 
 
-def replace_file(path: Path, text: str):
-    """Write ``text`` to ``path`` through a temporary file and ``os.replace``,
-    so a crash leaves the old file or the new one, never a mix."""
-    tmp = path.with_name(path.name + ".tmp")
-    tmp.write_text(text, encoding="utf-8", newline="")
-    os.replace(tmp, path)
-
-
 def write_table(path: Path, columns, rows, schema=None):
     replace_file(path, _csv_text([columns, *rows], schema))
 
@@ -456,17 +443,23 @@ def _cell_worker(args):
         return "error", cell, f"{type(exc).__name__}: {exc}", None
 
 
-def _pool(workers: int, lock: int) -> ProcessPoolExecutor:
+def _pool(workers: int, lock: int):
     """Workers ignore SIGINT, which Ctrl-C sends to the whole process group:
     the parent alone stops the sweep, once the running cells end. A forked
     worker closes its copy of ``lock``, the sweep lock's descriptor, so that
     the lock ends with the parent, and ends itself, mid-cell too, once the
-    parent is gone."""
+    parent is gone. The pool machinery is imported only where a pool runs,
+    so that a serial process never loads it."""
+    from concurrent.futures import ProcessPoolExecutor
+
     return ProcessPoolExecutor(workers, initializer=_init_worker,
                                initargs=(lock, os.fstat(lock)))
 
 
 def _init_worker(lock: int, lock_stat):
+    import signal
+    import threading
+
     signal.signal(signal.SIGINT, signal.SIG_IGN)
     with contextlib.suppress(OSError):  # not forked: the number names another file, or none
         if os.path.samestat(os.fstat(lock), lock_stat):
@@ -479,6 +472,8 @@ def _exit_when_orphaned():
     start method: its sentinel, a pipe that process holds open, then reads
     EOF. A forked worker also holds the pipes of the workers forked before
     it, so they end one after another, the last started first."""
+    import multiprocessing
+
     multiprocessing.parent_process().join()
     os._exit(1)
 
@@ -487,6 +482,8 @@ def _isolated_cell_worker(args, lock: int):
     """Run one cell in a fresh one-process pool, so that a worker that dies
     is pinned on the cell it was running. The pool starts its process the
     way the sweep's pool does, so the rerun meets what killed the worker."""
+    from concurrent.futures.process import BrokenProcessPool
+
     try:
         with _pool(1, lock) as pool:
             return pool.submit(_cell_worker, args).result()
@@ -522,7 +519,7 @@ def sweep_lock(out_dir: Path):
             warnings.warn(f"{path}: taking over the lock of pid {holder[0]}, which is gone",
                           RuntimeWarning)
         os.ftruncate(fd, 0)
-        os.pwrite(fd, f"{os.getpid()} {socket.gethostname()}\n".encode(), 0)
+        os.pwrite(fd, f"{os.getpid()} {os.uname().nodename}\n".encode(), 0)
         yield fd
     finally:
         path.unlink(missing_ok=True)  # before the unlock, so that it is this sweep's file
@@ -595,6 +592,8 @@ def _locked_sweep(cfg: ExperimentConfig, out_dir: Path, workers: int, force: boo
 
     jobs = [(cfg, c, (baselines[c.env], datasets[dataset_key(cfg, c)])) for c in pending]
     if workers > 1:
+        from concurrent.futures.process import BrokenProcessPool
+
         done = 0
         try:
             with _pool(workers, lock) as pool:

@@ -21,12 +21,13 @@ trajectory copies out its first ``length`` rows.
 from __future__ import annotations
 
 import csv
+import io
 from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
 
-from .data import Dataset, DatasetMeta
+from .data import Dataset, DatasetMeta, replace_file
 from .ensemble import Ensemble, deployed_action
 from .envs import DeskEnv, random_action
 from .errors import ConfigError, DegenerateBaselineError, DimensionMismatchError
@@ -245,17 +246,18 @@ def write_trajectory_csv(traj: Trajectory, path) -> None:
         for i in range(n_members):
             for j in range(action_dim):
                 header.append(f"a_member{i}_{j}")
-    with open(path, "w", newline="") as f:
-        writer = csv.writer(f)
-        writer.writerow(header)
-        for t in range(len(traj)):
-            row = [t, repr(float(traj.rewards[t]))]
-            if traj.action_diffs is not None:
-                row.append(repr(float(traj.action_diffs[t])))
-            else:
-                row.append("")
-            if traj.member_actions is not None:
-                row.extend(
-                    repr(float(v)) for v in traj.member_actions[t].reshape(-1)
-                )
-            writer.writerow(row)
+    buf = io.StringIO()
+    writer = csv.writer(buf)  # its rows end in "\r\n"
+    writer.writerow(header)
+    for t in range(len(traj)):
+        row = [t, repr(float(traj.rewards[t]))]
+        if traj.action_diffs is not None:
+            row.append(repr(float(traj.action_diffs[t])))
+        else:
+            row.append("")
+        if traj.member_actions is not None:
+            row.extend(
+                repr(float(v)) for v in traj.member_actions[t].reshape(-1)
+            )
+        writer.writerow(row)
+    replace_file(path, buf.getvalue())

@@ -4,6 +4,8 @@ import fcntl
 import hashlib
 import json
 import os
+import random
+import resource
 import signal
 import subprocess
 import sys
@@ -11,12 +13,17 @@ import time
 import warnings
 from pathlib import Path
 
+import numpy as np
 import pytest
+from golden_cases import golden_ensemble
 
 import swarmbc
 from swarmbc.cli import _resolve_method_params, main
-from swarmbc.ensemble import METHODS
-from swarmbc.harness import ExperimentConfig, method_params
+from swarmbc.data import save_dataset
+from swarmbc.ensemble import METHODS, save_ensemble
+from swarmbc.envs import generate_dataset, make_env
+from swarmbc.harness import ExperimentConfig, method_params, read_results
+from swarmbc.metrics import rollouts, write_trajectory_csv
 from swarmbc.theory import concentration_report, gaussian_grid_density
 
 
@@ -501,13 +508,16 @@ def _tree(out):
             for p in sorted(out.rglob("*")) if p.is_file()}
 
 
+def _child_env():
+    return dict(os.environ, PYTHONUNBUFFERED="1",
+                PYTHONPATH=str(Path(swarmbc.__file__).resolve().parents[1]))
+
+
 def _cli(*argv, **kwargs):
     """``swarmbc *argv`` as a subprocess in a session of its own, so that a
     signal to its process group reaches its pool workers too."""
-    env = dict(os.environ, PYTHONUNBUFFERED="1",
-               PYTHONPATH=str(Path(swarmbc.__file__).resolve().parents[1]))
-    return subprocess.Popen([sys.executable, "-m", "swarmbc.cli", *map(str, argv)], env=env,
-                            text=True, start_new_session=True, **kwargs)
+    return subprocess.Popen([sys.executable, "-m", "swarmbc.cli", *map(str, argv)],
+                            env=_child_env(), text=True, start_new_session=True, **kwargs)
 
 
 def _wait_for_no_process_of(group, timeout=30.0):
@@ -638,3 +648,103 @@ def test_a_sweep_whose_parent_is_killed_reruns_at_once_to_a_clean_sweeps_files(t
 
 def test_the_workers_of_a_killed_sweep_parent_end_by_themselves(tmp_path):
     _kill_the_parent_mid_sweep_and_rerun(tmp_path, wait_for_workers=True)
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_a_sweep_killed_at_random_times_reruns_to_a_clean_sweeps_files(tmp_path, workers):
+    """SIGKILL a sweep's whole process group at 6 seeded random offsets within
+    a clean run's time: every process is reaped, and a rerun ends with a
+    clean sweep's files."""
+    cfg_path = tmp_path / "sweep.cfg"
+    cfg_path.write_text(SMALL_SWEEP.replace("n_seeds = 2", "n_seeds = 4"))
+    argv = ("sweep", "--config", cfg_path, "--workers", workers)
+    start = time.monotonic()
+    assert _cli(*argv, "--out", tmp_path / "clean", stdout=subprocess.DEVNULL).wait(120) == 0
+    span = time.monotonic() - start
+    want = _tree(tmp_path / "clean")
+    rng = random.Random(workers)
+    for k, offset in enumerate(sorted(rng.uniform(0, span) for _ in range(6))):
+        out = tmp_path / f"killed_{k}"
+        proc = _cli(*argv, "--out", out, stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL)
+        try:
+            with contextlib.suppress(subprocess.TimeoutExpired):
+                proc.wait(timeout=offset)
+        finally:
+            with contextlib.suppress(ProcessLookupError):
+                os.killpg(proc.pid, signal.SIGKILL)
+            proc.wait()
+        _wait_for_no_process_of(proc.pid, timeout=10)
+        with warnings.catch_warnings(record=True):  # a lock taken over, a torn row dropped
+            warnings.simplefilter("always")
+            assert run_cli(*argv, "--out", out) == 0, (k, offset)
+        assert _tree(out) == want, (k, offset)
+
+
+def test_a_serial_sweep_never_loads_the_process_pool_machinery(tmp_path):
+    (tmp_path / "sweep.cfg").write_text(
+        "envs = point_reach\nmethods = bc\nepisode_counts = 1\nn_seeds = 1\n"
+        "eval_episodes = 1\nablations = false\nepochs = 2\nhidden_dims = 4\n")
+    script = ("import sys\n"
+              "from swarmbc.cli import main\n"
+              "assert main(sys.argv[1:]) == 0\n"
+              "print('loaded:', *sorted({'multiprocessing', 'concurrent.futures', 'socket'}"
+              " & set(sys.modules)))\n")
+    proc = subprocess.run([sys.executable, "-c", script, "sweep", "--config",
+                           tmp_path / "sweep.cfg", "--out", tmp_path / "out"],
+                          env=_child_env(), capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert len(read_results(tmp_path / "out" / "results.csv")) == 1
+    assert proc.stdout.splitlines()[-1] == "loaded:"
+
+
+@contextlib.contextmanager
+def _files_stop_growing_at(size):
+    """In the block, a write that would take a file past ``size`` bytes is
+    cut there and fails (EFBIG), as a write to a full disk does."""
+    soft, hard = resource.getrlimit(resource.RLIMIT_FSIZE)
+    resource.setrlimit(resource.RLIMIT_FSIZE, (size, hard))
+    try:
+        yield
+    finally:
+        resource.setrlimit(resource.RLIMIT_FSIZE, (soft, hard))
+
+
+def _write_trajectory(version, path):
+    env = make_env("pendulum_swing")
+    seeds = np.random.SeedSequence(version).spawn(1)
+    traj, = rollouts(env, golden_ensemble(env.spec.env_id, 2), seeds, record_members=True)
+    write_trajectory_csv(traj, path)
+
+
+def _write_config(version, path):
+    if version == 0:
+        path.write_text("n_seeds = 1\n")
+    elif run_cli("sweep", "--write-config", path, "--force") != 0:
+        raise OSError("--write-config failed")
+
+
+# Each writer of a whole file, as (name, write(version, path)): two versions
+# give two different files.
+WHOLE_FILE_WRITERS = {
+    "dataset": lambda v, path: save_dataset(generate_dataset(make_env("point_reach"), 1, v),
+                                            path),
+    "model": lambda v, path: save_ensemble(golden_ensemble("point_reach", 2 + v), path),
+    "trajectory": _write_trajectory,
+    "write_config": _write_config,
+}
+
+
+@pytest.mark.parametrize("name", WHOLE_FILE_WRITERS)
+def test_a_whole_file_write_cut_halfway_keeps_the_old_file(tmp_path, capsys, name):
+    write = WHOLE_FILE_WRITERS[name]
+    write(1, tmp_path / "new")
+    new = (tmp_path / "new").read_bytes()
+    (tmp_path / "out").mkdir()
+    path = tmp_path / "out" / name
+    write(0, path)
+    old = path.read_bytes()
+    assert old != new
+    with _files_stop_growing_at(len(new) // 2), pytest.raises(OSError):
+        write(1, path)
+    assert path.read_bytes() == old
+    assert os.listdir(tmp_path / "out") == [name]  # no temporary file left
