@@ -7,7 +7,6 @@ from .ensemble import (
     Ensemble,
     LossBreakdown,
     TrainConfig,
-    ensemble_action,
     load_ensemble,
     save_ensemble,
     standard_loss,

@@ -166,7 +166,7 @@ def cmd_eval(args) -> int:
     policy = ens if ens is not None else (lambda obs, _: env.expert_action(obs))
     trajs, mean_return, mean_diff = harness.evaluate(
         env, policy, harness.fan_out_seed(args.seed, "eval", env_id), args.episodes,
-        baselines[env_id], record_members=ens is not None and ens.n_members >= 2,
+        baselines[env_id],
     )
     for i, traj in enumerate(trajs):
         write_trajectory_csv(traj, out_dir / f"traj_ep{i:03d}.csv")

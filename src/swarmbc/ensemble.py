@@ -230,12 +230,6 @@ def deployed_action(ensemble: Ensemble, outputs):
     return mean
 
 
-def ensemble_action(ensemble: Ensemble, s):
-    """The deployed action for one state (an int for discrete heads)."""
-    action = deployed_action(ensemble, ensemble.predict_members(s))
-    return int(action) if ensemble.action_kind == "discrete" else action
-
-
 def _kernel(ensemble: Ensemble, n_batch: int, dweights, dbiases):
     """The training step for batches of ``n_batch`` rows, over buffers allocated
     once: ``step(x, actions, bc_sums, swarm_sums)`` on normalized states writes

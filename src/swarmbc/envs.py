@@ -87,10 +87,6 @@ class DeskEnv:
     def steps(self) -> int:
         return self._steps
 
-    @property
-    def done(self) -> bool:
-        return self._done
-
     def step(self, action):
         if self._state is None:
             raise EpisodeDoneError(f"{self.spec.env_id}: step() before reset()")

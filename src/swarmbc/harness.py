@@ -18,18 +18,18 @@ import hashlib
 import io
 import os
 import warnings
-from dataclasses import dataclass, field
-from operator import attrgetter
+from dataclasses import astuple, dataclass, field
+from operator import attrgetter, itemgetter
 from pathlib import Path
 
 import numpy as np
 
 from . import svg
 from .data import replace_file
-from .ensemble import METHODS, TrainConfig, check_tau, train
+from .ensemble import METHODS, Ensemble, TrainConfig, check_tau, train
 from .envs import ENV_IDS, make_env
 from .errors import ConfigError
-from .metrics import RunRecord, rollouts, scaled_return, scripted_rollouts
+from .metrics import Cell, RunRecord, rollouts, scaled_return, scripted_rollouts
 
 RESULTS_SCHEMA = "swarmbc.results.v1"
 BASELINES_SCHEMA = "swarmbc.baselines.v1"
@@ -67,8 +67,11 @@ class ExperimentConfig:
 
     def __post_init__(self):
         for name in ("envs", "methods", "episode_counts", "tau_grid", "n_grid"):
-            if not getattr(self, name):
+            values = getattr(self, name)
+            if not values:
                 raise ConfigError(f"{name} must be non-empty")
+            if len(set(values)) < len(values):
+                raise ConfigError(f"{name} repeats a value: {', '.join(map(str, values))}")
         for env in self.envs:
             if env not in ENV_IDS:
                 raise ConfigError(f"unknown env {env!r}")
@@ -89,32 +92,6 @@ class ExperimentConfig:
             check_method_params(method, tau, n_members)
 
 
-@dataclass(frozen=True)
-class Cell:
-    env: str
-    method: str
-    n_episodes: int
-    tau: float
-    n_members: int
-    seed_index: int
-
-    def key(self):
-        return (
-            self.env,
-            self.method,
-            self.n_episodes,
-            repr(float(self.tau)),
-            self.n_members,
-            self.seed_index,
-        )
-
-    @classmethod
-    def parse(cls, row):
-        """The cell whose ``key()`` is the first six fields of a table row."""
-        env, method, n_episodes, tau, n_members, seed_index = row[:6]
-        return cls(env, method, int(n_episodes), float(tau), int(n_members), int(seed_index))
-
-
 def config_fingerprint(cfg: ExperimentConfig) -> str:
     """sha256 of the config's dataclass repr: every field, training
     hyperparameters included, floats written exactly."""
@@ -132,12 +109,12 @@ def cell_seeds(cfg: ExperimentConfig, cell: Cell):
     """(dataset, train, eval) seeds. Dataset and eval seeds ignore the
     method and hyperparameters so method comparisons are paired."""
     ms = cfg.master_seed
-    data = fan_out_seed(ms, "data", cell.env, cell.n_episodes, cell.seed_index)
+    data = fan_out_seed(ms, "data", cell.env, cell.n_expert_episodes, cell.seed)
     tr = fan_out_seed(
         ms, "train", cell.env, cell.method, repr(float(cell.tau)),
-        cell.n_members, cell.n_episodes, cell.seed_index,
+        cell.n_members, cell.n_expert_episodes, cell.seed,
     )
-    ev = fan_out_seed(ms, "eval", cell.env, cell.seed_index)
+    ev = fan_out_seed(ms, "eval", cell.env, cell.seed)
     return data, tr, ev
 
 
@@ -195,16 +172,18 @@ def trace_size(cfg: ExperimentConfig) -> int:
 
 
 def _wants_trace(cfg: ExperimentConfig, cell: Cell) -> bool:
-    return (cell.method != "bc" and cell.n_episodes == trace_size(cfg)
+    return (cell.method != "bc" and cell.n_expert_episodes == trace_size(cfg)
             and (cell.tau, cell.n_members) == method_params(cfg, cell.method))
 
 
-def evaluate(env, policy, eval_seed: int, n_episodes: int, baseline, record_members: bool):
+def evaluate(env, policy, eval_seed: int, n_episodes: int, baseline):
     """The evaluation loop of sweep cells and ``swarmbc eval``: ``n_episodes``
-    seeded episodes in lockstep. Returns ``(trajectories, mean scaled
-    return, mean action difference or None)``."""
+    seeded episodes in lockstep, recording member outputs when ``policy`` is
+    an Ensemble of N >= 2. Returns ``(trajectories, mean scaled return, mean
+    action difference or None)``."""
     seeds = np.random.SeedSequence(eval_seed).spawn(n_episodes)
-    trajs = rollouts(env, policy, seeds, record_members=record_members)
+    members = isinstance(policy, Ensemble) and policy.n_members >= 2
+    trajs = rollouts(env, policy, seeds, record_members=members)
     r_random, r_expert = baseline
     returns = [scaled_return(t.episode_return, r_random, r_expert) for t in trajs]
     diffs = [t.mean_action_difference for t in trajs if t.action_diffs is not None]
@@ -221,20 +200,8 @@ def run_cell(cfg: ExperimentConfig, cell: Cell, inputs):
     ens, _ = train(dataset, cell.n_members, cell.tau, cfg.train, train_seed)
 
     trajs, mean_return, mean_diff = evaluate(
-        make_env(cell.env), ens, eval_seed, cfg.eval_episodes, baseline,
-        record_members=cell.n_members >= 2,
-    )
-    record = RunRecord(
-        env=cell.env,
-        method=cell.method,
-        n_expert_episodes=cell.n_episodes,
-        tau=cell.tau,
-        n_members=cell.n_members,
-        seed=cell.seed_index,
-        scaled_return=mean_return,
-        action_diff=mean_diff,
-    )
-
+        make_env(cell.env), ens, eval_seed, cfg.eval_episodes, baseline)
+    record = RunRecord(*astuple(cell), mean_return, mean_diff)
     d_traces = [t.action_diffs for t in trajs if t.action_diffs is not None]
     trace = _ragged_mean(d_traces) if d_traces and _wants_trace(cfg, cell) else None
     return record, trace
@@ -304,30 +271,14 @@ def write_table(path: Path, columns, rows, schema=None):
     replace_file(path, _csv_text([columns, *rows], schema))
 
 
-def _record_key(rec: RunRecord):
-    return Cell(rec.env, rec.method, rec.n_expert_episodes, rec.tau, rec.n_members,
-                rec.seed).key()
-
-
-def _parse_record(row) -> RunRecord:
-    cell = Cell.parse(row)
-    scaled_return, action_diff = row[6:]
-    return RunRecord(
-        env=cell.env, method=cell.method, n_expert_episodes=cell.n_episodes,
-        tau=cell.tau, n_members=cell.n_members, seed=cell.seed_index,
-        scaled_return=float(scaled_return),
-        action_diff=float(action_diff) if action_diff else None,
-    )
-
-
 def _result_row(rec: RunRecord) -> list:
     diff = "" if rec.action_diff is None else repr(float(rec.action_diff))
-    return [*_record_key(rec), repr(float(rec.scaled_return)), diff]
+    return [*rec.key(), repr(float(rec.scaled_return)), diff]
 
 
 def read_results(path: Path) -> list[RunRecord]:
     """Every complete row of a results CSV (sweep or ``swarmbc eval``)."""
-    return read_table(path, RESULTS_COLUMNS, _parse_record, RESULTS_SCHEMA)
+    return read_table(path, RESULTS_COLUMNS, RunRecord.parse, RESULTS_SCHEMA)
 
 
 def append_result(path: Path, rec: RunRecord):
@@ -343,42 +294,40 @@ class ResultsStore:
 
     def __init__(self, path):
         self.path = Path(path)
-        self._index = {}  # Cell.key() -> (row, record), in file order
+        self._index = {}  # Cell.key() -> record, in file order
         records = read_results(self.path)
         for rec in records:
-            row = _result_row(rec)
-            kept = self._index.setdefault(_record_key(rec), (row, rec))[0]
-            if kept != row:
+            kept = self._index.setdefault(rec.key(), rec)
+            if kept is not rec and _result_row(kept) != _result_row(rec):
                 raise ConfigError(f"{self.path}: two different rows for one cell: "
-                                  f"{kept} and {row}")
+                                  f"{_result_row(kept)} and {_result_row(rec)}")
         if len(self._index) < len(records):
             warnings.warn(f"{self.path}: dropping {len(records) - len(self._index)} "
                           "repeated row(s)", RuntimeWarning)
-            write_table(self.path, RESULTS_COLUMNS, [row for row, _ in self._index.values()],
+            write_table(self.path, RESULTS_COLUMNS, map(_result_row, self._index.values()),
                         RESULTS_SCHEMA)
 
     @property
     def records(self) -> list[RunRecord]:
-        return [rec for _, rec in self._index.values()]
+        return list(self._index.values())
 
     def has(self, cell: Cell) -> bool:
         return cell.key() in self._index
 
     def get(self, cell: Cell):
         """The cell's record, or None."""
-        return self._index.get(cell.key(), (None, None))[1]
+        return self._index.get(cell.key())
 
     def append(self, rec: RunRecord):
-        key = _record_key(rec)
-        if key in self._index:
+        if rec.key() in self._index:
             return  # completed cells are a no-op
         append_result(self.path, rec)  # written first: a failed write leaves the cell open
-        self._index[key] = _result_row(rec), rec
+        self._index[rec.key()] = rec
 
 
 def dataset_key(cfg: ExperimentConfig, cell: Cell):
     """(env, n_episodes, data seed): the cells of one key train on one dataset."""
-    return cell.env, cell.n_episodes, cell_seeds(cfg, cell)[0]
+    return cell.env, cell.n_expert_episodes, cell_seeds(cfg, cell)[0]
 
 
 def load_or_compute_baselines(cfg: ExperimentConfig, out_dir: Path) -> dict:
@@ -425,7 +374,7 @@ def scripted_inputs(cfg: ExperimentConfig, out_dir: Path, cells):
 
 
 def _trace_path(out_dir: Path, cell: Cell) -> Path:
-    name = f"{cell.env}__{cell.method}__ep{cell.n_episodes}__seed{cell.seed_index}.csv"
+    name = f"{cell.env}__{cell.method}__ep{cell.n_expert_episodes}__seed{cell.seed}.csv"
     return Path(out_dir) / "traces" / name
 
 
@@ -581,8 +530,8 @@ def _locked_sweep(cfg: ExperimentConfig, out_dir: Path, workers: int, force: boo
             if log:
                 d = "" if payload.action_diff is None else f" d={payload.action_diff:.4f}"
                 log(
-                    f"  {cell.env} {cell.method} ep={cell.n_episodes} "
-                    f"tau={cell.tau} N={cell.n_members} seed={cell.seed_index}: "
+                    f"  {cell.env} {cell.method} ep={cell.n_expert_episodes} "
+                    f"tau={cell.tau} N={cell.n_members} seed={cell.seed}: "
                     f"R={payload.scaled_return:.3f}{d}"
                 )
         else:
@@ -631,28 +580,28 @@ def _prune_failures(out_dir: Path, store: ResultsStore):
         write_table(path, FAILURE_COLUMNS, open_rows)
 
 
-def _write_summary(path: Path, columns, groups, row_key=None, **chart):
+def _write_summary(path: Path, columns, groups, **chart):
     """``path``.csv and ``path``.svg: the mean and std of scaled return of
-    each group of runs. ``groups`` holds ``(series label, x, leading row
+    each group of runs, rows and points in order of x (groups of equal x in
+    their given order). ``groups`` holds ``(series label, x, leading row
     fields, records)``; groups without records are left out, and so are
     both files if every group is empty."""
-    rows, series = [], {}
-    for label, x, lead, recs in groups:
-        if not recs:
-            continue
+    groups = [group for group in groups if group[3]]
+    if not groups:
+        return
+    series = {label: svg.Series(label, [], [], lo=[], hi=[]) for label, *_ in groups}
+    rows = []
+    for label, x, lead, recs in sorted(groups, key=itemgetter(1)):
         arr = np.asarray([r.scaled_return for r in recs], dtype=np.float64)
         mean, std = float(arr.mean()), float(arr.std())
         rows.append([*lead, repr(mean), repr(std), len(recs)])
-        s = series.setdefault(label, svg.Series(label, [], [], lo=[], hi=[]))
+        s = series[label]
         s.xs.append(x)
         s.ys.append(mean)
         s.lo.append(mean - std)
         s.hi.append(mean + std)
-    if not rows:
-        return
     write_table(path.with_name(path.name + ".csv"),
-                [*columns, "scaled_return_mean", "scaled_return_std", "n_runs"],
-                sorted(rows, key=row_key) if row_key else rows)
+                [*columns, "scaled_return_mean", "scaled_return_std", "n_runs"], rows)
     replace_file(path.with_name(path.name + ".svg"),
                  svg.line_chart(list(series.values()), y_label="mean scaled return", **chart))
 
@@ -672,7 +621,6 @@ def write_summaries(cfg: ExperimentConfig, store: ResultsStore, out_dir):
             [(method, n_ep, [env, n_ep, method],
               runs(env, method, n_ep, *method_params(cfg, method)))
              for method in cfg.methods for n_ep in cfg.episode_counts],
-            row_key=lambda row: (row[1], cfg.methods.index(row[2])),
             title=f"Scaled return vs expert episodes ({env})",
             x_label="expert episodes in dataset",
         )

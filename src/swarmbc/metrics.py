@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import csv
 import io
-from dataclasses import dataclass
+from dataclasses import astuple, dataclass
 from typing import Optional
 
 import numpy as np
@@ -88,18 +88,42 @@ class Trajectory:
         return float(self.action_diffs.mean())
 
 
-@dataclass
-class RunRecord:
-    """One experiment cell: a trained model evaluated on one env."""
+@dataclass(frozen=True)
+class Cell:
+    """One sweep cell: a method's model, trained on one expert dataset and
+    evaluated on one env."""
 
     env: str
     method: str  # "bc" | "ensemble" | "swarm"
     n_expert_episodes: int
     tau: float
     n_members: int
-    seed: int
+    seed: int  # index of the cell among its group's seeds
+
+    def key(self):
+        return (self.env, self.method, self.n_expert_episodes, repr(float(self.tau)),
+                self.n_members, self.seed)
+
+    @staticmethod
+    def parse(row):
+        """The cell whose ``key()`` is the first six fields of a table row."""
+        env, method, n_episodes, tau, n_members, seed = row[:6]
+        return Cell(env, method, int(n_episodes), float(tau), int(n_members), int(seed))
+
+
+@dataclass(frozen=True)
+class RunRecord(Cell):
+    """A cell's result: its mean scaled return and mean action difference."""
+
     scaled_return: float
     action_diff: Optional[float]  # episode-averaged d; None when N = 1
+
+    @staticmethod
+    def parse(row):
+        """The record of a results row: its cell, then the two numbers."""
+        scaled_return, action_diff = row[6:]
+        return RunRecord(*astuple(Cell.parse(row)), float(scaled_return),
+                   float(action_diff) if action_diff else None)
 
 
 def rollouts(env: DeskEnv, policy, seeds, record_members: bool = False) -> list[Trajectory]:

@@ -118,7 +118,7 @@ def paired_sweep():
             datasets[key] = generate_dataset(make_env(cell.env), *key[1:])
         rec, _ = run_cell(cfg, cell, (baselines[cell.env], datasets[key]))
         records.setdefault(
-            (cell.env, cell.method, cell.n_episodes), []
+            (cell.env, cell.method, cell.n_expert_episodes), []
         ).append(rec)
     elapsed = time.perf_counter() - start
     return cfg, records, elapsed

@@ -489,6 +489,15 @@ def test_sweep_rejects_single_member_ensembles(tmp_path, capsys):
     assert not (out_dir / "results.csv").exists()
 
 
+def test_sweep_config_with_a_repeated_value_exits_1_in_one_line(tmp_path, capsys):
+    cfg_path = tmp_path / "sweep.cfg"
+    cfg_path.write_text(TINY_SWEEP.replace("episode_counts = 1", "episode_counts = 1, 1"))
+    out_dir = tmp_path / "out"
+    assert run_cli("sweep", "--config", cfg_path, "--out", out_dir) == 1
+    assert capsys.readouterr().err == "error: episode_counts repeats a value: 1, 1\n"
+    assert not (out_dir / "results.csv").exists()
+
+
 def test_sweep_into_a_locked_directory_exits_1_naming_the_holder(tmp_path, capsys):
     cfg_path, out_dir = tmp_path / "sweep.cfg", tmp_path / "out"
     cfg_path.write_text(TINY_SWEEP)

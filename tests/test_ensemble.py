@@ -14,7 +14,7 @@ from swarmbc.ensemble import (
     Ensemble,
     TrainConfig,
     batch_loss_and_grads,
-    ensemble_action,
+    deployed_action,
     gradient_max_rel_error,
     load_ensemble,
     random_tiny_ensemble,
@@ -132,19 +132,20 @@ def test_loss_permutation_equivariance():
     )
     out = swarm_loss(shuffled, s, a)
     assert out.total == pytest.approx(base.total, rel=1e-12)
-    assert np.allclose(ensemble_action(shuffled, s), ensemble_action(ens, s))
+    assert np.allclose(deployed_action(shuffled, shuffled.predict_members(s)),
+                       deployed_action(ens, ens.predict_members(s)))
 
 
-def test_ensemble_action_single_member_and_mean():
+def test_deployed_action_single_member_and_mean():
     m1 = fixed_output_policy(2, [1.0, 0.0])
     m2 = fixed_output_policy(2, [0.0, 1.0])
     solo = ensemble_of([m1], tau=0.0, action_kind="continuous")
-    assert np.allclose(ensemble_action(solo, np.zeros(2)), [1.0, 0.0])
+    assert np.allclose(deployed_action(solo, solo.predict_members(np.zeros(2))), [1.0, 0.0])
     duo = ensemble_of([m1, m2], tau=0.0, action_kind="continuous")
-    assert np.allclose(ensemble_action(duo, np.zeros(2)), [0.5, 0.5])
+    assert np.allclose(deployed_action(duo, duo.predict_members(np.zeros(2))), [0.5, 0.5])
 
 
-def test_ensemble_action_clips_to_bounds():
+def test_deployed_action_clips_to_bounds():
     m = fixed_output_policy(2, [3.0, -7.0])
     ens = ensemble_of(
         [m],
@@ -153,15 +154,15 @@ def test_ensemble_action_clips_to_bounds():
         action_low=np.array([-1.0, -1.0]),
         action_high=np.array([1.0, 1.0]),
     )
-    assert np.allclose(ensemble_action(ens, np.zeros(2)), [1.0, -1.0])
+    assert np.allclose(deployed_action(ens, ens.predict_members(np.zeros(2))), [1.0, -1.0])
 
 
-def test_ensemble_action_discrete_argmax_of_mean_probs():
+def test_deployed_action_discrete_argmax_of_mean_probs():
     rng = np.random.default_rng(6)
     ens = random_tiny_ensemble(rng, tau=0.0, n_members=3, discrete=True)
     s = rng.normal(size=ens.obs_dim)
     probs = ens.predict_members(s)
-    assert ensemble_action(ens, s) == int(np.argmax(probs.mean(axis=0)))
+    assert deployed_action(ens, probs) == int(np.argmax(probs.mean(axis=0)))
 
 
 def test_gradient_check_small():

@@ -1,6 +1,7 @@
 import contextlib
 import csv
 import fcntl
+import io
 import itertools
 import json
 import multiprocessing
@@ -8,16 +9,20 @@ import os
 import re
 import signal
 import socket
+import struct
 import subprocess
 import sys
 import time
 import warnings
+from dataclasses import astuple, replace
 from pathlib import Path
 
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
 from swarmbc import harness, metrics
-from swarmbc.ensemble import TrainConfig
+from swarmbc.ensemble import METHODS, TrainConfig
 from swarmbc.errors import ConfigError
 from swarmbc.harness import (
     Cell,
@@ -31,8 +36,8 @@ from swarmbc.harness import (
     parse_config_text,
     run_sweep,
 )
-from swarmbc.harness import _prune_failures, _record_failure
-from swarmbc.envs import generate_dataset, make_env
+from swarmbc.harness import _prune_failures, _record_failure, _result_row
+from swarmbc.envs import ENV_IDS, generate_dataset, make_env
 from swarmbc.metrics import RunRecord, baseline_returns
 
 
@@ -99,6 +104,18 @@ def test_config_validation():
         ExperimentConfig(envs=("mujoco",))
     with pytest.raises(ConfigError):
         ExperimentConfig(n_grid=(1,))
+
+
+@pytest.mark.parametrize("name, values", [
+    ("envs", ("point_reach", "cart_balance", "point_reach")),
+    ("methods", ("bc", "bc")),
+    ("episode_counts", (2, 1, 2)),
+    ("tau_grid", (0.0, 0.5, 0.5)),
+    ("n_grid", (4, 4)),
+])
+def test_config_rejects_a_repeated_value(name, values):
+    with pytest.raises(ConfigError, match=f"^{name} repeats a value"):
+        ExperimentConfig(**{name: values})
 
 
 @pytest.mark.parametrize("kwargs", [
@@ -306,6 +323,30 @@ def test_results_store_roundtrip_and_noop(tmp_path):
     assert loaded.records[1].action_diff is None
     assert loaded.has(Cell("point_reach", "swarm", 1, 0.25, 4, 0))
     assert not loaded.has(Cell("point_reach", "swarm", 1, 0.25, 4, 1))
+
+
+def _bits(rec):
+    return [struct.pack(">d", v) if isinstance(v, float) else v for v in astuple(rec)]
+
+
+# NaN is left out: its text, "nan", keeps neither its sign nor its payload
+FLOATS = st.floats(allow_nan=False)
+
+
+@given(cell=st.builds(Cell, st.sampled_from(ENV_IDS), st.sampled_from((*METHODS, "expert")),
+                      st.integers(0, 10**6), FLOATS, st.integers(1, 64), st.integers(0, 10**6)),
+       scaled_return=FLOATS, action_diff=st.none() | FLOATS)
+@example(cell=Cell("point_reach", "swarm", 1, -0.0, 4, 0), scaled_return=-0.0,
+         action_diff=5e-324)
+@example(cell=Cell("cart_balance", "bc", 8, 0.0, 1, 3), scaled_return=-2.2250738585072e-308,
+         action_diff=None)
+def test_a_results_row_reads_back_bit_for_bit(cell, scaled_return, action_diff):
+    rec = RunRecord(*astuple(cell), scaled_return, action_diff)
+    row = _result_row(rec)
+    (written,) = csv.reader(io.StringIO(harness._csv_text([row])))
+    for back in (RunRecord.parse(row), RunRecord.parse(written)):
+        assert type(back) is RunRecord and back.key() == cell.key()
+        assert _bits(back) == _bits(rec)
 
 
 def test_results_store_rejects_foreign_file(tmp_path):
@@ -589,7 +630,7 @@ def test_summaries_after_a_rerun_of_failed_cells_equal_a_clean_sweep(tmp_path, m
     real_run_cell = harness.run_cell
 
     def failing(cfg, cell, baselines):
-        if cell.seed_index == 0:
+        if cell.seed == 0:
             raise RuntimeError("transient")
         return real_run_cell(cfg, cell, baselines)
 
@@ -607,6 +648,26 @@ def test_summaries_after_a_rerun_of_failed_cells_equal_a_clean_sweep(tmp_path, m
     assert sorted(rerun) == sorted(clean)
     for name, data in rerun.items():
         assert data == clean[name], name
+
+
+def test_summaries_do_not_depend_on_the_order_of_config_lists(tmp_path):
+    ordered = tiny_config(methods=("bc", "ensemble", "swarm"), episode_counts=(1, 2), n_seeds=1,
+                          eval_episodes=1, tau_grid=(0.0, 0.5), n_grid=(2, 3), ablations=True,
+                          train=TrainConfig(epochs=2, hidden_dims=(4,)))
+    permuted = replace(ordered, episode_counts=(2, 1), tau_grid=(0.5, 0.0), n_grid=(3, 2))
+    run_sweep(ordered, tmp_path / "ordered")
+    run_sweep(permuted, tmp_path / "permuted")
+    want, got = _files(tmp_path / "ordered"), _files(tmp_path / "permuted")
+    assert {name for name in got if name.endswith(".svg")} == {
+        "returns_point_reach.svg", "action_diff_point_reach.svg",
+        "ablation_tau.svg", "ablation_n.svg"}
+    # cells run, and so are appended, in config order; the config differs
+    assert sorted(got.pop("results.csv").splitlines()) == sorted(
+        want.pop("results.csv").splitlines())
+    assert got.pop(harness.FINGERPRINT_FILE) != want.pop(harness.FINGERPRINT_FILE)
+    assert sorted(got) == sorted(want)
+    for name, data in got.items():
+        assert data == want[name], name
 
 
 def test_sweep_force_removes_the_old_configs_summaries(tmp_path):
@@ -750,7 +811,7 @@ def test_dead_worker_fails_only_its_cell(tmp_path, monkeypatch):
     out = tmp_path / "run"
     store = run_sweep(cfg, out, workers=2)
     expected = [r for r in reference.records
-                if (r.method, r.seed) != (victim.method, victim.seed_index)]
+                if (r.method, r.seed) != (victim.method, victim.seed)]
     assert store.records == expected
     assert ResultsStore(out / "results.csv").records == expected
     failures = (out / "failures.csv").read_text().splitlines()

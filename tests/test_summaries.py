@@ -10,7 +10,7 @@ deliberate change of the output format.
 from __future__ import annotations
 
 import json
-from dataclasses import replace
+from dataclasses import astuple, replace
 from pathlib import Path
 
 import numpy as np
@@ -35,9 +35,9 @@ CFG = ExperimentConfig(
 def _missing(cell) -> bool:
     """Cells left without a result, so that empty groups are skipped."""
     return (
-        (cell.env, cell.method, cell.n_episodes) == ("cart_balance", "bc", 3)
+        (cell.env, cell.method, cell.n_expert_episodes) == ("cart_balance", "bc", 3)
         or cell.n_members == 6
-        or (cell.env, cell.method, cell.n_episodes, cell.seed_index)
+        or (cell.env, cell.method, cell.n_expert_episodes, cell.seed)
         == ("point_reach", "swarm", 1, 1)
     )
 
@@ -49,9 +49,7 @@ def synthetic_sweep(out_dir: Path, cfg=CFG, order=None):
     rng = np.random.default_rng(11)
     records = [
         RunRecord(
-            env=cell.env, method=cell.method, n_expert_episodes=cell.n_episodes,
-            tau=cell.tau, n_members=cell.n_members, seed=cell.seed_index,
-            scaled_return=float(rng.normal(0.5, 0.3)),
+            *astuple(cell), scaled_return=float(rng.normal(0.5, 0.3)),
             action_diff=None if cell.n_members == 1 else float(rng.uniform(0.0, 0.2)),
         )
         for cell in enumerate_cells(cfg) if not _missing(cell)
