@@ -26,11 +26,15 @@ from .errors import (
     TiedModeError,
     TrainingDivergedError,
 )
-from .metrics import RunRecord, write_trajectory_csv
+from .metrics import write_trajectory_csv
 
 USAGE_EXIT = 1
 NUMERICAL_EXIT = 2
 INTERRUPT_EXIT = 130  # 128 + SIGINT, as a shell reports it
+# ``swarmbc eval``'s log: a sweep's results row, but for the --seed master seed
+EVAL_SCHEMA = "swarmbc.eval.v1"
+EVAL_COLUMNS = ("env", "method", "n_expert_episodes", "tau", "n_members", "master_seed",
+                "scaled_return", "action_diff")
 
 
 class _Parser(argparse.ArgumentParser):
@@ -158,7 +162,7 @@ def cmd_eval(args) -> int:
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     results = out_dir / "eval_results.csv"  # a log: evaluating twice repeats a row
-    harness.read_results(results)  # drops a torn last row
+    harness.read_table(results, EVAL_COLUMNS, list, EVAL_SCHEMA)  # drops a torn last row
     cfg = harness.ExperimentConfig(
         envs=(env_id,), eval_episodes=args.episodes, master_seed=args.seed
     )
@@ -178,10 +182,9 @@ def cmd_eval(args) -> int:
         tau, n = ens.tau, ens.n_members
         n_ep = int(ens.meta.get("n_expert_episodes", 0))
 
-    harness.append_result(results, RunRecord(
-        env=env_id, method=method, n_expert_episodes=n_ep, tau=tau, n_members=n,
-        seed=args.seed, scaled_return=mean_return, action_diff=mean_diff,
-    ))
+    d_field = "" if mean_diff is None else repr(mean_diff)
+    harness.append_row(results, [env_id, method, n_ep, repr(float(tau)), n, args.seed,
+                                 repr(mean_return), d_field], EVAL_COLUMNS, EVAL_SCHEMA)
 
     d_text = "" if mean_diff is None else f", mean action difference {mean_diff:.6f}"
     _echo(

@@ -277,13 +277,8 @@ def _result_row(rec: RunRecord) -> list:
 
 
 def read_results(path: Path) -> list[RunRecord]:
-    """Every complete row of a results CSV (sweep or ``swarmbc eval``)."""
+    """Every complete row of a sweep's results CSV."""
     return read_table(path, RESULTS_COLUMNS, RunRecord.parse, RESULTS_SCHEMA)
-
-
-def append_result(path: Path, rec: RunRecord):
-    """Append one row to a results CSV (sweep or ``swarmbc eval``)."""
-    append_row(path, _result_row(rec), RESULTS_COLUMNS, RESULTS_SCHEMA)
 
 
 class ResultsStore:
@@ -321,7 +316,8 @@ class ResultsStore:
     def append(self, rec: RunRecord):
         if rec.key() in self._index:
             return  # completed cells are a no-op
-        append_result(self.path, rec)  # written first: a failed write leaves the cell open
+        # written first: a failed write leaves the cell open
+        append_row(self.path, _result_row(rec), RESULTS_COLUMNS, RESULTS_SCHEMA)
         self._index[rec.key()] = rec
 
 

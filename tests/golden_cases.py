@@ -153,11 +153,24 @@ def eval_cases(workdir: Path):
     return cases
 
 
+# ``eval_results.csv``'s preamble, and the one its rows were recorded under:
+# the log took its own schema later, its rows unchanged. The file's digest is
+# taken with the recorded preamble in place of its own.
+EVAL_PREAMBLE = (b"# schema=swarmbc.eval.v1\nenv,method,n_expert_episodes,tau,n_members,"
+                 b"master_seed,scaled_return,action_diff\n")
+RECORDED_EVAL_PREAMBLE = (b"# schema=swarmbc.results.v1\nenv,method,n_expert_episodes,tau,"
+                          b"n_members,seed,scaled_return,action_diff\n")
+
+
 def output_digests(out_dir: Path) -> dict:
-    return {
-        p.name: hashlib.sha256(p.read_bytes()).hexdigest()
-        for p in sorted(out_dir.iterdir())
-    }
+    digests = {}
+    for p in sorted(out_dir.iterdir()):
+        data = p.read_bytes()
+        if p.name == "eval_results.csv":
+            assert data.startswith(EVAL_PREAMBLE), data[:len(EVAL_PREAMBLE)]
+            data = RECORDED_EVAL_PREAMBLE + data[len(EVAL_PREAMBLE):]
+        digests[p.name] = hashlib.sha256(data).hexdigest()
+    return digests
 
 
 def record() -> dict:

@@ -2,11 +2,13 @@
 
 Each criterion runs at its stated tolerance and prints one PASS/FAIL line
 (run with ``pytest tests/test_acceptance.py -v -s``). Criteria 4 and 5
-share one paired sweep over the three desk envs, dataset sizes {1, 4, 8},
-five seeds, twenty evaluation episodes per cell.
+share one paired sweep, ``acceptance.cfg``, run as ``swarmbc sweep`` runs
+it: the three desk envs, dataset sizes {1, 4, 8}, five seeds, twenty
+evaluation episodes per cell.
 """
 
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -18,9 +20,8 @@ from swarmbc.ensemble import (
     standard_loss,
     swarm_loss,
 )
-from swarmbc.envs import ENV_IDS, generate_dataset, make_env
-from swarmbc.harness import ExperimentConfig, dataset_key, enumerate_cells, run_cell
-from swarmbc.ensemble import TrainConfig
+from swarmbc.envs import ENV_IDS, make_env
+from swarmbc.harness import parse_config_file, run_sweep
 from swarmbc.metrics import baseline_returns, mean_action_difference, scaled_return
 from swarmbc.theory import (
     gaussian_grid_density,
@@ -94,33 +95,18 @@ def test_criterion_3_metric_exactness():
 
 
 @pytest.fixture(scope="module")
-def paired_sweep():
-    """Paired swarm-vs-ensemble runs on all 3 envs, sizes {1,4,8}, 5 seeds."""
-    cfg = ExperimentConfig(
-        methods=("ensemble", "swarm"),
-        episode_counts=(1, 4, 8),
-        n_seeds=5,
-        eval_episodes=20,
-        ablations=False,
-        master_seed=0,
-        train=TrainConfig(),
-    )
-    baselines = {
-        env: baseline_returns(make_env(env), cfg.eval_episodes, seed=env_seed)
-        for env, env_seed in zip(cfg.envs, (101, 102, 103))
-    }
+def paired_sweep(tmp_path_factory):
+    """The sweep of ``acceptance.cfg``, timed from start to return (summaries
+    included); its records grouped by (env, method, dataset size)."""
+    cfg = parse_config_file(Path(__file__).with_name("acceptance.cfg"))
+    out_dir = tmp_path_factory.mktemp("paired_sweep")
     start = time.perf_counter()
-    records = {}
-    datasets = {}  # shared by the cells of a dataset_key, as in a sweep
-    for cell in enumerate_cells(cfg):
-        key = dataset_key(cfg, cell)
-        if key not in datasets:
-            datasets[key] = generate_dataset(make_env(cell.env), *key[1:])
-        rec, _ = run_cell(cfg, cell, (baselines[cell.env], datasets[key]))
-        records.setdefault(
-            (cell.env, cell.method, cell.n_expert_episodes), []
-        ).append(rec)
+    store = run_sweep(cfg, out_dir, workers=1)
     elapsed = time.perf_counter() - start
+    assert not (out_dir / "failures.csv").exists()  # a failed cell would drop out of a mean
+    records = {}
+    for rec in store.records:
+        records.setdefault((rec.env, rec.method, rec.n_expert_episodes), []).append(rec)
     return cfg, records, elapsed
 
 

@@ -22,7 +22,8 @@ from swarmbc.cli import _resolve_method_params, main
 from swarmbc.data import save_dataset
 from swarmbc.ensemble import METHODS, save_ensemble
 from swarmbc.envs import generate_dataset, make_env
-from swarmbc.harness import ExperimentConfig, method_params, read_results
+from swarmbc.errors import ConfigError
+from swarmbc.harness import ExperimentConfig, ResultsStore, method_params, read_results
 from swarmbc.metrics import rollouts, write_trajectory_csv
 from swarmbc.theory import concentration_report, gaussian_grid_density
 
@@ -112,7 +113,7 @@ def test_train_eval_roundtrip(small_dataset, tmp_path, capsys):
     assert (out_dir / "traj_ep000.csv").exists()
     assert (out_dir / "traj_ep001.csv").exists()
     results = (out_dir / "eval_results.csv").read_text().splitlines()
-    assert results[0] == "# schema=swarmbc.results.v1"
+    assert results[0] == "# schema=swarmbc.eval.v1"
     row = results[2].split(",")
     assert row[0] == "point_reach" and row[1] == "swarm"
 
@@ -155,6 +156,29 @@ def test_eval_drops_torn_results_row_before_appending(tmp_path, capsys):
     with pytest.warns(RuntimeWarning, match="unterminated"):
         assert run_cli(*argv) == 0
     assert path.read_bytes() == one_row + one_row.splitlines(keepends=True)[-1]
+
+
+def test_an_eval_log_is_not_read_as_sweep_results(tmp_path, capsys):
+    out_dir = tmp_path / "eval"
+    assert run_cli("eval", "--expert", "--env", "point_reach", "--episodes", 1,
+                   "--seed", 5, "--out", out_dir) == 0
+    log = out_dir / "eval_results.csv"
+    assert log.read_text().splitlines()[1].split(",")[5] == "master_seed"
+    with pytest.raises(ConfigError, match="expected the preamble"):
+        read_results(log)
+    with pytest.raises(ConfigError, match="expected the preamble"):
+        ResultsStore(log)
+
+    cfg_path, sweep_dir = tmp_path / "sweep.cfg", tmp_path / "sweep"
+    cfg_path.write_text(TINY_SWEEP)
+    sweep_dir.mkdir()
+    (sweep_dir / "results.csv").write_bytes(log.read_bytes())
+    capsys.readouterr()
+    assert run_cli("sweep", "--config", cfg_path, "--out", sweep_dir) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "expected the preamble" in err
+    assert err.count("\n") == 1
+    assert (sweep_dir / "results.csv").read_bytes() == log.read_bytes()
 
 
 def test_eval_requires_model_or_expert(capsys):

@@ -84,6 +84,16 @@ def test_enumerate_cells_core_count():
     assert len(cells) == 3 * 3 * 8 * 5  # envs x methods x sizes x seeds
 
 
+def test_acceptance_config_is_the_paired_sweep():
+    """``acceptance.cfg``, the sweep of acceptance criteria 4 and 5, is the
+    paired config the README describes: 90 cells."""
+    cfg = harness.parse_config_file(Path(__file__).with_name("acceptance.cfg"))
+    paired = ExperimentConfig(methods=("ensemble", "swarm"), episode_counts=(1, 4, 8),
+                              n_seeds=5, eval_episodes=20, ablations=False, master_seed=0)
+    assert harness.config_fingerprint(cfg) == harness.config_fingerprint(paired)
+    assert len(enumerate_cells(cfg)) == 90
+
+
 def test_enumerate_cells_with_ablations_dedupes():
     cfg = ExperimentConfig(n_seeds=2)
     cells = enumerate_cells(cfg)
