@@ -112,16 +112,18 @@ def _resolve_method_params(method, tau, n):
 def cmd_train(args) -> int:
     tau, n = _resolve_method_params(args.method, args.tau, args.n)
     harness.check_method_params(args.method, tau, n)
+    out = Path(args.out)
+    history_path = Path(args.history) if args.history else out.with_suffix(".history.csv")
+    if history_path.resolve() == out.resolve():
+        raise ConfigError(f"--history names the model file {out}; choose another path")
     dataset = _load(load_dataset, args.data)
     config = _train_config(args)
     ens, history = train(dataset, n, tau, config, seed=args.seed)
     ens.meta["method"] = args.method
 
-    out = Path(args.out)
     out.parent.mkdir(parents=True, exist_ok=True)
     save_ensemble(ens, out)
 
-    history_path = Path(args.history) if args.history else out.with_suffix(".history.csv")
     harness.write_table(history_path, ["epoch", "bc_term", "swarm_term", "total"], [
         [epoch, repr(h.bc_term), repr(h.swarm_term), repr(h.total)]
         for epoch, h in enumerate(history)
@@ -223,12 +225,7 @@ def cmd_mode_demo(args) -> int:
         density = theory.gaussian_grid_density(
             n_cells=args.cells, mean=args.mean, std=args.std
         )
-    try:
-        report = theory.concentration_report(density, args.tau, n_list)
-    except TiedModeError as exc:
-        # the concentration claim assumes a unique global mode
-        print(f"degenerate density: {exc}", file=sys.stderr)
-        raise
+    report = theory.concentration_report(density, args.tau, n_list)
     out = Path(args.out)
     out.parent.mkdir(parents=True, exist_ok=True)
     harness.write_table(out, ["N", "mode_mass"], [[n, repr(mass)] for n, mass in report])

@@ -334,39 +334,20 @@ def load_or_compute_baselines(cfg: ExperimentConfig, out_dir: Path) -> dict:
 def scripted_inputs(cfg: ExperimentConfig, out_dir: Path, cells):
     """``(baselines, datasets)``: the per-env (r_random, r_expert) and the
     ``Dataset`` of each ``dataset_key`` of ``cells``, from one
-    ``scripted_rollouts`` call per env that lacks either. Baselines are cached
-    in baselines.csv; a cached row is used only if its episode count and seed
-    are the ones this config would use, else it is recomputed and the file
-    rewritten."""
-    path = Path(out_dir) / "baselines.csv"
-
-    def seed_of(env_id):
-        return fan_out_seed(cfg.master_seed, "baseline", env_id)
-
-    def parse(row):
-        env, n_episodes, seed, r_random, r_expert = row
-        return env, (int(n_episodes), int(seed)), (float(r_random), float(r_expert))
-
-    cache = {env: returns
-             for env, key, returns in read_table(path, BASELINES_COLUMNS, parse, BASELINES_SCHEMA)
-             if key == (cfg.eval_episodes, seed_of(env))}
-    missing = [e for e in cfg.envs if e not in cache]
+    ``scripted_rollouts`` call per env. The baselines are written to
+    baselines.csv for the reader; no run reads them back."""
     keys = dict.fromkeys(dataset_key(cfg, c) for c in cells)
-    datasets = {}
+    baselines, datasets, rows = {}, {}, []
     for env_id in cfg.envs:
+        seed = fan_out_seed(cfg.master_seed, "baseline", env_id)
         wanted = [key for key in keys if key[0] == env_id]
-        baseline = [(cfg.eval_episodes, seed_of(env_id))] if env_id in missing else []
-        if wanted or baseline:
-            returns, built = scripted_rollouts(make_env(env_id), baseline,
-                                              [key[1:] for key in wanted])
-            cache.update(zip([env_id], returns))
-            datasets.update(zip(wanted, built))
-    if missing:
-        write_table(path, BASELINES_COLUMNS, [
-            [env_id, cfg.eval_episodes, seed_of(env_id), repr(r_rand), repr(r_exp)]
-            for env_id, (r_rand, r_exp) in sorted(cache.items())
-        ], BASELINES_SCHEMA)
-    return cache, datasets
+        baselines[env_id], built = scripted_rollouts(
+            make_env(env_id), (cfg.eval_episodes, seed), [key[1:] for key in wanted])
+        datasets.update(zip(wanted, built))
+        rows.append([env_id, cfg.eval_episodes, seed, *map(repr, baselines[env_id])])
+    write_table(Path(out_dir) / "baselines.csv", BASELINES_COLUMNS, sorted(rows),
+                BASELINES_SCHEMA)
+    return baselines, datasets
 
 
 def _trace_path(out_dir: Path, cell: Cell) -> Path:
@@ -480,8 +461,8 @@ def run_sweep(cfg: ExperimentConfig, out_dir, workers: int = 1,
     returns. ``out_dir`` keeps the config's fingerprint beside
     ``results.csv``; resuming under a different config is a ``ConfigError``.
     If a worker process dies, the cells it left unreported rerun one process
-    each, and the cell that kills its process is recorded as failed. At the
-    end, ``failures.csv`` keeps only the cells that still have no result.
+    each, and the cell that kills its process is recorded as failed.
+    ``failures.csv`` lists the cells that failed in this run, one row each.
     """
     if workers < 1:
         raise ConfigError(f"workers must be >= 1, got {workers}")
@@ -495,11 +476,11 @@ def _locked_sweep(cfg: ExperimentConfig, out_dir: Path, workers: int, force: boo
                   lock: int):
     results_path = out_dir / "results.csv"
     fingerprint_path = out_dir / FINGERPRINT_FILE
-    if force:  # every file a sweep writes, so that none of the old config's remain
+    if force:  # every file a run may leave as it was, so that none of the old config's remain
         summaries = [p for name in ("returns", "action_diff", "ablation") for ext in ("csv", "svg")
                      for p in out_dir.glob(f"{name}_*.{ext}")]
-        for p in [results_path, out_dir / "baselines.csv", out_dir / "failures.csv",
-                  fingerprint_path, *(out_dir / "traces").glob("*.csv"), *summaries]:
+        for p in [results_path, fingerprint_path, *(out_dir / "traces").glob("*.csv"),
+                  *summaries]:
             p.unlink(missing_ok=True)
 
     fingerprint = config_fingerprint(cfg)
@@ -509,7 +490,7 @@ def _locked_sweep(cfg: ExperimentConfig, out_dir: Path, workers: int, force: boo
             "--force to replace its results, or choose a new --out"
         )
     store = ResultsStore(results_path)
-    _prune_failures(out_dir, store)  # also repairs a torn row before any append
+    (out_dir / "failures.csv").unlink(missing_ok=True)  # every cell without a result reruns
     replace_file(fingerprint_path, fingerprint + "\n")
     cells = enumerate_cells(cfg)
     pending = [c for c in cells if not store.has(c)]
@@ -536,12 +517,12 @@ def _locked_sweep(cfg: ExperimentConfig, out_dir: Path, workers: int, force: boo
                 log(f"  FAILED {cell}: {payload}")
 
     jobs = [(cfg, c, (baselines[c.env], datasets[dataset_key(cfg, c)])) for c in pending]
-    if workers > 1:
+    if workers > 1 and jobs:  # a pool even for one job, so that a dying cell ends only itself
         from concurrent.futures.process import BrokenProcessPool
 
         done = 0
         try:
-            with _pool(workers, lock) as pool:
+            with _pool(min(workers, len(jobs)), lock) as pool:
                 for outcome in pool.map(_cell_worker, jobs):
                     handle(outcome)
                     done += 1
@@ -555,25 +536,12 @@ def _locked_sweep(cfg: ExperimentConfig, out_dir: Path, workers: int, force: boo
         for job in jobs:
             handle(_cell_worker(job))
 
-    _prune_failures(out_dir, store)
     write_summaries(cfg, store, out_dir)
     return store
 
 
 def _record_failure(out_dir: Path, cell: Cell, message: str):
     append_row(Path(out_dir) / "failures.csv", [*cell.key(), message], FAILURE_COLUMNS)
-
-
-def _prune_failures(out_dir: Path, store: ResultsStore):
-    """Drop the failure rows of cells that have since succeeded; delete the
-    file once no row is left."""
-    path = Path(out_dir) / "failures.csv"
-    rows = read_table(path, FAILURE_COLUMNS, lambda row: (Cell.parse(row), row))
-    open_rows = [row for cell, row in rows if not store.has(cell)]
-    if not open_rows:
-        path.unlink(missing_ok=True)
-    elif len(open_rows) < len(rows):
-        write_table(path, FAILURE_COLUMNS, open_rows)
 
 
 def _write_summary(path: Path, columns, groups, **chart):

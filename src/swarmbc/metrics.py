@@ -203,26 +203,28 @@ def scaled_return(episode_return, r_random, r_expert) -> float:
     return float((episode_return - r_random) / denom)
 
 
-def scripted_rollouts(env: DeskEnv, baselines=(), datasets=()):
-    """The scripted episodes of baselines and expert datasets, each given as
-    ``(n_episodes, seed)``, in one lockstep ``rollouts`` call. Returns the
-    ``(r_random, r_expert)`` of each baseline and the ``Dataset`` of each
-    dataset; episodes do not depend on their batch, so each equals a call of
-    its own. A baseline runs the uniform-random policy and the expert from
-    the same start states, each random episode drawing its whole horizon
-    from its own generator (the stream of one draw per step). A dataset
-    holds every (observation, expert action) pair, discrete actions one-hot.
+def scripted_rollouts(env: DeskEnv, baseline=None, datasets=()):
+    """The scripted episodes of an optional baseline and of expert datasets,
+    each given as ``(n_episodes, seed)``, in one lockstep ``rollouts`` call.
+    Returns the baseline's ``(r_random, r_expert)`` (None without one) and
+    the ``Dataset`` of each dataset; episodes do not depend on their batch,
+    so each equals a call of its own. A baseline runs the uniform-random
+    policy and the expert from the same start states, each random episode
+    drawing its whole horizon from its own generator (the stream of one draw
+    per step). A dataset holds every (observation, expert action) pair,
+    discrete actions one-hot.
     """
-    for n_episodes, _ in (*baselines, *datasets):
+    for n_episodes, _ in filter(None, (baseline, *datasets)):
         if n_episodes < 1:
             raise ConfigError(f"n_episodes must be >= 1, got {n_episodes}")
     spec = env.spec
-    pairs = [np.random.SeedSequence(seed).spawn(2 * n) for n, seed in baselines]
-    starts = [s for p in pairs for s in p[0::2]]
-    n_random = len(starts)
-    if n_random:  # one (E_random, ...) block per step
+    starts = []
+    if baseline:  # one (E_random, ...) block per step
+        pair = np.random.SeedSequence(baseline[1]).spawn(2 * baseline[0])
+        starts = pair[0::2]
         draws = iter(np.stack([random_action(spec, np.random.default_rng(s), spec.max_steps)
-                               for p in pairs for s in p[1::2]], axis=1))
+                               for s in pair[1::2]], axis=1))
+    n_random = len(starts)
 
     def policy(obs, episodes):  # episodes < n_random are random, the rest expert
         n = np.searchsorted(episodes, n_random)
@@ -235,8 +237,7 @@ def scripted_rollouts(env: DeskEnv, baselines=(), datasets=()):
     def take(n):
         return [next(trajs) for _ in range(n)]
 
-    randoms = [take(n) for n, _ in baselines]  # then the expert episodes, in the same order
-    returns = [(_mean_return(r), _mean_return(take(len(r)))) for r in randoms]
+    returns = (_mean_return(take(n_random)), _mean_return(take(n_random))) if baseline else None
     return returns, [_dataset(spec, take(n), n, seed) for n, seed in datasets]
 
 
@@ -256,8 +257,8 @@ def _dataset(spec, episodes, n_episodes: int, seed: int) -> Dataset:
 def baseline_returns(env: DeskEnv, n_episodes: int = 20, seed: int = 0):
     """Mean episode returns of the uniform-random policy and the scripted
     expert over seeded episodes from the same start states: returns
-    ``(r_random, r_expert)``, as ``scripted_rollouts`` with one baseline."""
-    return scripted_rollouts(env, baselines=[(n_episodes, seed)])[0][0]
+    ``(r_random, r_expert)``, as ``scripted_rollouts`` with that baseline."""
+    return scripted_rollouts(env, (n_episodes, seed))[0]
 
 
 def write_trajectory_csv(traj: Trajectory, path) -> None:

@@ -36,7 +36,7 @@ from swarmbc.harness import (
     parse_config_text,
     run_sweep,
 )
-from swarmbc.harness import _prune_failures, _record_failure, _result_row
+from swarmbc.harness import _record_failure, _result_row, read_table
 from swarmbc.envs import ENV_IDS, generate_dataset, make_env
 from swarmbc.metrics import RunRecord, baseline_returns
 
@@ -458,7 +458,7 @@ def test_baselines_recomputed_when_cache_key_differs(tmp_path):
     assert lines[2].split(",")[:3] == ["point_reach", "5", str(seed)]
 
 
-def test_baselines_cached(tmp_path):
+def test_baselines_are_recomputed_to_the_same_bytes(tmp_path):
     cfg = tiny_config(eval_episodes=4)
     first = load_or_compute_baselines(cfg, tmp_path)
     stamp = (tmp_path / "baselines.csv").read_bytes()
@@ -578,15 +578,33 @@ def test_a_resume_rolls_out_only_what_is_missing(tmp_path, monkeypatch):
     # lose the last two cells: cart_balance swarm on 2 episodes, seeds 0 and 1
     results.write_bytes(b"".join(results.read_bytes().splitlines(keepends=True)[:-2]))
     calls = _scripted_calls(monkeypatch)
+    baselines = [("point_reach", 2 * cfg.eval_episodes), ("cart_balance", 2 * cfg.eval_episodes)]
     run_sweep(cfg, out)
-    assert calls == [("cart_balance", 2 + 2)]  # their datasets; both baselines cached
+    # every env's baseline, and the datasets of the two lost cells
+    assert calls == [baselines[0], ("cart_balance", 2 * cfg.eval_episodes + 2 + 2)]
     assert _files(out) == clean
     calls.clear()
     run_sweep(cfg, out)
-    assert calls == []
-    (out / "baselines.csv").unlink()
+    assert calls == baselines
+    assert _files(out) == clean
+
+
+def test_a_resume_recomputes_an_edited_baseline(tmp_path):
+    cfg = tiny_config(envs=("point_reach", "cart_balance"), methods=("bc", "swarm"),
+                      train=TrainConfig(epochs=2, hidden_dims=(4,)))
+    run_sweep(cfg, tmp_path / "clean")
+    clean = _files(tmp_path / "clean")
+    out = tmp_path / "run"
     run_sweep(cfg, out)
-    assert calls == [("point_reach", 2 * cfg.eval_episodes), ("cart_balance", 2 * cfg.eval_episodes)]
+    results, baselines = out / "results.csv", out / "baselines.csv"
+    # lose the last cell, a cart_balance one, and scale that env's expert return
+    results.write_bytes(b"".join(results.read_bytes().splitlines(keepends=True)[:-1]))
+    rows = baselines.read_text().splitlines(keepends=True)
+    *key, r_random, r_expert = rows[2].rstrip("\n").split(",")
+    assert key[0] == "cart_balance"
+    rows[2] = ",".join([*key, r_random, repr(2 * float(r_expert))]) + "\n"
+    baselines.write_text("".join(rows))
+    run_sweep(cfg, out)
     assert _files(out) == clean
 
 
@@ -713,25 +731,51 @@ def test_sweep_trace_files_written(tmp_path):
     assert len(lines) == 201  # header + one row per timestep
 
 
-def test_failures_csv_keeps_only_cells_still_without_result(tmp_path):
+def test_failures_csv_keeps_only_cells_still_without_result(tmp_path, monkeypatch):
     cfg = tiny_config(n_seeds=1)
     out = tmp_path / "run"
     out.mkdir()
-    # an earlier attempt failed on a cell of this sweep and on one outside it
+    # an earlier run failed on a cell of this sweep and on one outside it
     _record_failure(out, Cell("point_reach", "ensemble", 1, 0.0, 4, 0), "Boom: a, b")
     _record_failure(out, Cell("cart_balance", "bc", 2, 0.0, 1, 3), "Boom: c")
-    run_sweep(cfg, out)
-    lines = (out / "failures.csv").read_text().splitlines()
-    assert lines == [
-        "env,method,n_episodes,tau,n_members,seed,error",
-        "cart_balance,bc,2,0.0,1,3,Boom: c",
-    ]
+    victim = Cell("point_reach", "swarm", 1, 0.25, 4, 0)
+    real_run_cell = harness.run_cell
 
-    out2 = tmp_path / "run2"
-    out2.mkdir()
-    _record_failure(out2, Cell("point_reach", "swarm", 1, 0.25, 4, 0), "Boom")
-    run_sweep(cfg, out2)
-    assert not (out2 / "failures.csv").exists()
+    def failing(cfg, cell, inputs):
+        if cell == victim:
+            raise RuntimeError("no luck")
+        return real_run_cell(cfg, cell, inputs)
+
+    monkeypatch.setattr(harness, "run_cell", failing)
+    run_sweep(cfg, out)
+    assert (out / "failures.csv").read_text().splitlines() == [
+        "env,method,n_episodes,tau,n_members,seed,error",
+        "point_reach,swarm,1,0.25,4,0,RuntimeError: no luck",
+    ]
+    monkeypatch.undo()
+    run_sweep(cfg, out)
+    assert not (out / "failures.csv").exists()
+
+
+def test_a_cell_failing_in_three_runs_has_one_failure_row(tmp_path, monkeypatch):
+    cfg = tiny_config(n_seeds=1)
+    victim = Cell("point_reach", "ensemble", 1, 0.0, 4, 0)
+    real_run_cell = harness.run_cell
+
+    def failing(cfg, cell, inputs):
+        if cell == victim:
+            raise RuntimeError("no luck")
+        return real_run_cell(cfg, cell, inputs)
+
+    monkeypatch.setattr(harness, "run_cell", failing)
+    out = tmp_path / "run"
+    for _ in range(3):
+        store = run_sweep(cfg, out)
+    assert len(store.records) == 1
+    assert (out / "failures.csv").read_text().splitlines() == [
+        "env,method,n_episodes,tau,n_members,seed,error",
+        "point_reach,ensemble,1,0.0,4,0,RuntimeError: no luck",
+    ]
 
 
 def test_zero_byte_results_file_is_treated_as_absent(tmp_path):
@@ -775,11 +819,11 @@ def test_sweep_survives_torn_failures_row(tmp_path, monkeypatch):
         return real_run_cell(cfg, cell, baselines)
 
     monkeypatch.setattr(harness, "run_cell", failing)
-    with pytest.warns(RuntimeWarning, match="unterminated"):
+    with warnings.catch_warnings():  # the earlier run's file is removed, not repaired
+        warnings.simplefilter("error")
         run_sweep(cfg, out)
     assert (out / "failures.csv").read_text().splitlines() == [
         "env,method,n_episodes,tau,n_members,seed,error",
-        "cart_balance,bc,2,0.0,1,3,Boom: c",
         "point_reach,swarm,1,0.25,4,0,RuntimeError: no luck",
     ]
     assert (out / "returns_point_reach.csv").exists()
@@ -788,20 +832,24 @@ def test_sweep_survives_torn_failures_row(tmp_path, monkeypatch):
 
 def test_failure_message_with_comma_and_newline_survives(tmp_path):
     message = 'ValueError: bad shape (2, 3),\n  in "layer 1"'
-    cell = Cell("point_reach", "swarm", 1, 0.25, 4, 0)
-    _record_failure(tmp_path, cell, message)
-    recorded = (tmp_path / "failures.csv").read_bytes()
-    _record_failure(tmp_path, Cell("point_reach", "swarm", 1, 0.25, 4, 1), message)
-    path = tmp_path / "failures.csv"
-    torn = path.read_bytes()
-    path.write_bytes(torn[: torn.rindex(b"\n", 0, len(torn) - 1) + 1])  # cut after the embedded newline
+    cells = [Cell("point_reach", "swarm", 1, 0.25, 4, k) for k in range(2)]
+    for cell in cells:
+        _record_failure(tmp_path, cell, message)
+    with open(tmp_path / "failures.csv", newline="") as f:
+        assert list(csv.reader(f))[1:] == [[*map(str, cell.key()), message] for cell in cells]
+
+
+def test_read_table_drops_a_torn_row_cut_after_a_quoted_newline(tmp_path):
+    path = tmp_path / "table.csv"
+    rows = [["a", 'one, "two"\nthree'], ["b", "four\nfive"]]
+    harness.write_table(path, ("key", "text"), rows)
+    whole = path.read_bytes()
+    recorded = whole[: whole.index(b"\nb,") + 1]  # the header and the first row
+    path.write_bytes(whole[: whole.rindex(b"\n", 0, len(whole) - 1) + 1])  # after "four\n"
     with pytest.warns(RuntimeWarning, match="unterminated"):
-        _prune_failures(tmp_path, ResultsStore(tmp_path / "results.csv"))
+        assert read_table(path, ("key", "text"), list) == rows[:1]
     assert path.read_bytes() == recorded
-    _prune_failures(tmp_path, ResultsStore(tmp_path / "results.csv"))
-    assert path.read_bytes() == recorded
-    with open(path, newline="") as f:
-        assert list(csv.reader(f))[1] == [*map(str, cell.key()), message]
+    assert read_table(path, ("key", "text"), list) == rows[:1]
 
 
 @pytest.mark.skipif(multiprocessing.get_start_method() != "fork",
@@ -961,6 +1009,22 @@ def test_contenders_for_a_stale_lock_never_hold_it_together(tmp_path):
         assert all(a[1] <= b[0] for a, b in zip(held, held[1:])), (k, held)
         assert all("in use by another sweep" in o[0] for o in round_ if len(o) == 1)
         assert not (dirs[k] / harness.LOCK_FILE).exists()
+
+
+def test_a_pool_starts_no_more_processes_than_cells_to_run(tmp_path, monkeypatch):
+    sizes, real_pool = [], harness._pool
+
+    def recording(workers, lock):
+        sizes.append(workers)
+        return real_pool(workers, lock)
+
+    monkeypatch.setattr(harness, "_pool", recording)
+    cfg = tiny_config(n_seeds=1)
+    assert len(enumerate_cells(cfg)) == 2
+    run_sweep(cfg, tmp_path, workers=3)
+    assert sizes == [2]
+    run_sweep(cfg, tmp_path, workers=3)  # nothing to run: no pool
+    assert sizes == [2]
 
 
 @pytest.mark.parametrize("workers", [1, 2])
