@@ -57,12 +57,9 @@ def _echo(text: str):
         os.close(devnull)
 
 
-def _int_list(flag: str, text: str) -> tuple:
-    """A comma list of ints, parsed as a sweep config parses one."""
-    try:
-        return harness.CONFIG_KEYS["hidden_dims"][0](text)
-    except ValueError as exc:
-        raise ConfigError(f"{flag}: {exc}") from None
+# ``swarmbc train``'s flag for each training key of a sweep config
+TRAINING_FLAGS = {key: "--" + key.replace("_", "-") for key, (_, target)
+                  in harness.CONFIG_KEYS.items() if target.startswith("train.")}
 
 
 def _load(loader, path):
@@ -72,23 +69,6 @@ def _load(loader, path):
         return loader(path)
     except (OSError, ValueError, KeyError, TypeError, AttributeError) as exc:
         raise ConfigError(f"cannot load {path}: {exc}") from None
-
-
-def _train_config(args) -> TrainConfig:
-    kwargs = {}
-    if args.epochs is not None:
-        kwargs["epochs"] = args.epochs
-    if args.batch_size is not None:
-        kwargs["batch_size"] = args.batch_size
-    if args.lr is not None:
-        kwargs["learning_rate"] = args.lr
-    if args.patience is not None:
-        kwargs["patience"] = args.patience
-    if args.hidden_dims is not None:
-        kwargs["hidden_dims"] = _int_list("--hidden-dims", args.hidden_dims)
-    if args.normalize_swarm:
-        kwargs["normalize_swarm"] = True
-    return TrainConfig(**kwargs)
 
 
 def cmd_gen_data(args) -> int:
@@ -112,12 +92,17 @@ def _resolve_method_params(method, tau, n):
 def cmd_train(args) -> int:
     tau, n = _resolve_method_params(args.method, args.tau, args.n)
     harness.check_method_params(args.method, tau, n)
+    settings = [harness.parse_setting(key, getattr(args, key), flag)
+                for key, flag in TRAINING_FLAGS.items() if getattr(args, key) is not None]
+    config = TrainConfig(**{name: value for _, name, value in settings})
     out = Path(args.out)
     history_path = Path(args.history) if args.history else out.with_suffix(".history.csv")
+    for flag, path in (("--out", out), ("--history", history_path)):
+        if path.resolve() == Path(args.data).resolve():
+            raise ConfigError(f"{flag} names the dataset {args.data}; choose another path")
     if history_path.resolve() == out.resolve():
         raise ConfigError(f"--history names the model file {out}; choose another path")
     dataset = _load(load_dataset, args.data)
-    config = _train_config(args)
     ens, history = train(dataset, n, tau, config, seed=args.seed)
     ens.meta["method"] = args.method
 
@@ -218,7 +203,10 @@ def cmd_sweep(args) -> int:
 
 
 def cmd_mode_demo(args) -> int:
-    n_list = _int_list("--n-list", args.n_list)
+    try:
+        n_list = harness.CONFIG_KEYS["n_grid"][0](args.n_list)
+    except ValueError as exc:
+        raise ConfigError(f"--n-list: {exc}") from None
     if args.density == "uniform":
         density = theory.uniform_grid_density(n_cells=args.cells)
     else:
@@ -270,12 +258,10 @@ def build_parser() -> _Parser:
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", required=True, help="model file (JSON)")
     p.add_argument("--history", default=None, help="loss-history CSV path")
-    p.add_argument("--epochs", type=int, default=None)
-    p.add_argument("--batch-size", type=int, default=None)
-    p.add_argument("--lr", type=float, default=None)
-    p.add_argument("--patience", type=int, default=None)
-    p.add_argument("--hidden-dims", default=None, help="e.g. 64,64")
-    p.add_argument("--normalize-swarm", action="store_true")
+    group = p.add_argument_group("training settings",
+                                 "the train. keys of a sweep config, read as a config reads them")
+    for key, flag in TRAINING_FLAGS.items():
+        group.add_argument(flag, dest=key)
     p.set_defaults(func=cmd_train)
 
     p = sub.add_parser("eval", help="evaluate a model (or the expert) on an env")

@@ -690,8 +690,24 @@ CONFIG_KEYS = {
 }
 
 
+def parse_setting(key: str, text: str, where: str):
+    """``(owner, field, value)`` of ``key`` = ``text``: parsed by ``CONFIG_KEYS``,
+    a training value checked by TrainConfig (owner ``"train"``); a bad value is a
+    ``ConfigError`` naming ``where`` it came from (``line 3``, ``--epochs``)."""
+    parse, target = CONFIG_KEYS[key]
+    owner, _, name = target.rpartition(".")
+    try:
+        value = parse(text)
+        if owner == "train":
+            TrainConfig(**{name: value})
+    except (ValueError, ConfigError) as exc:
+        raise ConfigError(f"{where}: bad value for {key!r}: {exc}") from None
+    return owner, name, value
+
+
 def parse_config_text(text: str) -> ExperimentConfig:
     kwargs = {"": {}, "train": {}}  # ExperimentConfig and TrainConfig arguments
+    seen = set()
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -704,16 +720,11 @@ def parse_config_text(text: str) -> ExperimentConfig:
                 f"line {lineno}: unknown key {key!r} "
                 f"(known: {', '.join(sorted(CONFIG_KEYS))})"
             )
-        parse, target = CONFIG_KEYS[key]
-        owner, _, name = target.rpartition(".")
-        if name in kwargs[owner]:
+        if key in seen:
             raise ConfigError(f"line {lineno}: duplicate key {key!r}")
-        try:
-            kwargs[owner][name] = parse(val)
-            if owner == "train":  # TrainConfig's checks, each on its own line
-                TrainConfig(**{name: kwargs[owner][name]})
-        except (ValueError, ConfigError) as exc:
-            raise ConfigError(f"line {lineno}: bad value for {key!r}: {exc}") from None
+        seen.add(key)
+        owner, name, value = parse_setting(key, val, f"line {lineno}")
+        kwargs[owner][name] = value
     return ExperimentConfig(train=TrainConfig(**kwargs["train"]), **kwargs[""])
 
 

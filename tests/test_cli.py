@@ -5,12 +5,14 @@ import hashlib
 import json
 import os
 import random
+import re
 import resource
 import signal
 import subprocess
 import sys
 import time
 import warnings
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
@@ -19,11 +21,12 @@ from golden_cases import golden_ensemble
 
 import swarmbc
 from swarmbc.cli import _resolve_method_params, main
-from swarmbc.data import save_dataset
-from swarmbc.ensemble import METHODS, save_ensemble
+from swarmbc.data import load_dataset, save_dataset
+from swarmbc.ensemble import METHODS, TrainConfig, save_ensemble, train
 from swarmbc.envs import generate_dataset, make_env
 from swarmbc.errors import ConfigError
-from swarmbc.harness import ExperimentConfig, ResultsStore, method_params, read_results
+from swarmbc.harness import (CONFIG_KEYS, ExperimentConfig, ResultsStore, method_params,
+                             parse_config_text, read_results)
 from swarmbc.metrics import rollouts, write_trajectory_csv
 from swarmbc.theory import concentration_report, gaussian_grid_density
 
@@ -397,14 +400,70 @@ def test_sweep_names_the_line_and_key_of_a_bad_training_value(tmp_path, capsys, 
     assert not (out_dir / "results.csv").exists()
 
 
-@pytest.mark.parametrize("flags", [("--hidden-dims", "0"), ("--hidden-dims", "8,x"),
-                                   ("--lr", "-0.1"), ("--lr", "inf"), ("--patience", "-3")])
-def test_train_rejects_invalid_training_config(small_dataset, tmp_path, capsys, flags):
-    code = run_cli("train", "--data", small_dataset, "--method", "bc",
-                   "--out", tmp_path / "m.json", *flags)
-    assert code == 1
-    assert "error:" in capsys.readouterr().err
-    assert not (tmp_path / "m.json").exists()
+TRAIN_KEYS = [key for key, (_, target) in CONFIG_KEYS.items() if target.startswith("train.")]
+# values a config file rejects, for each training key
+BAD_TRAINING_VALUES = {
+    "epochs": ("0", "2.5"), "batch_size": ("0",), "learning_rate": ("-0.1", "inf"),
+    "patience": ("-3",), "min_improvement": ("nan",), "hidden_dims": ("0", "8,x"),
+    "normalize_swarm": ("maybe",),
+}
+
+
+def _flag(key):
+    return "--" + key.replace("_", "-")
+
+
+def test_train_training_options_are_the_config_keys(capsys):
+    with pytest.raises(SystemExit) as exc:
+        run_cli("train", "--help")
+    assert exc.value.code == 0
+    section = capsys.readouterr().out.split("\ntraining settings:\n")[1]
+    assert re.findall(r"^\s+(--[\w-]+)", section, re.M) == [_flag(k) for k in TRAIN_KEYS]
+    assert set(BAD_TRAINING_VALUES) == set(TRAIN_KEYS)
+
+
+@pytest.mark.parametrize("key", TRAIN_KEYS)
+def test_train_rejects_a_bad_training_value_as_a_config_file_does(small_dataset, tmp_path,
+                                                                  capsys, key):
+    for value in BAD_TRAINING_VALUES[key]:
+        code = run_cli("train", "--data", small_dataset, "--method", "bc",
+                       "--out", tmp_path / "m.json", _flag(key), value)
+        assert code == 1
+        with pytest.raises(ConfigError) as exc:
+            parse_config_text(f"{key} = {value}\n")
+        reason = str(exc.value).removeprefix("line 1")
+        assert reason.startswith(f": bad value for {key!r}: ")
+        assert capsys.readouterr().err == f"error: {_flag(key)}{reason}\n"
+        assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("epochs", [30, 8], ids=["patience_stops", "budget_stops"])
+def test_train_flags_set_the_fields_of_their_keys(small_dataset, tmp_path, capsys, epochs):
+    flags = {"epochs": str(epochs), "batch_size": "16", "learning_rate": "0.004",
+             "patience": "3", "min_improvement": "0.02", "hidden_dims": "6,5",
+             "normalize_swarm": "true"}
+    config = TrainConfig(epochs=epochs, batch_size=16, learning_rate=0.004, patience=3,
+                         min_rel_improvement=0.02, hidden_dims=(6, 5), normalize_swarm=True)
+    assert set(flags) == set(TRAIN_KEYS)
+    assert all(getattr(config, f.name) != f.default for f in fields(TrainConfig)
+               if f.name not in ("beta1", "beta2", "eps"))
+    model = tmp_path / "m.json"
+    assert run_cli("train", "--data", small_dataset, "--method", "swarm", "--tau", 0.5,
+                   "--n", 3, "--seed", 2, "--out", model,
+                   *(arg for key, value in flags.items() for arg in (_flag(key), value))) == 0
+
+    ens, history = train(load_dataset(small_dataset), 3, 0.5, config, seed=2)
+    ens.meta["method"] = "swarm"
+    save_ensemble(ens, tmp_path / "library.json")
+    assert model.read_bytes() == (tmp_path / "library.json").read_bytes()
+    history_csv = model.with_suffix(".history.csv").read_text().splitlines()
+    assert list(csv.reader(history_csv)) == [["epoch", "bc_term", "swarm_term", "total"]] + [
+        [str(epoch), repr(h.bc_term), repr(h.swarm_term), repr(h.total)]
+        for epoch, h in enumerate(history)
+    ]
+    # the budget ends one run and patience the other: each value, set back to its
+    # default, changes the model of at least one of them
+    assert (len(history) == epochs) == (epochs == 8)
 
 
 @pytest.mark.parametrize("history", ["m.json", "sub/../m.json"])
@@ -419,6 +478,25 @@ def test_train_rejects_a_history_path_naming_the_model(small_dataset, tmp_path, 
     assert captured.err.startswith("error: --history names the model file")
     assert len(captured.err.splitlines()) == 1 and captured.out == ""
     assert sorted(p.name for p in tmp_path.iterdir()) == ["sub"]
+
+
+@pytest.mark.parametrize("spelling", ["d.jsonl", "sub/../d.jsonl"])
+@pytest.mark.parametrize("flag", ["--out", "--history"])
+def test_train_rejects_an_output_path_naming_the_dataset(small_dataset, tmp_path, capsys,
+                                                         monkeypatch, flag, spelling):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "sub").mkdir()
+    data = tmp_path / "d.jsonl"
+    data.write_bytes(small_dataset.read_bytes())
+    paths = {"--out": "m.json", "--history": "h.csv", flag: spelling}
+    code = run_cli("train", "--data", data, "--method", "bc", "--epochs", 1,
+                   *(arg for item in paths.items() for arg in item))
+    assert code == 1
+    captured = capsys.readouterr()
+    assert captured.err.startswith(f"error: {flag} names the dataset")
+    assert len(captured.err.splitlines()) == 1 and captured.out == ""
+    assert data.read_bytes() == small_dataset.read_bytes()
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["d.jsonl", "sub"]
 
 
 @pytest.mark.parametrize("cut", ["mid_row", "last_field", "schema_line"])
