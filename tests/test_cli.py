@@ -422,6 +422,17 @@ def test_train_training_options_are_the_config_keys(capsys):
     assert set(BAD_TRAINING_VALUES) == set(TRAIN_KEYS)
 
 
+@pytest.mark.parametrize("flags", [("--hidden-dims", "0"), ("--hidden-dims", "8,x"),
+                                   ("--learning-rate", "-0.1"), ("--learning-rate", "inf"),
+                                   ("--patience", "-3")])
+def test_train_rejects_invalid_training_config(small_dataset, tmp_path, capsys, flags):
+    code = run_cli("train", "--data", small_dataset, "--method", "bc",
+                   "--out", tmp_path / "m.json", *flags)
+    assert code == 1
+    assert "error:" in capsys.readouterr().err
+    assert not (tmp_path / "m.json").exists()
+
+
 @pytest.mark.parametrize("key", TRAIN_KEYS)
 def test_train_rejects_a_bad_training_value_as_a_config_file_does(small_dataset, tmp_path,
                                                                   capsys, key):
