@@ -26,7 +26,7 @@ from .errors import (
     TiedModeError,
     TrainingDivergedError,
 )
-from .metrics import write_trajectory_csv
+from .metrics import RunRecord, write_trajectory_csv
 
 USAGE_EXIT = 1
 NUMERICAL_EXIT = 2
@@ -57,9 +57,9 @@ def _echo(text: str):
         os.close(devnull)
 
 
-# ``swarmbc train``'s flag for each training key of a sweep config
-TRAINING_FLAGS = {key: "--" + key.replace("_", "-") for key, (_, target)
-                  in harness.CONFIG_KEYS.items() if target.startswith("train.")}
+# ``swarmbc train``'s flag for each training key of a sweep config, in config order
+TRAINING_FLAGS = {key: "--" + key.replace("_", "-")
+                  for key in harness.CONFIG_KEYS if key in harness.TRAIN_KEYS}
 
 
 def _load(loader, path):
@@ -92,9 +92,9 @@ def _resolve_method_params(method, tau, n):
 def cmd_train(args) -> int:
     tau, n = _resolve_method_params(args.method, args.tau, args.n)
     harness.check_method_params(args.method, tau, n)
-    settings = [harness.parse_setting(key, getattr(args, key), flag)
-                for key, flag in TRAINING_FLAGS.items() if getattr(args, key) is not None]
-    config = TrainConfig(**{name: value for _, name, value in settings})
+    config = TrainConfig(**{key: harness.parse_setting(key, getattr(args, key), flag)
+                            for key, flag in TRAINING_FLAGS.items()
+                            if getattr(args, key) is not None})
     out = Path(args.out)
     history_path = Path(args.history) if args.history else out.with_suffix(".history.csv")
     for flag, path in (("--out", out), ("--history", history_path)):
@@ -149,7 +149,8 @@ def cmd_eval(args) -> int:
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     results = out_dir / "eval_results.csv"  # a log: evaluating twice repeats a row
-    harness.read_table(results, EVAL_COLUMNS, list, EVAL_SCHEMA)  # drops a torn last row
+    # a malformed row is an error; a torn last row is dropped
+    harness.read_table(results, EVAL_COLUMNS, RunRecord.parse, EVAL_SCHEMA)
     cfg = harness.ExperimentConfig(
         envs=(env_id,), eval_episodes=args.episodes, master_seed=args.seed
     )
@@ -169,9 +170,8 @@ def cmd_eval(args) -> int:
         tau, n = ens.tau, ens.n_members
         n_ep = int(ens.meta.get("n_expert_episodes", 0))
 
-    d_field = "" if mean_diff is None else repr(mean_diff)
-    harness.append_row(results, [env_id, method, n_ep, repr(float(tau)), n, args.seed,
-                                 repr(mean_return), d_field], EVAL_COLUMNS, EVAL_SCHEMA)
+    record = RunRecord(env_id, method, n_ep, tau, n, args.seed, mean_return, mean_diff)
+    harness.append_row(results, record.row(), EVAL_COLUMNS, EVAL_SCHEMA)
 
     d_text = "" if mean_diff is None else f", mean action difference {mean_diff:.6f}"
     _echo(
@@ -204,7 +204,7 @@ def cmd_sweep(args) -> int:
 
 def cmd_mode_demo(args) -> int:
     try:
-        n_list = harness.CONFIG_KEYS["n_grid"][0](args.n_list)
+        n_list = harness.CONFIG_KEYS["n_grid"](args.n_list)
     except ValueError as exc:
         raise ConfigError(f"--n-list: {exc}") from None
     if args.density == "uniform":
@@ -258,8 +258,8 @@ def build_parser() -> _Parser:
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", required=True, help="model file (JSON)")
     p.add_argument("--history", default=None, help="loss-history CSV path")
-    group = p.add_argument_group("training settings",
-                                 "the train. keys of a sweep config, read as a config reads them")
+    group = p.add_argument_group(
+        "training settings", "the training keys of a sweep config, read as a config reads them")
     for key, flag in TRAINING_FLAGS.items():
         group.add_argument(flag, dest=key)
     p.set_defaults(func=cmd_train)
@@ -307,16 +307,10 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (ConfigError, DimensionMismatchError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return USAGE_EXIT
     except (TrainingDivergedError, DegenerateBaselineError, TiedModeError) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return NUMERICAL_EXIT
-    except SwarmBCError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return USAGE_EXIT
-    except OSError as exc:  # e.g. an output path that cannot be written
+    except (SwarmBCError, OSError) as exc:  # OSError: e.g. an unwritable output path
         print(f"error: {exc}", file=sys.stderr)
         return USAGE_EXIT
     except KeyboardInterrupt:  # sweeps resume; no traceback

@@ -308,12 +308,9 @@ class TrainConfig:
     epochs: int = 400
     batch_size: int = 64
     learning_rate: float = 1e-3
-    beta1: float = 0.9
-    beta2: float = 0.999
-    eps: float = 1e-8
     hidden_dims: tuple = (16, 16)
     patience: int = 50
-    min_rel_improvement: float = 1e-4
+    min_improvement: float = 1e-4
     normalize_swarm: bool = False
 
     def __post_init__(self):
@@ -327,9 +324,8 @@ class TrainConfig:
             raise ConfigError(f"learning_rate must be in (0, inf), got {self.learning_rate}")
         if self.patience < 0:
             raise ConfigError(f"patience must be >= 0, got {self.patience}")
-        if not 0 <= self.min_rel_improvement < math.inf:
-            raise ConfigError(
-                f"min_rel_improvement must be in [0, inf), got {self.min_rel_improvement}")
+        if not 0 <= self.min_improvement < math.inf:
+            raise ConfigError(f"min_improvement must be in [0, inf), got {self.min_improvement}")
 
 
 def train(
@@ -386,13 +382,7 @@ def train(
     )
 
     grad, dweights, dbiases = nn.stacked_buffer(layer_dims, n_members)
-    opt = nn.adam_init(
-        [ens.params],
-        lr=config.learning_rate,
-        beta1=config.beta1,
-        beta2=config.beta2,
-        eps=config.eps,
-    )
+    opt = nn.adam_init([ens.params], lr=config.learning_rate)
 
     n_samples = len(dataset)
     history: list[LossBreakdown] = []
@@ -439,7 +429,7 @@ def train(
         last_finite[:] = ens.params
 
         if np.isfinite(best_total):
-            threshold = config.min_rel_improvement * max(1.0, abs(best_total))
+            threshold = config.min_improvement * max(1.0, abs(best_total))
             improved = epoch_loss.total < best_total - threshold
         else:
             improved = True

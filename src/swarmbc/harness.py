@@ -18,8 +18,8 @@ import hashlib
 import io
 import os
 import warnings
-from dataclasses import astuple, dataclass, field
-from operator import attrgetter, itemgetter
+from dataclasses import astuple, dataclass, field, fields
+from operator import itemgetter
 from pathlib import Path
 
 import numpy as np
@@ -271,11 +271,6 @@ def write_table(path: Path, columns, rows, schema=None):
     replace_file(path, _csv_text([columns, *rows], schema))
 
 
-def _result_row(rec: RunRecord) -> list:
-    diff = "" if rec.action_diff is None else repr(float(rec.action_diff))
-    return [*rec.key(), repr(float(rec.scaled_return)), diff]
-
-
 def read_results(path: Path) -> list[RunRecord]:
     """Every complete row of a sweep's results CSV."""
     return read_table(path, RESULTS_COLUMNS, RunRecord.parse, RESULTS_SCHEMA)
@@ -293,13 +288,13 @@ class ResultsStore:
         records = read_results(self.path)
         for rec in records:
             kept = self._index.setdefault(rec.key(), rec)
-            if kept is not rec and _result_row(kept) != _result_row(rec):
+            if kept is not rec and kept.row() != rec.row():
                 raise ConfigError(f"{self.path}: two different rows for one cell: "
-                                  f"{_result_row(kept)} and {_result_row(rec)}")
+                                  f"{kept.row()} and {rec.row()}")
         if len(self._index) < len(records):
             warnings.warn(f"{self.path}: dropping {len(records) - len(self._index)} "
                           "repeated row(s)", RuntimeWarning)
-            write_table(self.path, RESULTS_COLUMNS, map(_result_row, self._index.values()),
+            write_table(self.path, RESULTS_COLUMNS, (rec.row() for rec in self._index.values()),
                         RESULTS_SCHEMA)
 
     @property
@@ -317,7 +312,7 @@ class ResultsStore:
         if rec.key() in self._index:
             return  # completed cells are a no-op
         # written first: a failed write leaves the cell open
-        append_row(self.path, _result_row(rec), RESULTS_COLUMNS, RESULTS_SCHEMA)
+        append_row(self.path, rec.row(), RESULTS_COLUMNS, RESULTS_SCHEMA)
         self._index[rec.key()] = rec
 
 
@@ -665,49 +660,48 @@ def _as_bool(text):
     raise ValueError(f"expected true/false, got {text!r}")
 
 
-# Every key of the config file, in ``--write-config`` order: its value parser
-# and the field it sets, on ExperimentConfig or (as ``train.``) on its
-# TrainConfig. README "Sweep configuration" says what each key means.
+# Every key of the config file, in ``--write-config`` order, and its value
+# parser. A key is the name of the field it sets: a field of TrainConfig for
+# the ``TRAIN_KEYS``, of ExperimentConfig for the others. README "Sweep
+# configuration" says what each key means.
 CONFIG_KEYS = {
-    "envs": (_items(str), "envs"),
-    "methods": (_items(str), "methods"),
-    "episode_counts": (_items(int), "episode_counts"),
-    "n_seeds": (int, "n_seeds"),
-    "eval_episodes": (int, "eval_episodes"),
-    "tau": (_tau, "tau"),
-    "n_members": (int, "n_members"),
-    "tau_grid": (_items(_tau), "tau_grid"),
-    "n_grid": (_items(int), "n_grid"),
-    "ablations": (_as_bool, "ablations"),
-    "master_seed": (int, "master_seed"),
-    "epochs": (int, "train.epochs"),
-    "batch_size": (int, "train.batch_size"),
-    "learning_rate": (float, "train.learning_rate"),
-    "patience": (int, "train.patience"),
-    "min_improvement": (float, "train.min_rel_improvement"),
-    "hidden_dims": (_items(int), "train.hidden_dims"),
-    "normalize_swarm": (_as_bool, "train.normalize_swarm"),
+    "envs": _items(str),
+    "methods": _items(str),
+    "episode_counts": _items(int),
+    "n_seeds": int,
+    "eval_episodes": int,
+    "tau": _tau,
+    "n_members": int,
+    "tau_grid": _items(_tau),
+    "n_grid": _items(int),
+    "ablations": _as_bool,
+    "master_seed": int,
+    "epochs": int,
+    "batch_size": int,
+    "learning_rate": float,
+    "patience": int,
+    "min_improvement": float,
+    "hidden_dims": _items(int),
+    "normalize_swarm": _as_bool,
 }
+TRAIN_KEYS = tuple(f.name for f in fields(TrainConfig))
 
 
 def parse_setting(key: str, text: str, where: str):
-    """``(owner, field, value)`` of ``key`` = ``text``: parsed by ``CONFIG_KEYS``,
-    a training value checked by TrainConfig (owner ``"train"``); a bad value is a
-    ``ConfigError`` naming ``where`` it came from (``line 3``, ``--epochs``)."""
-    parse, target = CONFIG_KEYS[key]
-    owner, _, name = target.rpartition(".")
+    """The value of ``key`` = ``text``, parsed by ``CONFIG_KEYS``; a training
+    value is checked by TrainConfig. A bad value is a ``ConfigError`` naming
+    ``where`` it came from (``line 3``, ``--epochs``)."""
     try:
-        value = parse(text)
-        if owner == "train":
-            TrainConfig(**{name: value})
+        value = CONFIG_KEYS[key](text)
+        if key in TRAIN_KEYS:
+            TrainConfig(**{key: value})
     except (ValueError, ConfigError) as exc:
         raise ConfigError(f"{where}: bad value for {key!r}: {exc}") from None
-    return owner, name, value
+    return value
 
 
 def parse_config_text(text: str) -> ExperimentConfig:
-    kwargs = {"": {}, "train": {}}  # ExperimentConfig and TrainConfig arguments
-    seen = set()
+    settings = {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -720,12 +714,11 @@ def parse_config_text(text: str) -> ExperimentConfig:
                 f"line {lineno}: unknown key {key!r} "
                 f"(known: {', '.join(sorted(CONFIG_KEYS))})"
             )
-        if key in seen:
+        if key in settings:
             raise ConfigError(f"line {lineno}: duplicate key {key!r}")
-        seen.add(key)
-        owner, name, value = parse_setting(key, val, f"line {lineno}")
-        kwargs[owner][name] = value
-    return ExperimentConfig(train=TrainConfig(**kwargs["train"]), **kwargs[""])
+        settings[key] = parse_setting(key, val, f"line {lineno}")
+    training = {key: settings.pop(key) for key in TRAIN_KEYS if key in settings}
+    return ExperimentConfig(train=TrainConfig(**training), **settings)
 
 
 def parse_config_file(path) -> ExperimentConfig:
@@ -745,6 +738,6 @@ def default_config_text() -> str:
     """A config file with every key at its default, for --write-config."""
     cfg = ExperimentConfig()
     lines = ["# swarmbc sweep configuration (key = value; '#' starts a comment)"]
-    lines += [f"{key} = {_format_value(attrgetter(target)(cfg))}"
-              for key, (_, target) in CONFIG_KEYS.items()]
+    lines += [f"{key} = {_format_value(getattr(cfg.train if key in TRAIN_KEYS else cfg, key))}"
+              for key in CONFIG_KEYS]
     return "\n".join(lines) + "\n"

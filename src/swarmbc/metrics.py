@@ -125,6 +125,11 @@ class RunRecord(Cell):
         return RunRecord(*astuple(Cell.parse(row)), float(scaled_return),
                    float(action_diff) if action_diff else None)
 
+    def row(self) -> list:
+        """The results row of this record, which ``parse`` reads back bit for bit."""
+        diff = "" if self.action_diff is None else repr(float(self.action_diff))
+        return [*self.key(), repr(float(self.scaled_return)), diff]
+
 
 def rollouts(env: DeskEnv, policy, seeds, record_members: bool = False) -> list[Trajectory]:
     """Run one episode per seed, all in lockstep; returns their Trajectories.

@@ -25,6 +25,9 @@ import numpy as np
 from .errors import DimensionMismatchError
 
 OUTPUT_ACTIVATIONS = ("identity", "softmax")
+# Adam's moment decay rates and denominator guard: fixed, the learning rate
+# alone is a setting
+BETA1, BETA2, EPS = 0.9, 0.999, 1e-8
 
 
 @dataclass
@@ -239,20 +242,11 @@ class AdamState:
     v: list[np.ndarray]
     step: int = 0
     lr: float = 1e-3
-    beta1: float = 0.9
-    beta2: float = 0.999
-    eps: float = 1e-8
 
 
-def adam_init(params, lr=1e-3, beta1=0.9, beta2=0.999, eps=1e-8) -> AdamState:
-    return AdamState(
-        m=[np.zeros_like(p) for p in params],
-        v=[np.zeros_like(p) for p in params],
-        lr=lr,
-        beta1=beta1,
-        beta2=beta2,
-        eps=eps,
-    )
+def adam_init(params, lr=1e-3) -> AdamState:
+    return AdamState(m=[np.zeros_like(p) for p in params],
+                     v=[np.zeros_like(p) for p in params], lr=lr)
 
 
 def adam_step(params, grads, state: AdamState):
@@ -275,14 +269,14 @@ def adam_update(params, grads, state: AdamState) -> None:
     """One Adam step in place, written into ``params``, ``state.m`` and
     ``state.v``."""
     t = state.step + 1
-    c1 = 1.0 - state.beta1**t
-    c2 = 1.0 - state.beta2**t
+    c1 = 1.0 - BETA1**t
+    c2 = 1.0 - BETA2**t
     for p, g, m, v in zip(params, grads, state.m, state.v):
-        m *= state.beta1
-        m += (1.0 - state.beta1) * g
-        v *= state.beta2
-        v += (1.0 - state.beta2) * (g * g)
-        p -= state.lr * (m / c1) / (np.sqrt(v / c2) + state.eps)
+        m *= BETA1
+        m += (1.0 - BETA1) * g
+        v *= BETA2
+        v += (1.0 - BETA2) * (g * g)
+        p -= state.lr * (m / c1) / (np.sqrt(v / c2) + EPS)
     state.step = t
 
 

@@ -12,7 +12,7 @@ from swarmbc.ensemble import Ensemble
 from swarmbc.envs import random_action
 from swarmbc.errors import DimensionMismatchError
 from swarmbc.metrics import rollouts
-from swarmbc.nn import AdamState, MlpPolicy
+from swarmbc.nn import BETA1, BETA2, EPS, AdamState, MlpPolicy
 
 
 def ensemble_of(members, **fields) -> Ensemble:
@@ -146,17 +146,17 @@ def adam_step(params, grads, state: AdamState):
     if len(params) != len(grads) or len(params) != len(state.m):
         raise DimensionMismatchError("parameter/gradient/state length mismatch")
     t = state.step + 1
-    c1 = 1.0 - state.beta1**t
-    c2 = 1.0 - state.beta2**t
+    c1 = 1.0 - BETA1**t
+    c2 = 1.0 - BETA2**t
     new_m, new_v, new_params = [], [], []
     for p, g, m, v in zip(params, grads, state.m, state.v):
         if p.shape != g.shape:
             raise DimensionMismatchError(
                 f"gradient shape {g.shape} does not match parameter {p.shape}"
             )
-        m = state.beta1 * m + (1.0 - state.beta1) * g
-        v = state.beta2 * v + (1.0 - state.beta2) * (g * g)
+        m = BETA1 * m + (1.0 - BETA1) * g
+        v = BETA2 * v + (1.0 - BETA2) * (g * g)
         new_m.append(m)
         new_v.append(v)
-        new_params.append(p - state.lr * (m / c1) / (np.sqrt(v / c2) + state.eps))
+        new_params.append(p - state.lr * (m / c1) / (np.sqrt(v / c2) + EPS))
     return new_params, replace(state, m=new_m, v=new_v, step=t)

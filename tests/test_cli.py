@@ -25,8 +25,8 @@ from swarmbc.data import load_dataset, save_dataset
 from swarmbc.ensemble import METHODS, TrainConfig, save_ensemble, train
 from swarmbc.envs import generate_dataset, make_env
 from swarmbc.errors import ConfigError
-from swarmbc.harness import (CONFIG_KEYS, ExperimentConfig, ResultsStore, method_params,
-                             parse_config_text, read_results)
+from swarmbc.harness import (CONFIG_KEYS, TRAIN_KEYS, ExperimentConfig, ResultsStore,
+                             method_params, parse_config_text, read_results)
 from swarmbc.metrics import rollouts, write_trajectory_csv
 from swarmbc.theory import concentration_report, gaussian_grid_density
 
@@ -74,6 +74,36 @@ def test_usage_error_exits_1(capsys):
     with pytest.raises(SystemExit) as exc:
         run_cli("gen-data", "--env", "nonsense", "--out", "x")
     assert exc.value.code == 1
+
+
+# exit code and stderr of each exception a command may raise: every class of
+# swarmbc.errors, an OSError and Ctrl-C
+EXITS = {
+    "SwarmBCError": (1, "error: boom\n"),
+    "DimensionMismatchError": (1, "error: boom\n"),
+    "ConfigError": (1, "error: boom\n"),
+    "EpisodeDoneError": (1, "error: boom\n"),
+    "TrainingDivergedError": (2, "numerical failure: boom\n"),
+    "DegenerateBaselineError": (2, "numerical failure: boom\n"),
+    "TiedModeError": (2, "numerical failure: boom\n"),
+    "OSError": (1, "error: boom\n"),
+    "KeyboardInterrupt": (130, "interrupted; rerun the same command to resume\n"),
+}
+ERROR_CLASSES = [cls for cls in vars(swarmbc.errors).values()
+                 if isinstance(cls, type) and issubclass(cls, Exception)]
+
+
+@pytest.mark.parametrize("cls", [*ERROR_CLASSES, OSError, KeyboardInterrupt],
+                         ids=lambda cls: cls.__name__)
+def test_each_exception_a_command_raises_exits_with_its_code_and_one_line(monkeypatch, capsys,
+                                                                          cls):
+    def command(args):
+        raise cls("boom", 0) if cls is swarmbc.errors.TrainingDivergedError else cls("boom")
+
+    monkeypatch.setattr("swarmbc.cli.cmd_grad_check", command)
+    code, err = EXITS[cls.__name__]
+    assert run_cli("grad-check") == code
+    assert capsys.readouterr().err == err
 
 
 @pytest.fixture(scope="module")
@@ -159,6 +189,21 @@ def test_eval_drops_torn_results_row_before_appending(tmp_path, capsys):
     with pytest.warns(RuntimeWarning, match="unterminated"):
         assert run_cli(*argv) == 0
     assert path.read_bytes() == one_row + one_row.splitlines(keepends=True)[-1]
+
+
+def test_a_malformed_eval_row_exits_1_and_leaves_the_log_as_it_was(tmp_path, capsys):
+    out_dir = tmp_path / "eval"
+    argv = ("eval", "--expert", "--env", "point_reach", "--episodes", 1, "--out", out_dir)
+    assert run_cli(*argv) == 0
+    path = out_dir / "eval_results.csv"
+    path.write_bytes(path.read_bytes() + b"garbage\n")
+    log = path.read_bytes()
+    capsys.readouterr()
+    assert run_cli(*argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "malformed row ['garbage']" in err
+    assert err.count("\n") == 1
+    assert path.read_bytes() == log
 
 
 def test_an_eval_log_is_not_read_as_sweep_results(tmp_path, capsys):
@@ -400,7 +445,6 @@ def test_sweep_names_the_line_and_key_of_a_bad_training_value(tmp_path, capsys, 
     assert not (out_dir / "results.csv").exists()
 
 
-TRAIN_KEYS = [key for key, (_, target) in CONFIG_KEYS.items() if target.startswith("train.")]
 # values a config file rejects, for each training key
 BAD_TRAINING_VALUES = {
     "epochs": ("0", "2.5"), "batch_size": ("0",), "learning_rate": ("-0.1", "inf"),
@@ -418,7 +462,8 @@ def test_train_training_options_are_the_config_keys(capsys):
         run_cli("train", "--help")
     assert exc.value.code == 0
     section = capsys.readouterr().out.split("\ntraining settings:\n")[1]
-    assert re.findall(r"^\s+(--[\w-]+)", section, re.M) == [_flag(k) for k in TRAIN_KEYS]
+    in_config_order = [_flag(key) for key in CONFIG_KEYS if key in TRAIN_KEYS]
+    assert re.findall(r"^\s+(--[\w-]+)", section, re.M) == in_config_order
     assert set(BAD_TRAINING_VALUES) == set(TRAIN_KEYS)
 
 
@@ -454,10 +499,9 @@ def test_train_flags_set_the_fields_of_their_keys(small_dataset, tmp_path, capsy
              "patience": "3", "min_improvement": "0.02", "hidden_dims": "6,5",
              "normalize_swarm": "true"}
     config = TrainConfig(epochs=epochs, batch_size=16, learning_rate=0.004, patience=3,
-                         min_rel_improvement=0.02, hidden_dims=(6, 5), normalize_swarm=True)
+                         min_improvement=0.02, hidden_dims=(6, 5), normalize_swarm=True)
     assert set(flags) == set(TRAIN_KEYS)
-    assert all(getattr(config, f.name) != f.default for f in fields(TrainConfig)
-               if f.name not in ("beta1", "beta2", "eps"))
+    assert all(getattr(config, f.name) != f.default for f in fields(TrainConfig))
     model = tmp_path / "m.json"
     assert run_cli("train", "--data", small_dataset, "--method", "swarm", "--tau", 0.5,
                    "--n", 3, "--seed", 2, "--out", model,

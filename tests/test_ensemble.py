@@ -302,11 +302,7 @@ def _reference_train(dataset, n_members, tau, cfg, seed):
         for i in range(n_members)
     ]
     shuffle_rng = np.random.default_rng(streams[n_members])
-    opts = [
-        nn.adam_init(nn.policy_parameters(m), lr=cfg.learning_rate, beta1=cfg.beta1,
-                     beta2=cfg.beta2, eps=cfg.eps)
-        for m in members
-    ]
+    opts = [nn.adam_init(nn.policy_parameters(m), lr=cfg.learning_rate) for m in members]
     history = []
     for _ in range(cfg.epochs):
         order = shuffle_rng.permutation(len(dataset))
@@ -419,7 +415,7 @@ def test_train_early_stops_on_plateau():
     dataset = _toy_dataset(n=20)
     cfg = TrainConfig(
         epochs=4000, patience=10, hidden_dims=(8,), batch_size=20,
-        min_rel_improvement=0.05,
+        min_improvement=0.05,
     )
     _, history = train(dataset, 1, 0.0, cfg, seed=0)
     assert len(history) < 4000

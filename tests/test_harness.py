@@ -14,7 +14,7 @@ import subprocess
 import sys
 import time
 import warnings
-from dataclasses import astuple, replace
+from dataclasses import astuple, fields, replace
 from pathlib import Path
 
 import pytest
@@ -36,7 +36,7 @@ from swarmbc.harness import (
     parse_config_text,
     run_sweep,
 )
-from swarmbc.harness import _record_failure, _result_row, read_table
+from swarmbc.harness import _record_failure, read_table
 from swarmbc.envs import ENV_IDS, generate_dataset, make_env
 from swarmbc.metrics import RunRecord, baseline_returns
 
@@ -270,9 +270,16 @@ def test_every_config_key_maps_to_its_field():
         master_seed=11,
         train=TrainConfig(
             epochs=9, batch_size=32, learning_rate=0.002, patience=4,
-            min_rel_improvement=0.001, hidden_dims=(8, 6, 4), normalize_swarm=True,
+            min_improvement=0.001, hidden_dims=(8, 6, 4), normalize_swarm=True,
         ),
     )
+
+
+def test_each_config_key_is_the_name_of_one_field():
+    experiment = {f.name for f in fields(ExperimentConfig)} - {"train"}
+    train = {f.name for f in fields(TrainConfig)}
+    assert not experiment & train
+    assert set(harness.CONFIG_KEYS) == experiment | train
 
 
 @pytest.mark.parametrize("text, match", [
@@ -293,9 +300,9 @@ def test_parse_config_rejects_bad_values(text, match):
     dict(learning_rate=-0.1),
     dict(learning_rate=float("inf")),
     dict(patience=-3),
-    dict(min_rel_improvement=-0.5),
-    dict(min_rel_improvement=float("nan")),
-    dict(min_rel_improvement=float("inf")),
+    dict(min_improvement=-0.5),
+    dict(min_improvement=float("nan")),
+    dict(min_improvement=float("inf")),
 ])
 def test_train_config_rejects_invalid_values(kwargs):
     with pytest.raises(ConfigError):
@@ -352,7 +359,7 @@ FLOATS = st.floats(allow_nan=False)
          action_diff=None)
 def test_a_results_row_reads_back_bit_for_bit(cell, scaled_return, action_diff):
     rec = RunRecord(*astuple(cell), scaled_return, action_diff)
-    row = _result_row(rec)
+    row = rec.row()
     (written,) = csv.reader(io.StringIO(harness._csv_text([row])))
     for back in (RunRecord.parse(row), RunRecord.parse(written)):
         assert type(back) is RunRecord and back.key() == cell.key()

@@ -89,8 +89,7 @@ def train(dataset, n_members, tau, config=None, seed=0):
                       obs_mean=dataset.obs_mean.copy(), obs_std=dataset.obs_std.copy(),
                       normalize_swarm=config.normalize_swarm)
     grad, dweights, dbiases = nn.stacked_buffer(layer_dims, n_members)
-    opt = nn.adam_init([ens.params], lr=config.learning_rate, beta1=config.beta1,
-                       beta2=config.beta2, eps=config.eps)
+    opt = nn.adam_init([ens.params], lr=config.learning_rate)
 
     n_samples = len(dataset)
     history = []
@@ -119,7 +118,7 @@ def train(dataset, n_members, tau, config=None, seed=0):
         last_finite[:] = ens.params
 
         if np.isfinite(best_total):
-            threshold = config.min_rel_improvement * max(1.0, abs(best_total))
+            threshold = config.min_improvement * max(1.0, abs(best_total))
             improved = epoch_loss.total < best_total - threshold
         else:
             improved = True
