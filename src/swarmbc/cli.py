@@ -71,7 +71,15 @@ def _load(loader, path):
         raise ConfigError(f"cannot load {path}: {exc}") from None
 
 
+def _check_seed(seed: int):
+    """gen-data, train and grad-check seed numpy with ``--seed`` itself; eval
+    and sweep hash theirs with ``harness.fan_out_seed``, which takes any int."""
+    if seed < 0:
+        raise ConfigError(f"--seed must be >= 0, got {seed}")
+
+
 def cmd_gen_data(args) -> int:
+    _check_seed(args.seed)
     out = Path(args.out)
     if out.exists() and not args.force:
         raise ConfigError(f"{out} exists; rerun with --force to overwrite")
@@ -90,6 +98,7 @@ def _resolve_method_params(method, tau, n):
 
 
 def cmd_train(args) -> int:
+    _check_seed(args.seed)
     tau, n = _resolve_method_params(args.method, args.tau, args.n)
     harness.check_method_params(args.method, tau, n)
     config = TrainConfig(**{key: harness.parse_setting(key, getattr(args, key), flag)
@@ -187,7 +196,7 @@ def cmd_sweep(args) -> int:
         path = Path(args.write_config)
         if path.exists() and not args.force:
             raise ConfigError(f"{path} exists; rerun with --force to overwrite")
-        replace_file(path, harness.default_config_text())
+        replace_file(path, harness.config_text(harness.ExperimentConfig()))
         _echo(f"wrote default config to {path}")
         return 0
     cfg = (
@@ -225,6 +234,7 @@ def cmd_mode_demo(args) -> int:
 
 
 def cmd_grad_check(args) -> int:
+    _check_seed(args.seed)
     if args.trials < 1 or not 0 < args.step < math.inf:
         raise ConfigError("grad-check needs --trials >= 1 and --step in (0, inf)")
     worst = gradient_max_rel_error(
@@ -277,7 +287,11 @@ def build_parser() -> _Parser:
     p = sub.add_parser("sweep", help="run the full experiment grid")
     p.add_argument("--config", default=None, help="key = value config file")
     p.add_argument("--out", default="sweep_out")
-    p.add_argument("--workers", type=int, default=1)
+    # the cores this process may run on; macOS has no sched_getaffinity
+    cores = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
+             else os.cpu_count() or 1)
+    p.add_argument("--workers", type=int, default=cores,
+                   help="cell processes (default: the cores it may run on, %(default)s)")
     p.add_argument("--force", action="store_true", help="rerun completed cells")
     p.add_argument("--write-config", default=None, metavar="PATH",
                    help="write the default config file and exit")

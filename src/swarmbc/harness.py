@@ -33,7 +33,7 @@ from .metrics import Cell, RunRecord, rollouts, scaled_return, scripted_rollouts
 
 RESULTS_SCHEMA = "swarmbc.results.v1"
 BASELINES_SCHEMA = "swarmbc.baselines.v1"
-FINGERPRINT_FILE = "config.sha256"
+CONFIG_FILE = "config.cfg"
 LOCK_FILE = "sweep.lock"
 RESULTS_COLUMNS = (
     "env",
@@ -90,12 +90,6 @@ class ExperimentConfig:
             raise ConfigError("episode_counts must be >= 1")
         for _, method, _, tau, n_members in _cell_groups(self):  # ablations included
             check_method_params(method, tau, n_members)
-
-
-def config_fingerprint(cfg: ExperimentConfig) -> str:
-    """sha256 of the config's dataclass repr: every field, training
-    hyperparameters included, floats written exactly."""
-    return hashlib.sha256(repr(cfg).encode("utf-8")).hexdigest()
 
 
 def fan_out_seed(master_seed: int, *parts) -> int:
@@ -230,6 +224,13 @@ def _csv_text(rows, schema=None) -> str:
     return buf.getvalue()
 
 
+def _decode(path: Path, data: bytes) -> str:
+    try:
+        return data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise ConfigError(f"{path}: not UTF-8 text: {exc}") from None
+
+
 def read_table(path: Path, columns, parse, schema=None) -> list:
     """``parse`` of every complete row of the table at ``path``. A missing
     file, or one cut inside its preamble, is no rows (a cut file is
@@ -253,7 +254,7 @@ def read_table(path: Path, columns, parse, schema=None) -> list:
         with open(path, "r+b") as f:
             f.truncate(end)
     out = []
-    for row in csv.reader(io.StringIO(data[len(head):end].decode())):
+    for row in csv.reader(io.StringIO(_decode(path, data[len(head):end]))):
         try:
             out.append(parse(row))
         except (IndexError, ValueError) as exc:
@@ -453,8 +454,9 @@ def run_sweep(cfg: ExperimentConfig, out_dir, workers: int = 1,
     summary tables and SVG charts. Returns the populated store.
 
     One sweep at a time writes ``out_dir``: it holds ``sweep_lock`` until it
-    returns. ``out_dir`` keeps the config's fingerprint beside
-    ``results.csv``; resuming under a different config is a ``ConfigError``.
+    returns. ``out_dir`` keeps the config as a config file beside
+    ``results.csv``; resuming under a different config, or results without
+    that file, is a ``ConfigError``.
     If a worker process dies, the cells it left unreported rerun one process
     each, and the cell that kills its process is recorded as failed.
     ``failures.csv`` lists the cells that failed in this run, one row each.
@@ -469,24 +471,24 @@ def run_sweep(cfg: ExperimentConfig, out_dir, workers: int = 1,
 
 def _locked_sweep(cfg: ExperimentConfig, out_dir: Path, workers: int, force: bool, log,
                   lock: int):
-    results_path = out_dir / "results.csv"
-    fingerprint_path = out_dir / FINGERPRINT_FILE
+    results_path, config_path = out_dir / "results.csv", out_dir / CONFIG_FILE
     if force:  # every file a run may leave as it was, so that none of the old config's remain
         summaries = [p for name in ("returns", "action_diff", "ablation") for ext in ("csv", "svg")
                      for p in out_dir.glob(f"{name}_*.{ext}")]
-        for p in [results_path, fingerprint_path, *(out_dir / "traces").glob("*.csv"),
-                  *summaries]:
+        for p in [results_path, config_path, out_dir / "config.sha256",  # an older swarmbc's
+                  *(out_dir / "traces").glob("*.csv"), *summaries]:
             p.unlink(missing_ok=True)
 
-    fingerprint = config_fingerprint(cfg)
-    if fingerprint_path.exists() and fingerprint_path.read_text().strip() != fingerprint:
-        raise ConfigError(
-            f"{out_dir} holds a sweep run under a different config; rerun with "
-            "--force to replace its results, or choose a new --out"
-        )
+    text = config_text(parse_config_text(config_text(cfg)))  # as read back: 1 is 1.0
+    if config_path.exists() and config_text(parse_config_file(config_path)) != text:
+        raise ConfigError(f"{out_dir} holds a sweep run under a different config; rerun with "
+                          "--force to replace its results, or choose a new --out")
     store = ResultsStore(results_path)
+    if store.records and not config_path.exists():
+        raise ConfigError(f"{out_dir} holds results but no {CONFIG_FILE} naming their config; "
+                          "rerun with --force to replace them, or choose a new --out")
     (out_dir / "failures.csv").unlink(missing_ok=True)  # every cell without a result reruns
-    replace_file(fingerprint_path, fingerprint + "\n")
+    replace_file(config_path, text)
     cells = enumerate_cells(cfg)
     pending = [c for c in cells if not store.has(c)]
     baselines, datasets = scripted_inputs(cfg, out_dir, pending)
@@ -725,18 +727,19 @@ def parse_config_file(path) -> ExperimentConfig:
     path = Path(path)
     if not path.exists():
         raise ConfigError(f"config file not found: {path}")
-    return parse_config_text(path.read_text())
+    return parse_config_text(_decode(path, path.read_bytes()))
 
 
 def _format_value(value) -> str:
-    if isinstance(value, tuple):
+    if isinstance(value, (tuple, list)):
         return ", ".join(map(str, value))
     return str(value).lower() if isinstance(value, bool) else str(value)
 
 
-def default_config_text() -> str:
-    """A config file with every key at its default, for --write-config."""
-    cfg = ExperimentConfig()
+def config_text(cfg: ExperimentConfig) -> str:
+    """The config file of ``cfg``: every key, in ``CONFIG_KEYS`` order, floats
+    written exactly. ``--write-config`` writes it for the defaults, and a
+    sweep keeps it as its ``CONFIG_FILE``."""
     lines = ["# swarmbc sweep configuration (key = value; '#' starts a comment)"]
     lines += [f"{key} = {_format_value(getattr(cfg.train if key in TRAIN_KEYS else cfg, key))}"
               for key in CONFIG_KEYS]

@@ -20,7 +20,7 @@ import pytest
 from golden_cases import golden_ensemble
 
 import swarmbc
-from swarmbc.cli import _resolve_method_params, main
+from swarmbc.cli import _resolve_method_params, build_parser, main
 from swarmbc.data import load_dataset, save_dataset
 from swarmbc.ensemble import METHODS, TrainConfig, save_ensemble, train
 from swarmbc.envs import generate_dataset, make_env
@@ -402,6 +402,69 @@ def test_sweep_refuses_resume_under_changed_config(tmp_path, capsys):
     assert (out_dir / "results.csv").read_bytes() != results
 
 
+def test_sweep_workers_default_to_the_cores_read_when_the_command_is_parsed(monkeypatch):
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 2, 5})
+    assert build_parser().parse_args(["sweep"]).workers == 3
+    assert build_parser().parse_args(["sweep", "--workers", "1"]).workers == 1
+
+
+def _swept(tmp_path):
+    """The config file and ``--out`` of a finished one-cell sweep."""
+    cfg_path, out_dir = tmp_path / "sweep.cfg", tmp_path / "out"
+    cfg_path.write_text(TINY_SWEEP + "hidden_dims = 4\n")
+    assert run_cli("sweep", "--config", cfg_path, "--out", out_dir) == 0
+    return cfg_path, out_dir
+
+
+def test_a_sweep_resumes_from_its_own_config_file(tmp_path, capsys):
+    cfg_path, out_dir = _swept(tmp_path)
+    files = _tree(out_dir)
+    capsys.readouterr()
+    assert run_cli("sweep", "--config", out_dir / "config.cfg", "--out", out_dir) == 0
+    assert ", 0 to run\n" in capsys.readouterr().out
+    assert _tree(out_dir) == files
+
+
+def test_sweep_results_without_their_config_file_exit_1_in_one_line(tmp_path, capsys):
+    """As a directory written by a swarmbc that kept ``config.sha256``."""
+    cfg_path, out_dir = _swept(tmp_path)
+    (out_dir / "config.cfg").rename(out_dir / "config.sha256")
+    files = _tree(out_dir)
+    capsys.readouterr()
+    cfg_path.write_text(TINY_SWEEP + "hidden_dims = 5\n")
+    assert run_cli("sweep", "--config", cfg_path, "--out", out_dir) == 1
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and "no config.cfg" in err
+    assert "--force" in err and "--out" in err
+    assert _tree(out_dir) == files
+
+    assert run_cli("sweep", "--config", cfg_path, "--out", out_dir, "--force") == 0
+    assert not (out_dir / "config.sha256").exists()
+    assert "\nhidden_dims = 5\n" in (out_dir / "config.cfg").read_text()
+
+
+def test_a_config_file_without_a_key_at_its_default_still_resumes(tmp_path, capsys):
+    cfg_path, out_dir = _swept(tmp_path)
+    kept = (out_dir / "config.cfg").read_text()
+    (out_dir / "config.cfg").write_text(kept.replace("patience = 50\n", ""))
+    capsys.readouterr()
+    assert run_cli("sweep", "--config", cfg_path, "--out", out_dir) == 0
+    assert ", 0 to run\n" in capsys.readouterr().out
+    assert (out_dir / "config.cfg").read_text() == kept
+
+
+@pytest.mark.parametrize("where", ["config", "results"])
+def test_undecodable_bytes_exit_1_in_one_line_naming_the_file(tmp_path, capsys, where):
+    cfg_path, out_dir = _swept(tmp_path)
+    bad = cfg_path if where == "config" else out_dir / "results.csv"
+    with open(bad, "ab") as f:
+        f.write(b"# \xff\n" if where == "config" else b"point_reach,bc,1,0.0,1,1,0.5\xff,\n")
+    capsys.readouterr()
+    assert run_cli("sweep", "--config", cfg_path, "--out", out_dir) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {bad}: not UTF-8 text") and err.count("\n") == 1
+
+
 def test_method_defaults_come_from_the_sweep_defaults():
     for method in METHODS:
         assert _resolve_method_params(method, None, None) == method_params(
@@ -627,12 +690,16 @@ def model_docs(tmp_path_factory):
     ("train", "--data", "{tmp}/list.json", "--method", "bc", "--out", "{tmp}/m.json"),
     ("eval", "--model", "{tmp}/list.json"),
     ("train", "--data", "{data}", "--method", "swarm", "--tau", "inf", "--out", "{tmp}/m.json"),
+    ("gen-data", "--env", "point_reach", "--seed", "-1", "--out", "{tmp}/d.jsonl"),
+    ("train", "--data", "{data}", "--method", "bc", "--seed", "-3", "--out", "{tmp}/m.json"),
+    ("grad-check", "--seed", "-1"),
     *(("eval", "--model", "{tmp}/" + name, "--episodes", "1", "--out", "{tmp}/ev")
       for name in MODEL_EDITS),
 ], ids=["n_list", "nan_window", "inf_window", "zero_cells", "negative_std",
         "grad_step", "nan_grad_step", "inf_grad_step", "grad_trials",
         "missing_data", "missing_model", "invalid_data", "invalid_model",
         "non_object_data", "non_object_model", "train_inf_tau",
+        "gen_data_negative_seed", "train_negative_seed", "grad_check_negative_seed",
         *(name.removesuffix(".json") + "_model" for name in MODEL_EDITS)])
 def test_bad_arguments_and_files_exit_1_without_traceback(tmp_path, capsys, small_dataset,
                                                           model_docs, argv):
@@ -644,7 +711,7 @@ def test_bad_arguments_and_files_exit_1_without_traceback(tmp_path, capsys, smal
         (tmp_path / name).write_text(json.dumps(doc))
     assert run_cli(*(a.format(tmp=tmp_path, data=small_dataset) for a in argv)) == 1
     err = capsys.readouterr().err
-    assert err.startswith("error:") and "Traceback" not in err
+    assert err.startswith("error:") and err.count("\n") == 1
     assert not (tmp_path / "m.json").exists()
     assert not (tmp_path / "ev" / "eval_results.csv").exists()
 
@@ -869,7 +936,7 @@ def test_a_serial_sweep_never_loads_the_process_pool_machinery(tmp_path):
               "print('loaded:', *sorted({'multiprocessing', 'concurrent.futures', 'socket'}"
               " & set(sys.modules)))\n")
     proc = subprocess.run([sys.executable, "-c", script, "sweep", "--config",
-                           tmp_path / "sweep.cfg", "--out", tmp_path / "out"],
+                           tmp_path / "sweep.cfg", "--out", tmp_path / "out", "--workers", "1"],
                           env=_child_env(), capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
     assert len(read_results(tmp_path / "out" / "results.csv")) == 1

@@ -29,7 +29,7 @@ from swarmbc.harness import (
     ExperimentConfig,
     ResultsStore,
     cell_seeds,
-    default_config_text,
+    config_text,
     enumerate_cells,
     fan_out_seed,
     load_or_compute_baselines,
@@ -90,7 +90,7 @@ def test_acceptance_config_is_the_paired_sweep():
     cfg = harness.parse_config_file(Path(__file__).with_name("acceptance.cfg"))
     paired = ExperimentConfig(methods=("ensemble", "swarm"), episode_counts=(1, 4, 8),
                               n_seeds=5, eval_episodes=20, ablations=False, master_seed=0)
-    assert harness.config_fingerprint(cfg) == harness.config_fingerprint(paired)
+    assert config_text(cfg) == config_text(paired)
     assert len(enumerate_cells(cfg)) == 90
 
 
@@ -163,8 +163,50 @@ def test_check_method_params_rejects(method, tau, n):
 
 
 def test_parse_config_text_roundtrip():
-    cfg = parse_config_text(default_config_text())
+    cfg = parse_config_text(config_text(ExperimentConfig()))
     assert cfg == ExperimentConfig()
+
+
+def _unique(values):
+    return st.lists(values, min_size=1, unique=True).map(tuple)
+
+
+def _ordered_subset(values):
+    return st.permutations(values).flatmap(
+        lambda order: st.integers(1, len(order)).map(lambda k: tuple(order[:k])))
+
+
+NON_NEGATIVE = st.floats(0, allow_infinity=False) | st.just(-0.0)
+POSITIVE = st.floats(0, exclude_min=True, allow_infinity=False)
+VALID_CONFIGS = st.builds(
+    ExperimentConfig,
+    envs=_ordered_subset(ENV_IDS),
+    methods=_ordered_subset(METHODS),
+    episode_counts=_unique(st.integers(1, 10**6)),
+    n_seeds=st.integers(1, 10**6),
+    eval_episodes=st.integers(1, 10**6),
+    tau=POSITIVE,
+    n_members=st.integers(2, 64),
+    tau_grid=_unique(NON_NEGATIVE),
+    n_grid=_unique(st.integers(2, 64)),
+    ablations=st.booleans(),
+    master_seed=st.integers(-10**20, 10**20),
+    train=st.builds(TrainConfig, epochs=st.integers(1, 10**6), batch_size=st.integers(1, 10**6),
+                    learning_rate=POSITIVE,
+                    hidden_dims=st.lists(st.integers(1, 64), min_size=1).map(tuple),
+                    patience=st.integers(0, 10**6), min_improvement=NON_NEGATIVE,
+                    normalize_swarm=st.booleans()),
+)
+
+
+@given(cfg=VALID_CONFIGS)
+@example(cfg=ExperimentConfig(tau=5e-324, tau_grid=(-0.0, 1e300), master_seed=-1,
+                              train=TrainConfig(learning_rate=0.1, min_improvement=-0.0)))
+def test_a_config_reads_back_from_its_config_text_exactly(cfg):
+    text = config_text(cfg)
+    back = parse_config_text(text)
+    assert back == cfg
+    assert config_text(back) == text  # -0.0 is not 0.0: it seeds other cells
 
 
 def test_parse_config_text_values():
@@ -206,7 +248,7 @@ def test_parse_config_rejects_empty_tau_grid():
 
 
 def test_default_config_text_bytes():
-    assert default_config_text() == (
+    assert config_text(ExperimentConfig()) == (
         "# swarmbc sweep configuration (key = value; '#' starts a comment)\n"
         "envs = point_reach, pendulum_swing, cart_balance\n"
         "methods = bc, ensemble, swarm\n"
@@ -254,7 +296,7 @@ normalize_swarm = yes
 def test_every_config_key_maps_to_its_field():
     keys = [line.split("=")[0].strip() for line in EVERY_KEY_CHANGED.strip().splitlines()]
     default_keys = [line.split("=")[0].strip()
-                    for line in default_config_text().splitlines()[1:]]
+                    for line in config_text(ExperimentConfig()).splitlines()[1:]]
     assert keys == default_keys
     assert parse_config_text(EVERY_KEY_CHANGED) == ExperimentConfig(
         envs=("cart_balance", "point_reach"),
@@ -498,6 +540,7 @@ def test_sweep_runs_resumes_and_is_deterministic(tmp_path):
     out3.mkdir()
     text1 = (out1 / "results.csv").read_text().splitlines(keepends=True)
     (out3 / "results.csv").write_text("".join(text1[:3]))  # schema+header+row
+    (out3 / harness.CONFIG_FILE).write_bytes((out1 / harness.CONFIG_FILE).read_bytes())
     run_sweep(cfg, out3)
     assert (out3 / "results.csv").read_bytes() == results1
 
@@ -699,10 +742,25 @@ def test_summaries_do_not_depend_on_the_order_of_config_lists(tmp_path):
     # cells run, and so are appended, in config order; the config differs
     assert sorted(got.pop("results.csv").splitlines()) == sorted(
         want.pop("results.csv").splitlines())
-    assert got.pop(harness.FINGERPRINT_FILE) != want.pop(harness.FINGERPRINT_FILE)
+    assert got.pop(harness.CONFIG_FILE) != want.pop(harness.CONFIG_FILE)
     assert sorted(got) == sorted(want)
     for name, data in got.items():
         assert data == want[name], name
+
+
+def test_a_list_for_a_tuple_or_an_int_for_a_float_is_the_same_config(tmp_path):
+    """A resume compares configs as config.cfg reads back."""
+    cfg = tiny_config(n_seeds=1, eval_episodes=1, tau=1.0,
+                      train=TrainConfig(epochs=2, hidden_dims=(4,)))
+    out = tmp_path / "out"
+    run_sweep(cfg, out)
+    files = _files(out)
+    assert files[harness.CONFIG_FILE] == config_text(cfg).encode()
+    log = []
+    run_sweep(replace(cfg, tau=1, episode_counts=[1], train=replace(cfg.train, hidden_dims=[4])),
+              out, log=log.append)
+    assert log[0].endswith(", 0 to run")
+    assert _files(out) == files
 
 
 def test_sweep_force_removes_the_old_configs_summaries(tmp_path):
