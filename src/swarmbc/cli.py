@@ -124,7 +124,7 @@ def cmd_train(args) -> int:
     ])
     final = history[-1]
     _echo(
-        f"trained {args.method} (tau={tau}, N={n}) for {len(history)} epochs; "
+        f"trained {args.method} (tau={ens.tau}, N={n}) for {len(history)} epochs; "
         f"final loss {final.total:.6f} (bc {final.bc_term:.6f}, "
         f"swarm {final.swarm_term:.6f})"
     )

@@ -38,10 +38,10 @@ METHODS = ("bc", "ensemble", "swarm")
 
 
 def check_tau(tau: float) -> float:
-    """``tau`` itself if it is a regularizer strength, in [0, inf)."""
+    """``tau + 0.0`` if ``tau`` is a regularizer strength, in [0, inf): -0.0 is 0.0."""
     if not 0 <= tau < math.inf:
         raise ConfigError(f"tau must be in [0, inf), got {tau}")
-    return tau
+    return tau + 0.0
 
 
 @dataclass
@@ -81,7 +81,7 @@ class Ensemble:
     bias_rows: list = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        check_tau(self.tau)
+        self.tau = check_tau(self.tau)
         if self.action_kind not in ("continuous", "discrete"):
             raise ConfigError(f"unknown action_kind {self.action_kind!r}")
         dims = self.layer_dims
@@ -350,7 +350,7 @@ def train(
         raise ConfigError("cannot train on an empty dataset")
     if n_members < 1:
         raise ConfigError(f"n_members must be >= 1, got {n_members}")
-    check_tau(tau)
+    tau = check_tau(tau)
 
     layer_dims = [dataset.meta.obs_dim, *config.hidden_dims, dataset.meta.action_dim]
     streams = np.random.SeedSequence(seed).spawn(n_members + 1)

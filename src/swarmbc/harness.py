@@ -82,13 +82,12 @@ class ExperimentConfig:
             raise ConfigError("n_seeds and eval_episodes must be >= 1")
         if self.n_members < 1:
             raise ConfigError("n_members must be >= 1")
-        for tau in self.tau_grid:
-            check_tau(tau)
+        self.tau, self.tau_grid = check_tau(self.tau), tuple(map(check_tau, self.tau_grid))
         if any(n < 2 for n in self.n_grid):
             raise ConfigError("n_grid values must be >= 2")
         if any(e < 1 for e in self.episode_counts):
             raise ConfigError("episode_counts must be >= 1")
-        for _, method, _, tau, n_members in _cell_groups(self):  # ablations included
+        for _, (_, method, _, tau, n_members) in _cell_groups(self):  # ablations included
             check_method_params(method, tau, n_members)
 
 
@@ -140,33 +139,34 @@ def method_params(cfg: ExperimentConfig, method: str):
 
 
 def _cell_groups(cfg: ExperimentConfig):
-    """(env, method, n_episodes, tau, N) of each group of seed cells, in order."""
+    """``(summary, (env, method, n_episodes, tau, N))`` of each group of seed
+    cells, in order. ``summary`` names the summary the group is a point of:
+    ``returns_<env>`` for the method x dataset size grid, ``ablation_tau`` and
+    ``ablation_n`` for the ablations, on the first env at the largest size."""
     for env in cfg.envs:
         for method in cfg.methods:
             for n_ep in cfg.episode_counts:
-                yield (env, method, n_ep, *method_params(cfg, method))
+                yield f"returns_{env}", (env, method, n_ep, *method_params(cfg, method))
     if cfg.ablations:
         env, n_ep = cfg.envs[0], max(cfg.episode_counts)
         for tau in cfg.tau_grid:
-            yield env, tau_method(tau), n_ep, tau, cfg.n_members
+            yield "ablation_tau", (env, tau_method(tau), n_ep, tau, cfg.n_members)
         for n in cfg.n_grid:
-            yield env, "swarm", n_ep, cfg.tau, n
+            yield "ablation_n", (env, "swarm", n_ep, cfg.tau, n)
 
 
 def enumerate_cells(cfg: ExperimentConfig) -> list:
     """All cells of the sweep in their canonical order, deduplicated."""
-    cells = (Cell(*group, k) for group in _cell_groups(cfg) for k in range(cfg.n_seeds))
+    cells = (Cell(*group, k) for _, group in _cell_groups(cfg) for k in range(cfg.n_seeds))
     return list({c.key(): c for c in cells}.values())
 
 
-def trace_size(cfg: ExperimentConfig) -> int:
-    """Dataset size whose evaluation episodes get per-timestep d traces
-    (the smallest: that is where member disagreement is most visible)."""
-    return min(cfg.episode_counts)
-
-
 def _wants_trace(cfg: ExperimentConfig, cell: Cell) -> bool:
-    return (cell.method != "bc" and cell.n_expert_episodes == trace_size(cfg)
+    """Whether the evaluation episodes of ``cell`` get a per-timestep d trace:
+    the ensemble and swarm cells of the returns grid on the smallest dataset
+    size, where member disagreement is most visible."""
+    return (cell.method in cfg.methods and cell.method != "bc"
+            and cell.n_expert_episodes == min(cfg.episode_counts)
             and (cell.tau, cell.n_members) == method_params(cfg, cell.method))
 
 
@@ -479,10 +479,21 @@ def _locked_sweep(cfg: ExperimentConfig, out_dir: Path, workers: int, force: boo
                   *(out_dir / "traces").glob("*.csv"), *summaries]:
             p.unlink(missing_ok=True)
 
-    text = config_text(parse_config_text(config_text(cfg)))  # as read back: 1 is 1.0
-    if config_path.exists() and config_text(parse_config_file(config_path)) != text:
-        raise ConfigError(f"{out_dir} holds a sweep run under a different config; rerun with "
-                          "--force to replace its results, or choose a new --out")
+    text = kept = config_text(parse_config_text(config_text(cfg)))  # as read back: 1 is 1.0
+    if config_path.exists():
+        try:
+            kept = config_text(parse_config_file(config_path))
+        except ConfigError as exc:
+            raise ConfigError(f"{exc}; it is the config of the sweep in {out_dir}: rerun with "
+                              "--force to replace its results, or choose a new --out") from None
+    # config_text writes one line per key in one order, so the texts differ line by line
+    changed = [f"{old.replace(' = ', ': ', 1)} in {config_path}, {new.split(' = ', 1)[1]} now"
+               for old, new in zip(kept.splitlines(), text.splitlines()) if old != new]
+    if changed:
+        changed[3:] = [f"and {len(changed) - 3} more"] if len(changed) > 3 else []
+        raise ConfigError(f"{out_dir} holds a sweep run under a different config "
+                          f"({'; '.join(changed)}); rerun with --force to replace its "
+                          "results, or choose a new --out")
     store = ResultsStore(results_path)
     if store.records and not config_path.exists():
         raise ConfigError(f"{out_dir} holds results but no {CONFIG_FILE} naming their config; "
@@ -568,71 +579,57 @@ def _write_summary(path: Path, columns, groups, **chart):
 
 
 def write_summaries(cfg: ExperimentConfig, store: ResultsStore, out_dir):
-    """Summary CSVs and charts: scaled return vs dataset size per env,
-    disagreement traces, and the two ablation tables."""
+    """Summary CSVs and charts: one per summary of ``_cell_groups`` (scaled
+    return vs dataset size per env, the two ablations), and the disagreement
+    traces."""
     out_dir = Path(out_dir)
 
-    def runs(*group):  # in seed order, whatever the order of results.csv
+    def runs(group):  # in seed order, whatever the order of results.csv
         found = (store.get(Cell(*group, k)) for k in range(cfg.n_seeds))
         return [rec for rec in found if rec is not None]
 
-    for env in cfg.envs:
-        _write_summary(
-            out_dir / f"returns_{env}", ["env", "n_expert_episodes", "method"],
-            [(method, n_ep, [env, n_ep, method],
-              runs(env, method, n_ep, *method_params(cfg, method)))
-             for method in cfg.methods for n_ep in cfg.episode_counts],
-            title=f"Scaled return vs expert episodes ({env})",
-            x_label="expert episodes in dataset",
-        )
-
+    summaries = {}
+    for summary, group in _cell_groups(cfg):
+        summaries.setdefault(summary, []).append(group)
+    for summary, groups in summaries.items():
+        env, _, n_ep, _, _ = groups[0]
+        if summary == "ablation_tau":
+            column, x_label = "tau", "tau"
+            title = f"Regularizer strength ablation ({env}, {n_ep} expert ep)"
+            points = [("swarm", tau, repr(float(tau))) for _, _, _, tau, _ in groups]
+        elif summary == "ablation_n":
+            column, x_label = "n_members", "ensemble size N"
+            title = f"Ensemble size ablation ({env}, {n_ep} expert ep)"
+            points = [("swarm", n, n) for *_, n in groups]
+        else:
+            column, x_label = "method", "expert episodes in dataset"
+            title = f"Scaled return vs expert episodes ({env})"
+            points = [(method, n, method) for _, method, n, _, _ in groups]
+        _write_summary(out_dir / summary, ["env", "n_expert_episodes", column],
+                       [(label, x, [group[0], group[2], value], runs(group))
+                        for group, (label, x, value) in zip(groups, points)],
+                       title=title, x_label=x_label)
     _write_trace_summaries(cfg, out_dir)
-
-    if cfg.ablations:
-        env, n_ep = cfg.envs[0], max(cfg.episode_counts)
-        _write_summary(
-            out_dir / "ablation_tau", ["env", "n_expert_episodes", "tau"],
-            [("swarm", tau, [env, n_ep, repr(float(tau))],
-              runs(env, tau_method(tau), n_ep, tau, cfg.n_members))
-             for tau in cfg.tau_grid],
-            title=f"Regularizer strength ablation ({env}, {n_ep} expert ep)",
-            x_label="tau",
-        )
-        _write_summary(
-            out_dir / "ablation_n", ["env", "n_expert_episodes", "n_members"],
-            [("swarm", n, [env, n_ep, n], runs(env, "swarm", n_ep, cfg.tau, n))
-             for n in cfg.n_grid],
-            title=f"Ensemble size ablation ({env}, {n_ep} expert ep)",
-            x_label="ensemble size N",
-        )
 
 
 def _write_trace_summaries(cfg: ExperimentConfig, out_dir: Path):
-    n_ep = trace_size(cfg)
-    for env in cfg.envs:
-        per_method = {}
-        for method in ("ensemble", "swarm"):
-            if method not in cfg.methods:
-                continue
-            tau, n = method_params(cfg, method)
-            paths = [_trace_path(out_dir, Cell(env, method, n_ep, tau, n, k))
-                     for k in range(cfg.n_seeds)]
-            traces = [np.array(read_table(p, TRACE_COLUMNS, lambda row: float(row[1])))
-                      for p in paths if p.exists()]
-            if traces:
-                per_method[method] = _ragged_mean(traces)
-        if not per_method:
-            continue
-        methods = sorted(per_method)
-        write_table(out_dir / f"action_diff_{env}.csv", ["t", *(f"d_{m}_mean" for m in methods)], [
-            [t, *(repr(float(per_method[m][t])) if t < len(per_method[m]) else ""
-                  for m in methods)]
-            for t in range(max(len(v) for v in per_method.values()))
+    """``action_diff_<env>``: each method's d trace, the ragged mean over the
+    seeds of the cells ``_wants_trace`` selects."""
+    traces = {}  # (env, n_episodes) -> method -> traces, in seed order
+    for cell in enumerate_cells(cfg):
+        path = _trace_path(out_dir, cell)
+        if _wants_trace(cfg, cell) and path.exists():
+            trace = np.array(read_table(path, TRACE_COLUMNS, lambda row: float(row[1])))
+            by_method = traces.setdefault((cell.env, cell.n_expert_episodes), {})
+            by_method.setdefault(cell.method, []).append(trace)
+    for (env, n_ep), by_method in traces.items():
+        per_method = {m: _ragged_mean(by_method[m]) for m in sorted(by_method)}
+        columns = ["t", *(f"d_{m}_mean" for m in per_method)]
+        write_table(out_dir / f"action_diff_{env}.csv", columns, [
+            [t, *(repr(float(v[t])) if t < len(v) else "" for v in per_method.values())]
+            for t in range(max(map(len, per_method.values())))
         ])
-        series = [
-            svg.Series(m, list(range(len(v))), list(v))
-            for m, v in sorted(per_method.items())
-        ]
+        series = [svg.Series(m, list(range(len(v))), list(v)) for m, v in per_method.items()]
         replace_file(out_dir / f"action_diff_{env}.svg", svg.line_chart(
             series,
             title=f"Member disagreement over an episode ({env}, {n_ep} expert ep)",
@@ -724,10 +721,15 @@ def parse_config_text(text: str) -> ExperimentConfig:
 
 
 def parse_config_file(path) -> ExperimentConfig:
+    """The config in the file at ``path``; every ``ConfigError`` names the file."""
     path = Path(path)
     if not path.exists():
         raise ConfigError(f"config file not found: {path}")
-    return parse_config_text(_decode(path, path.read_bytes()))
+    text = _decode(path, path.read_bytes())
+    try:
+        return parse_config_text(text)
+    except ConfigError as exc:
+        raise ConfigError(f"{path}: {exc}") from None
 
 
 def _format_value(value) -> str:

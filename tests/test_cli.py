@@ -504,7 +504,7 @@ def test_sweep_names_the_line_and_key_of_a_bad_training_value(tmp_path, capsys, 
     assert run_cli("sweep", "--config", cfg_path, "--out", out_dir) == 1
     lineno = TINY_SWEEP.count("\n") + 1
     key = line.split(" =")[0]
-    assert f"error: line {lineno}: bad value for {key!r}" in capsys.readouterr().err
+    assert f"error: {cfg_path}: line {lineno}: bad value for {key!r}" in capsys.readouterr().err
     assert not (out_dir / "results.csv").exists()
 
 
@@ -716,6 +716,48 @@ def test_bad_arguments_and_files_exit_1_without_traceback(tmp_path, capsys, smal
     assert not (tmp_path / "ev" / "eval_results.csv").exists()
 
 
+@pytest.mark.parametrize("case", ["own_config", "user_config", "changed_config"])
+def test_a_config_error_exits_1_in_one_line_naming_its_file(tmp_path, capsys, case):
+    cfg_path, out_dir = _swept(tmp_path)
+    own = out_dir / "config.cfg"
+    if case == "own_config":
+        with open(own, "a") as f:
+            f.write("epochs = two\n")
+        want = [f"error: {own}: line 20: duplicate key 'epochs'", "--force"]
+    elif case == "user_config":
+        cfg_path.write_text(TINY_SWEEP + "seeds = 3\n")
+        want = [f"error: {cfg_path}: line 8: unknown key 'seeds'"]
+    else:  # four keys differ: the first three in config order, then a count
+        cfg_path.write_text(TINY_SWEEP.replace("n_seeds = 1", "n_seeds = 2")
+                            .replace("epochs = 2", "epochs = 3")
+                            + "hidden_dims = 5\nmaster_seed = 7\n")
+        want = [f"(n_seeds: 1 in {own}, 2 now; master_seed: 0 in {own}, 7 now; "
+                f"epochs: 2 in {own}, 3 now; and 1 more)", "--force"]
+    files = _tree(out_dir)
+    capsys.readouterr()
+    assert run_cli("sweep", "--config", cfg_path, "--out", out_dir) == 1
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and all(part in err for part in want), err
+    assert _tree(out_dir) == files
+
+
+def test_train_and_sweep_read_tau_minus_zero_as_0(small_dataset, tmp_path, capsys):
+    assert run_cli("train", "--data", small_dataset, "--method", "ensemble", "--tau", "-0.0",
+                   "--epochs", 1, "--hidden-dims", "3", "--out", tmp_path / "m.json") == 0
+    assert "(tau=0.0, N=4)" in capsys.readouterr().out
+    assert repr(json.loads((tmp_path / "m.json").read_text())["tau"]) == "0.0"
+
+    cfg_path, out_dir = tmp_path / "sweep.cfg", tmp_path / "out"
+    cfg_path.write_text(TINY_SWEEP.replace("ablations = false", "tau_grid = -0.0, 0.5")
+                        .replace("methods = bc", "methods = bc, ensemble, swarm")
+                        + "n_grid = 4\nhidden_dims = 3\n")
+    assert run_cli("sweep", "--config", cfg_path, "--out", out_dir) == 0
+    assert "sweep: 4 cells" in capsys.readouterr().out
+    ensemble = next(r for r in read_results(out_dir / "results.csv") if r.method == "ensemble")
+    assert (out_dir / "ablation_tau.csv").read_text().splitlines()[1] == (
+        f"point_reach,1,0.0,{ensemble.scaled_return!r},0.0,1")
+
+
 def test_sweep_rejects_single_member_ensembles(tmp_path, capsys):
     cfg_path = tmp_path / "sweep.cfg"
     cfg_path.write_text(TINY_SWEEP.replace("methods = bc", "methods = bc, swarm")
@@ -731,7 +773,7 @@ def test_sweep_config_with_a_repeated_value_exits_1_in_one_line(tmp_path, capsys
     cfg_path.write_text(TINY_SWEEP.replace("episode_counts = 1", "episode_counts = 1, 1"))
     out_dir = tmp_path / "out"
     assert run_cli("sweep", "--config", cfg_path, "--out", out_dir) == 1
-    assert capsys.readouterr().err == "error: episode_counts repeats a value: 1, 1\n"
+    assert capsys.readouterr().err == f"error: {cfg_path}: episode_counts repeats a value: 1, 1\n"
     assert not (out_dir / "results.csv").exists()
 
 

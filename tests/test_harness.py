@@ -206,7 +206,7 @@ def test_a_config_reads_back_from_its_config_text_exactly(cfg):
     text = config_text(cfg)
     back = parse_config_text(text)
     assert back == cfg
-    assert config_text(back) == text  # -0.0 is not 0.0: it seeds other cells
+    assert config_text(back) == text  # bit for bit; a tau of -0.0 is kept as 0.0
 
 
 def test_parse_config_text_values():
@@ -794,6 +794,17 @@ def test_sweep_trace_files_written(tmp_path):
     lines = (out / "traces" / traces[0]).read_text().splitlines()
     assert lines[0] == "t,d_mean"
     assert len(lines) == 201  # header + one row per timestep
+
+
+def test_only_cells_of_the_returns_grid_write_trace_files(tmp_path):
+    # one dataset size: the ablation cell at tau 0.25, N 4 has the swarm settings,
+    # but swarm is not a method of the sweep, so no summary reads its trace
+    run_sweep(tiny_config(methods=("bc", "ensemble"), n_seeds=1, ablations=True,
+                          tau_grid=(0.0, 0.25), n_grid=(4,),
+                          train=TrainConfig(epochs=2, hidden_dims=(4,))), tmp_path)
+    traces = sorted(p.name for p in (tmp_path / "traces").iterdir())
+    assert traces == ["point_reach__ensemble__ep1__seed0.csv"]
+    assert (tmp_path / "action_diff_point_reach.csv").read_text().startswith("t,d_ensemble_mean\n")
 
 
 def test_failures_csv_keeps_only_cells_still_without_result(tmp_path, monkeypatch):

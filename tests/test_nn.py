@@ -74,13 +74,16 @@ def test_forward_trace_consistency():
 
 
 def test_forward_batch_matches_single():
+    # one state runs as a batch of one, bit for bit; a row of a larger batch may
+    # round otherwise, since a (5, in) matmul is not five (1, in) ones
     rng = np.random.default_rng(4)
     policy = nn.init_policy([3, 4, 4, 2], rng)
-    batch = rng.normal(size=(5, 3))
-    batch_trace = nn.forward(policy, batch)
-    for i in range(5):
-        single = nn.forward(policy, batch[i])
-        assert np.array_equal(batch_trace.output[i], single.output)
+    for s in rng.normal(size=(5, 3)):
+        single, batch = nn.forward(policy, s), nn.forward(policy, s[None])
+        assert single.output.shape == (2,) and batch.output.shape == (1, 2)
+        assert np.array_equal(batch.output[0], single.output)
+        for h_batch, h_single in zip(batch.hiddens, single.hiddens, strict=True):
+            assert np.array_equal(h_batch[0], h_single)
 
 
 def test_backward_zero_seeds_give_zero_gradients():
