@@ -268,12 +268,16 @@ def _kernel(ensemble: Ensemble, n_batch: int, dweights, dbiases):
     return step
 
 
-def _breakdown(ensemble: Ensemble, bc_sums, swarm_sums, n_batch: int) -> LossBreakdown:
-    """The mean LossBreakdown of a batch from the sums ``_kernel`` wrote."""
-    bc = sum(bc_sums.tolist()) / n_batch  # as swarm_loss
-    swarm = ensemble.n_members * sum(swarm_sums) * _swarm_scale(ensemble) / n_batch
-    total = bc + ensemble.tau * swarm
-    return LossBreakdown(bc_term=float(bc), swarm_term=float(swarm), total=float(total))
+def _breakdown(ensemble: Ensemble, scale: float, bc_sums, swarm_sums,
+               n_batch: int) -> LossBreakdown:
+    """The mean LossBreakdown of a batch from the sums ``_kernel`` wrote, as
+    lists of floats; ``scale`` is ``_swarm_scale(ensemble)``."""
+    bc = sum(bc_sums) / n_batch  # as swarm_loss
+    swarm = 0.0
+    for layer_sum in swarm_sums:  # left to right; sum() of floats compensates from 3.12
+        swarm += layer_sum
+    swarm = ensemble.n_members * swarm * scale / n_batch
+    return LossBreakdown(bc_term=bc, swarm_term=swarm, total=bc + ensemble.tau * swarm)
 
 
 def _batch(ensemble: Ensemble, states, actions):
@@ -282,7 +286,9 @@ def _batch(ensemble: Ensemble, states, actions):
     grad, dweights, dbiases = nn.stacked_buffer(ensemble.layer_dims, ensemble.n_members)
     sums = np.zeros(ensemble.n_members), np.zeros(len(ensemble.layer_dims) - 2)
     _kernel(ensemble, len(states), dweights, dbiases)(ensemble.normalize(states), actions, *sums)
-    return _breakdown(ensemble, *sums, len(states)), grad, dweights, dbiases
+    breakdown = _breakdown(ensemble, _swarm_scale(ensemble), *(s.tolist() for s in sums),
+                           len(states))
+    return breakdown, grad, dweights, dbiases
 
 
 def batch_loss_and_grads(ensemble: Ensemble, states, actions):
@@ -398,6 +404,7 @@ def train(
     bc_sums = np.zeros((len(batches), n_members))
     swarm_sums = np.zeros((len(batches), len(config.hidden_dims)))
     xs = ens.normalize(dataset.states)  # row by row, as each minibatch alone
+    scale = _swarm_scale(ens)
 
     for epoch in range(config.epochs):
         order = shuffle_rng.permutation(n_samples)
@@ -406,8 +413,8 @@ def train(
             steps[size](x_epoch[rows], a_epoch[rows], bc_sums[i], swarm_sums[i])
             nn.adam_update([ens.params], [grad], opt)
         sum_bc = sum_swarm = sum_total = 0.0
-        for size, bc, swarm in zip(sizes, bc_sums, swarm_sums):
-            breakdown = _breakdown(ens, bc, swarm, size)
+        for size, bc, swarm in zip(sizes, bc_sums.tolist(), swarm_sums.tolist()):
+            breakdown = _breakdown(ens, scale, bc, swarm, size)
             # checked after the epoch's steps: a non-finite batch leaves the
             # rest of the epoch non-finite, and the payload is the epoch's start
             if not math.isfinite(breakdown.total):

@@ -118,7 +118,12 @@ def init_policy(layer_dims, rng, output_activation="identity") -> MlpPolicy:
 
 
 def _softmax(z: np.ndarray, out=None) -> np.ndarray:
-    e = np.subtract(z, z.max(axis=-1, keepdims=True), out=out)
+    # the row max as a running maximum over the columns, one call per column
+    # instead of one inner loop per row: a max is exact in any order
+    top = z[..., :1]
+    for j in range(1, z.shape[-1]):
+        top = np.maximum(top, z[..., j : j + 1])
+    e = np.subtract(z, top, out=out)
     np.exp(e, out=e)
     e /= e.sum(axis=-1, keepdims=True)
     return e
@@ -222,7 +227,10 @@ def stacked_backward(weights, x, hiddens, output, output_grad, hidden_grads,
     acts = [x] + hiddens  # inputs to each affine layer
     for k in range(len(weights) - 1, -1, -1):
         np.matmul(acts[k].swapaxes(-1, -2), dz, out=dweights[k])
-        dz.sum(axis=1, out=dbiases[k])
+        if dz.shape[-1] > 1:  # einsum adds the B rows in order, as dz.sum(axis=1) does
+            np.einsum("nbw->nw", dz, out=dbiases[k])
+        else:  # numpy squeezes a width-1 column and sums it pairwise
+            dz.sum(axis=1, out=dbiases[k])
         if k == 0:
             break
         da, slope = scratch[k - 1]

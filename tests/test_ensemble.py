@@ -619,10 +619,14 @@ def test_train_divergence_payload_is_last_epoch_end_and_detached(monkeypatch):
 @pytest.mark.parametrize("discrete", [False, True])
 @pytest.mark.parametrize("n_members", [1, 2, 3, 4, 8])
 def test_train_matches_the_allocating_per_step_oracle(n_members, discrete):
-    # 50 samples are three batches of 16 and a remainder of 2; 11 are less than one batch
-    for tau, normalize_swarm, size in product((0.0, 0.25), (False, True), (50, 11)):
-        dataset = _toy_dataset(n=size, discrete=discrete, action_dim=3)
-        cfg = TrainConfig(epochs=4, hidden_dims=(8, 6), batch_size=16, learning_rate=1e-2,
+    # 50 samples are three batches of 16 and a remainder of 2; 11 are less than one batch.
+    # A width-1 layer (hidden, or a continuous head of one action) sums its bias
+    # gradient by another call than the wider layers.
+    shapes = [((8, 6), 3), ((1, 6), 3)] + ([] if discrete else [((1, 6), 1)])
+    for (hidden_dims, action_dim), tau, normalize_swarm, size in product(
+            shapes, (0.0, 0.25), (False, True), (50, 11)):
+        dataset = _toy_dataset(n=size, discrete=discrete, action_dim=action_dim)
+        cfg = TrainConfig(epochs=4, hidden_dims=hidden_dims, batch_size=16, learning_rate=1e-2,
                           normalize_swarm=normalize_swarm)
         ens, history = train(dataset, n_members, tau, cfg, seed=5)
         want, want_history = train_oracle.train(dataset, n_members, tau, cfg, seed=5)

@@ -1,4 +1,5 @@
 from dataclasses import replace
+from itertools import product
 
 import numpy as np
 import pytest
@@ -252,6 +253,55 @@ def test_single_policy_path_matches_the_reference_bitwise():
         _assert_identical(new_params, want_params)
         _assert_identical(new_state.m + new_state.v, want_state.m + want_state.v)
         assert new_state.step == want_state.step == state.step + 1
+
+
+def _extreme_values(rng, shape, special_share):
+    """Magnitudes from 1e-8 to 1e8 of either sign, a share of them replaced by
+    +-0, +-inf or NaN."""
+    x = rng.choice([-1.0, 1.0], size=shape) * 10.0 ** rng.uniform(-8, 8, size=shape)
+    special = rng.random(shape) < special_share
+    x[special] = rng.choice([0.0, -0.0, np.inf, -np.inf, np.nan], size=special.sum())
+    return x
+
+
+def _bits(a):
+    """The bit patterns of ``a`` with every NaN as ``np.nan``: which of two NaNs an
+    add or a max keeps depends on its operand order, which IEEE 754 leaves open."""
+    return np.where(np.isnan(a), np.nan, a).view(np.int64)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 8])
+def test_bias_gradient_reduction_equals_dz_sum_bitwise(n):
+    rng = np.random.default_rng(n)
+    for b, w in product([1, 2, 7, 16, 64, 65], [1, 2, 3, 16]):
+        for dz in (_extreme_values(rng, (n, b, w), 0.0), _extreme_values(rng, (n, b, w), 0.05),
+                   np.where(rng.random((n, b, w)) < 0.97, -0.0, 0.0)):
+            # a one-layer net: its bias gradient is the reduction of the output seed
+            dbias = np.empty((n, w))
+            with np.errstate(invalid="ignore"):
+                nn.stacked_backward([np.zeros((n, 1, w))], np.zeros((b, 1)), [], None,
+                                    dz.copy(), None, [np.empty((n, 1, w))], [dbias],
+                                    "identity", [])
+                want = dz.sum(axis=1)
+            assert np.array_equal(_bits(dbias), _bits(want)), \
+                f"dz of shape {dz.shape}, numpy {np.__version__}"
+
+
+@pytest.mark.parametrize("k", [2, 3, 5])
+def test_softmax_equals_the_row_max_form_bitwise(k):
+    rng = np.random.default_rng(k)
+    for shape, share in product([(1, 1, k), (4, 1, k), (4, 64, k), (8, 65, k), (6, 4, 1, k)],
+                                [0.0, 0.2]):
+        z = _extreme_values(rng, shape, share)
+        with np.errstate(invalid="ignore", over="ignore"):
+            want = z - z.max(axis=-1, keepdims=True)
+            np.exp(want, out=want)
+            want /= want.sum(axis=-1, keepdims=True)
+            got = nn._softmax(z)
+            in_place = nn._softmax(z, out=z)
+        for result in (got, in_place):
+            assert np.array_equal(_bits(result), _bits(want)), \
+                f"z of shape {shape}, numpy {np.__version__}"
 
 
 def test_backward_rejects_wrong_seed_counts_and_shapes():
