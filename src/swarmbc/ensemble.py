@@ -221,13 +221,50 @@ def deployed_action(ensemble: Ensemble, outputs):
     """The action for member outputs of shape (..., N, action_dim): the
     componentwise member mean clipped to the env bounds for continuous
     heads, the argmax of the mean probability vector for discrete."""
+    return _deploy(outputs, outputs.shape[-2], ensemble.action_kind, ensemble.action_low,
+                   ensemble.action_high)
+
+
+def _deploy(outputs, n_members, action_kind: str, low=None, high=None):
+    """``deployed_action``'s rule, dividing the member sum by ``n_members``."""
     # outputs.mean(axis=-2) and np.clip, bit for bit, minus their Python overhead
-    mean = np.add.reduce(outputs, axis=-2) / outputs.shape[-2]
-    if ensemble.action_kind == "discrete":
+    mean = np.add.reduce(outputs, axis=-2) / n_members
+    if action_kind == "discrete":
         return mean.argmax(axis=-1)
-    if ensemble.action_low is not None:
-        mean = np.minimum(np.maximum(mean, ensemble.action_low), ensemble.action_high)
+    if low is not None:
+        mean = np.minimum(np.maximum(mean, low), high)
     return mean
+
+
+def rollout_step(ensemble: Ensemble, n: int):
+    """``step(obs) -> (outputs, actions)`` on a batch of up to ``n`` states:
+    ``predict_members(obs)`` and its ``deployed_action``, bit for bit.
+
+    The normalisation, the bias rows and the action bounds are copied once,
+    broadcast to ``n`` leading rows, and each call slices them to the batch;
+    N is a 0-d array. So every elementwise call has same-shape or 0-d
+    operands, which numpy dispatches about 1 us faster than broadcast ones.
+    The copies hold the ensemble's numbers as the step was built, so the
+    ensemble must not change while the step is in use.
+    """
+    def rows(v):
+        return np.broadcast_to(v, (n, *v.shape)).copy()
+
+    mean, std = rows(ensemble.obs_mean), rows(ensemble.obs_std)
+    bias_rows = [rows(b) for b in ensemble.bias_rows]
+    bounds = () if ensemble.action_low is None else (
+        rows(ensemble.action_low), rows(ensemble.action_high))
+    n_members = np.array(float(ensemble.n_members))
+
+    def step(obs):
+        e = len(obs)
+        x = (obs - mean[:e]) / std[:e]
+        outputs = nn.stacked_forward(ensemble.weights, [b[:e] for b in bias_rows],
+                                     x[:, None, None, :], ensemble.head)[1][:, :, 0, :]
+        return outputs, _deploy(outputs, n_members, ensemble.action_kind,
+                                *(v[:e] for v in bounds))
+
+    return step
 
 
 def _kernel(ensemble: Ensemble, n_batch: int, dweights, dbiases):
@@ -272,10 +309,14 @@ def _breakdown(ensemble: Ensemble, scale: float, bc_sums, swarm_sums,
                n_batch: int) -> LossBreakdown:
     """The mean LossBreakdown of a batch from the sums ``_kernel`` wrote, as
     lists of floats; ``scale`` is ``_swarm_scale(ensemble)``."""
-    bc = sum(bc_sums) / n_batch  # as swarm_loss
-    swarm = 0.0
-    for layer_sum in swarm_sums:  # left to right; sum() of floats compensates from 3.12
+    # left to right, as swarm_loss adds numpy scalars: from Python 3.12, sum()
+    # of floats compensates
+    bc = swarm = 0.0
+    for member_sum in bc_sums:
+        bc += member_sum
+    for layer_sum in swarm_sums:
         swarm += layer_sum
+    bc /= n_batch
     swarm = ensemble.n_members * swarm * scale / n_batch
     return LossBreakdown(bc_term=bc, swarm_term=swarm, total=bc + ensemble.tau * swarm)
 

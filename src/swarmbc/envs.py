@@ -34,9 +34,20 @@ from .errors import ConfigError, EpisodeDoneError
 DT = 0.05
 
 
+def _c(x):
+    """``x`` as a 0-d float64 array. The per-step physics uses its constants
+    in this form: numpy dispatches a ufunc about 0.35 us faster on a 0-d
+    array than on a Python float, with the same result."""
+    return np.array(x, dtype=np.float64)
+
+
+_DT, _ZERO, _ONE, _NEG_ONE = _c(DT), _c(0.0), _c(1.0), _c(-1.0)
+_PI, _TWO_PI = _c(math.pi), _c(2.0 * math.pi)
+
+
 def wrap_angle(theta):
     """Map any angle (or array of angles) onto [-pi, pi)."""
-    return (theta + math.pi) % (2.0 * math.pi) - math.pi
+    return (theta + _PI) % _TWO_PI - _PI
 
 
 def _clip(x, low, high, out=None):
@@ -132,6 +143,8 @@ class PointReach(DeskEnv):
     ARENA = 4.0
     START_POS = 1.5
     START_VEL = 0.1
+    _arena, _vmax, _neg_vmax = _c(ARENA), _c(VMAX), _c(-VMAX)
+    _neg_kp, _kd = _c(-KP), _c(KD)
 
     def __init__(self):
         super().__init__()
@@ -156,14 +169,14 @@ class PointReach(DeskEnv):
         return states.copy()
 
     def advance(self, states, actions):
-        u = _clip(np.asarray(actions, dtype=np.float64), -1.0, 1.0)
+        u = _clip(np.asarray(actions, dtype=np.float64), _NEG_ONE, _ONE)
         new = np.empty_like(states)
         pos, vel = new[:, :2], new[:, 2:]
-        _clip(states[:, 2:] + DT * u, -self.VMAX, self.VMAX, out=vel)
-        np.add(states[:, :2], DT * vel, out=pos)
-        wall = np.abs(pos) > self.ARENA
+        _clip(states[:, 2:] + _DT * u, self._neg_vmax, self._vmax, out=vel)
+        np.add(states[:, :2], _DT * vel, out=pos)
+        wall = np.abs(pos) > self._arena
         if np.count_nonzero(wall):  # cheaper than wall.any()
-            np.copysign(self.ARENA, pos, out=pos, where=wall)
+            np.copysign(self._arena, pos, out=pos, where=wall)
             vel[wall] = 0.0
         # |pos| as sqrt of a (1, 2) @ (2, 1) product rounds like np.linalg.norm
         # of one position; norm(axis=1) and sqrt(x*x + y*y) do not
@@ -172,7 +185,7 @@ class PointReach(DeskEnv):
 
     def expert_action(self, obs):
         pos, vel = obs[..., :2], obs[..., 2:]
-        return _clip(-self.KP * pos - self.KD * vel, -1.0, 1.0)
+        return _clip(self._neg_kp * pos - self._kd * vel, _NEG_ONE, _ONE)
 
 
 class PendulumSwing(DeskEnv):
@@ -194,6 +207,13 @@ class PendulumSwing(DeskEnv):
     KD = 6.0
     CATCH_ANGLE = 0.5
     CATCH_OMEGA = 2.5
+    _u_max, _neg_u_max = _c(U_MAX), _c(-U_MAX)
+    _omega_max, _neg_omega_max = _c(OMEGA_MAX), _c(-OMEGA_MAX)
+    _g_over_l, _ml2 = _c(GRAVITY / LENGTH), _c(MASS * LENGTH**2)
+    _omega_cost, _u_cost = _c(0.1), _c(0.001)
+    _half_ml2, _mgl = _c(0.5 * MASS * LENGTH**2), _c(MASS * GRAVITY * LENGTH)
+    _neg_k_energy, _neg_kp, _kd = _c(-K_ENERGY), _c(-KP), _c(KD)
+    _rest_omega, _catch_angle, _catch_omega = _c(0.05), _c(CATCH_ANGLE), _c(CATCH_OMEGA)
 
     def __init__(self):
         super().__init__()
@@ -224,15 +244,14 @@ class PendulumSwing(DeskEnv):
 
     def advance(self, states, actions):
         u = np.asarray(actions, dtype=np.float64).reshape(len(states), -1)[:, 0]
-        u = _clip(u, -self.U_MAX, self.U_MAX)
+        u = _clip(u, self._neg_u_max, self._u_max)
         new = np.empty_like(states)
         theta, omega = new[:, 0], new[:, 1]
-        ml2 = self.MASS * self.LENGTH**2
-        accel = (self.GRAVITY / self.LENGTH) * np.sin(states[:, 0]) + u / ml2
-        _clip(states[:, 1] + DT * accel, -self.OMEGA_MAX, self.OMEGA_MAX, out=omega)
-        np.add(states[:, 0], DT * omega, out=theta)
+        accel = self._g_over_l * np.sin(states[:, 0]) + u / self._ml2
+        _clip(states[:, 1] + _DT * accel, self._neg_omega_max, self._omega_max, out=omega)
+        np.add(states[:, 0], _DT * omega, out=theta)
         a = wrap_angle(theta)
-        reward = -(a * a + 0.1 * omega * omega + 0.001 * u * u)
+        reward = -(a * a + self._omega_cost * omega * omega + self._u_cost * u * u)
         return new, reward, np.zeros(len(states), dtype=bool)
 
     def expert_action(self, obs):
@@ -244,16 +263,14 @@ class PendulumSwing(DeskEnv):
         # Pump mechanical energy toward the upright level (E = 0); dE/dt =
         # omega * u, so push along omega while energy is short, kick off the
         # hanging rest point, and catch the pendulum near the top.
-        energy = (
-            0.5 * self.MASS * self.LENGTH**2 * omega * omega
-            + self.MASS * self.GRAVITY * self.LENGTH * (np.cos(theta) - 1.0)
-        )
-        u = -self.K_ENERGY * omega * energy
-        u[np.abs(omega) < 0.05] = self.U_MAX
-        catch = (np.abs(theta) <= self.CATCH_ANGLE) & (np.abs(omega) <= self.CATCH_OMEGA)
+        energy = (self._half_ml2 * omega * omega
+                  + self._mgl * (np.cos(theta) - _ONE))
+        u = self._neg_k_energy * omega * energy
+        u[np.abs(omega) < self._rest_omega] = self.U_MAX
+        catch = (np.abs(theta) <= self._catch_angle) & (np.abs(omega) <= self._catch_omega)
         if np.count_nonzero(catch):
-            u[catch] = (-self.KP * theta - self.KD * omega)[catch]
-        return _clip(u, -self.U_MAX, self.U_MAX).reshape(obs.shape[:-1] + (1,))
+            u[catch] = (self._neg_kp * theta - self._kd * omega)[catch]
+        return _clip(u, self._neg_u_max, self._u_max).reshape(obs.shape[:-1] + (1,))
 
 
 class CartBalance(DeskEnv):
@@ -273,6 +290,11 @@ class CartBalance(DeskEnv):
     START = 0.05
     # expert: push right iff theta + EXPERT_BLEND * theta_dot > 0
     EXPERT_BLEND = 0.25
+    _gravity, _blend = _c(GRAVITY), _c(EXPERT_BLEND)
+    _x_limit, _angle_limit = _c(X_LIMIT), _c(ANGLE_LIMIT)
+    # effective pole length in the linearized angular dynamics
+    _l_eff = _c(POLE_HALF * (4.0 / 3.0 - M_POLE / (M_CART + M_POLE)))
+    _lever = _c(M_POLE * POLE_HALF / (M_CART + M_POLE))
 
     def __init__(self):
         super().__init__()
@@ -288,11 +310,7 @@ class CartBalance(DeskEnv):
             reward_max=1.0,
         )
         total = self.M_CART + self.M_POLE
-        # effective pole length in the linearized angular dynamics
-        self._l_eff = self.POLE_HALF * (4.0 / 3.0 - self.M_POLE / total)
-        self._lever = self.M_POLE * self.POLE_HALF / total
         self._push = np.array([-self.FORCE, self.FORCE]) / total  # by action
-        self._limits = np.array([self.X_LIMIT, self.ANGLE_LIMIT])  # (x, theta)
 
     def _sample_start(self, rng):
         return rng.uniform(-self.START, self.START, size=4)
@@ -306,18 +324,19 @@ class CartBalance(DeskEnv):
             raise ConfigError(f"cart_balance: action must be 0 or 1, got {actions!r}")
         push = self._push[a.astype(np.intp)]
         acc = np.empty((len(states), 2))  # (x, theta) accelerations
-        theta_acc = np.divide(self.GRAVITY * states[:, 2] - push, self._l_eff, out=acc[:, 1])
+        theta_acc = np.divide(self._gravity * states[:, 2] - push, self._l_eff, out=acc[:, 1])
         np.subtract(push, self._lever * theta_acc, out=acc[:, 0])
         # positions (x, theta) and velocities are the even and odd state columns
         new = np.empty_like(states)
         pos, vel = new[:, 0::2], new[:, 1::2]
-        np.add(states[:, 1::2], DT * acc, out=vel)
-        np.add(states[:, 0::2], DT * vel, out=pos)
-        failed = (np.abs(pos) > self._limits).any(axis=1)
-        return new, 1.0 - failed, failed
+        np.add(states[:, 1::2], _DT * acc, out=vel)
+        np.add(states[:, 0::2], _DT * vel, out=pos)
+        dist = np.abs(pos)  # |x|, |theta|
+        failed = (dist[:, 0] > self._x_limit) | (dist[:, 1] > self._angle_limit)
+        return new, _ONE - failed, failed
 
     def expert_action(self, obs):
-        return (obs[..., 2] + self.EXPERT_BLEND * obs[..., 3] > 0.0).astype(np.int64)
+        return (obs[..., 2] + self._blend * obs[..., 3] > _ZERO).astype(np.int64)
 
 
 ENV_IDS = ("point_reach", "pendulum_swing", "cart_balance")

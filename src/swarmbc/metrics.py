@@ -28,7 +28,7 @@ from typing import Optional
 import numpy as np
 
 from .data import Dataset, DatasetMeta, replace_file
-from .ensemble import Ensemble, deployed_action
+from .ensemble import Ensemble, rollout_step
 from .envs import DeskEnv, random_action
 from .errors import ConfigError, DegenerateBaselineError, DimensionMismatchError
 
@@ -159,11 +159,11 @@ def rollouts(env: DeskEnv, policy, seeds, record_members: bool = False) -> list[
         records.append(np.empty((horizon, n, policy.n_members, policy.action_dim)))
     lengths = np.full(n, horizon)  # an episode that fails at step t has t + 1 steps
     live, rows, outputs = np.arange(n), slice(None), None  # rows: the live episodes
+    step = rollout_step(policy, n) if is_ensemble else None
     for t in range(horizon):
         obs = env.observe(states)
         if is_ensemble:
-            outputs = policy.predict_members(obs)  # (E_live, N, action_dim)
-            actions = deployed_action(policy, outputs)
+            outputs, actions = step(obs)  # outputs: (E_live, N, action_dim)
         else:
             actions = np.asarray(policy(obs, live))
         states, rewards, failed = env.advance(states, actions)

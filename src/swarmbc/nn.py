@@ -118,6 +118,14 @@ def init_policy(layer_dims, rng, output_activation="identity") -> MlpPolicy:
 
 
 def _softmax(z: np.ndarray, out=None) -> np.ndarray:
+    if z.shape[-1] == 2:
+        # each column against its mirror gives the row max and the row sum at
+        # full shape, bit for bit as below: numpy dispatches same-shape
+        # operands faster than a broadcast (..., 1) column
+        e = np.subtract(z, np.maximum(z, z[..., ::-1]), out=out)
+        np.exp(e, out=e)
+        e /= e + e[..., ::-1]
+        return e
     # the row max as a running maximum over the columns, one call per column
     # instead of one inner loop per row: a max is exact in any order
     top = z[..., :1]

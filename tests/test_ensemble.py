@@ -1,3 +1,4 @@
+import math
 import warnings
 from dataclasses import replace
 from itertools import product
@@ -13,6 +14,7 @@ from swarmbc.data import Dataset, DatasetMeta
 from swarmbc.ensemble import (
     Ensemble,
     TrainConfig,
+    _breakdown,
     batch_loss_and_grads,
     deployed_action,
     gradient_max_rel_error,
@@ -649,6 +651,21 @@ def test_batch_loss_and_grads_matches_the_allocating_oracle(n_members, discrete)
         for i, member_grads in enumerate(grads):
             want = [g[i] for pair in zip(dweights, dbiases) for g in pair]
             assert all(np.array_equal(a, b) for a, b in zip(member_grads, want))
+
+
+def test_breakdown_adds_the_member_sums_left_to_right():
+    """The bc term adds the per-member sums in order, as ``swarm_loss`` adds
+    numpy scalars. From Python 3.12, ``sum()`` of these floats compensates and
+    gives 1.0."""
+    member_sums = [1e16, 1.0, -1e16]
+    plain = 0.0
+    for member_sum in member_sums:
+        plain += member_sum
+    assert math.fsum(member_sums) != plain  # compensated and plain sums differ
+    ens = random_tiny_ensemble(np.random.default_rng(0), 0.0, n_members=3)
+    swarm_sums = [0.0] * (len(ens.layer_dims) - 2)
+    breakdown = _breakdown(ens, 1.0, member_sums, swarm_sums, 1)
+    assert breakdown.bc_term == plain == sum(np.float64(v) for v in member_sums) == 0.0
 
 
 @pytest.mark.parametrize("poison_after, value, batch", [

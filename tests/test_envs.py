@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -39,6 +40,28 @@ def test_reset_zeroes_step_counter(env_id):
     assert env.steps == 1
     env.reset(1)
     assert env.steps == 0
+
+
+@pytest.mark.parametrize("env_id", ENV_IDS)
+def test_spec_numbers_stay_python_numbers_and_bounds_stay_float_vectors(env_id):
+    """The physics keeps its per-step constants as 0-d arrays; none may leak
+    into a spec or a class constant, where text output would print it as
+    ``np.float64(...)``."""
+    env = make_env(env_id)
+    spec = env.spec
+    for field in dataclasses.fields(spec):
+        value = getattr(spec, field.name)
+        if field.name in ("action_low", "action_high"):
+            if spec.action_kind == "discrete":
+                assert value is None
+            else:
+                assert type(value) is np.ndarray and value.dtype == np.float64
+                assert value.shape == (spec.action_dim,)
+        else:
+            assert type(value) in (str, int, float), (field.name, type(value))
+    assert "np." not in repr(spec)
+    constants = {name: getattr(type(env), name) for name in dir(type(env)) if name.isupper()}
+    assert constants and all(type(v) is float for v in constants.values()), constants
 
 
 def test_point_reach_start_within_configured_box():

@@ -11,6 +11,7 @@ import pytest
 import golden_cases as gc
 import reference
 from swarmbc.cli import main as cli_main
+from swarmbc.ensemble import deployed_action, rollout_step
 from swarmbc.envs import ENV_IDS, generate_dataset, make_env, random_action
 from swarmbc.errors import ConfigError
 from swarmbc.metrics import baseline_returns, rollout, rollouts
@@ -160,6 +161,42 @@ def test_batched_predict_members_rows_equal_single_state_calls(n_members):
     assert batch.shape == (7, n_members, 1)
     for s, row in zip(states, batch):
         assert np.array_equal(ens.predict_members(s), row)
+
+
+@pytest.mark.parametrize("n_episodes", (1, 2, 6))
+@pytest.mark.parametrize("n_members", (1, 2, 4))
+@pytest.mark.parametrize("env_id", ENV_IDS)
+def test_rollout_step_equals_predict_members_and_deployed_action(env_id, n_members, n_episodes):
+    """One step built for E episodes, called on every live size E..1 as
+    ``rollouts`` calls it after failures, against the per-call reference.
+    Continuous cases alternate states whose mean action is clipped with
+    states whose mean is inside the bounds; every call sees a clipped one."""
+    env = make_env(env_id)
+    spec = env.spec
+    ens = gc.golden_ensemble(env_id, n_members)
+    rng = np.random.default_rng([ENV_IDS.index(env_id), n_members, n_episodes])
+    pool = env.start_states(range(200)) + rng.normal(scale=2.0, size=(200, 1))
+    obs = env.observe(pool)
+    if spec.action_low is not None:  # spread the means and centre them on the upper bound
+        ens.weights[-1] *= 4.0 * spec.action_high[0]
+        ens.biases[-1] += spec.action_high - np.median(ens.predict_members(obs).mean(axis=1), axis=0)
+        means = ens.predict_members(obs).mean(axis=1)
+        clipped = ((means < spec.action_low) | (means > spec.action_high)).any(axis=1)
+        inside, outside = obs[~clipped], obs[clipped]
+        # the last row, in every call, is clipped
+        obs = np.stack([(outside if (n_episodes - i) % 2 else inside)[i]
+                        for i in range(n_episodes)])
+    else:
+        obs = obs[:n_episodes]
+    step = rollout_step(ens, n_episodes)
+    for live in range(n_episodes, 0, -1):
+        rows = obs[n_episodes - live:]
+        outputs, actions = step(rows)
+        want_outputs = ens.predict_members(rows)
+        want_actions = deployed_action(ens, want_outputs)
+        for got, want in ((outputs, want_outputs), (actions, want_actions)):
+            assert got.dtype == want.dtype and got.shape == want.shape
+            assert np.array_equal(got, want), f"{live} live of {n_episodes}"
 
 
 def test_batched_cart_step_rejects_non_binary_action():

@@ -57,7 +57,10 @@ def loss_and_grads(ensemble, states, actions, dweights, dbiases) -> LossBreakdow
     x = ensemble.normalize(states)
     hiddens, output = stacked_forward(ensemble.weights, ensemble.biases, x, head)
     err = output - actions
-    bc = sum(np.square(err).reshape(n, -1).sum(axis=1).tolist()) / n_batch
+    bc = 0.0
+    for member_sum in np.square(err).reshape(n, -1).sum(axis=1).tolist():  # left to right
+        bc += member_sum
+    bc /= n_batch
 
     scale = _swarm_scale(ensemble)
     centred = [h - h.sum(axis=0) / n for h in hiddens]
