@@ -23,6 +23,7 @@ is off by default because the raw form is the reference definition.
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 from dataclasses import dataclass, field, replace
@@ -241,9 +242,9 @@ def rollout_step(ensemble: Ensemble, n: int):
     ``predict_members(obs)`` and its ``deployed_action``, bit for bit.
 
     The normalisation, the bias rows and the action bounds are copied once,
-    broadcast to ``n`` leading rows, and each call slices them to the batch;
-    N is a 0-d array. So every elementwise call has same-shape or 0-d
-    operands, which numpy dispatches about 1 us faster than broadcast ones.
+    broadcast to ``n`` leading rows, and sliced once per batch size; N is a
+    0-d array. So every elementwise call has same-shape or 0-d operands,
+    which numpy dispatches about 1 us faster than broadcast ones.
     The copies hold the ensemble's numbers as the step was built, so the
     ensemble must not change while the step is in use.
     """
@@ -256,13 +257,16 @@ def rollout_step(ensemble: Ensemble, n: int):
         rows(ensemble.action_low), rows(ensemble.action_high))
     n_members = np.array(float(ensemble.n_members))
 
+    @functools.cache
+    def views(e):  # the constants for a batch of e states
+        return mean[:e], std[:e], [b[:e] for b in bias_rows], [v[:e] for v in bounds]
+
     def step(obs):
-        e = len(obs)
-        x = (obs - mean[:e]) / std[:e]
-        outputs = nn.stacked_forward(ensemble.weights, [b[:e] for b in bias_rows],
-                                     x[:, None, None, :], ensemble.head)[1][:, :, 0, :]
-        return outputs, _deploy(outputs, n_members, ensemble.action_kind,
-                                *(v[:e] for v in bounds))
+        mean_e, std_e, bias_e, bounds_e = views(len(obs))
+        x = (obs - mean_e) / std_e
+        outputs = nn.stacked_forward(ensemble.weights, bias_e, x[:, None, None, :],
+                                     ensemble.head)[1][:, :, 0, :]
+        return outputs, _deploy(outputs, n_members, ensemble.action_kind, *bounds_e)
 
     return step
 
@@ -375,6 +379,9 @@ class TrainConfig:
             raise ConfigError(f"min_improvement must be in [0, inf), got {self.min_improvement}")
 
 
+# a diverging run overflows before its epoch ends; TrainingDivergedError
+# reports it once, without a numpy warning for each overflowing call
+@np.errstate(over="ignore", invalid="ignore")
 def train(
     dataset: Dataset,
     n_members: int,
@@ -437,7 +444,8 @@ def train(
     best_epoch = -1
     last_finite = ens.params.copy()
 
-    # per minibatch of an epoch: its rows, and its loss sums until the epoch ends
+    # per minibatch of an epoch: its kernel, its views of the epoch's shuffled
+    # rows, and its loss sums until the epoch ends
     batches = [slice(start, min(start + config.batch_size, n_samples))
                for start in range(0, n_samples, config.batch_size)]
     sizes = [rows.stop - rows.start for rows in batches]
@@ -445,14 +453,21 @@ def train(
     bc_sums = np.zeros((len(batches), n_members))
     swarm_sums = np.zeros((len(batches), len(config.hidden_dims)))
     xs = ens.normalize(dataset.states)  # row by row, as each minibatch alone
+    x_epoch, a_epoch = np.empty(xs.shape), np.empty(dataset.actions.shape)
+    jobs = [(steps[size], x_epoch[rows], a_epoch[rows], bc_sums[i], swarm_sums[i])
+            for i, (rows, size) in enumerate(zip(batches, sizes))]
+    params_list, grad_list = [ens.params], [grad]
     scale = _swarm_scale(ens)
 
     for epoch in range(config.epochs):
         order = shuffle_rng.permutation(n_samples)
-        x_epoch, a_epoch = xs[order], dataset.actions[order]
-        for i, (rows, size) in enumerate(zip(batches, sizes)):
-            steps[size](x_epoch[rows], a_epoch[rows], bc_sums[i], swarm_sums[i])
-            nn.adam_update([ens.params], [grad], opt)
+        # mode "clip" never clips a permutation, and unlike "raise" writes
+        # straight into ``out``
+        xs.take(order, axis=0, out=x_epoch, mode="clip")
+        dataset.actions.take(order, axis=0, out=a_epoch, mode="clip")
+        for step, *batch in jobs:
+            step(*batch)
+            nn.adam_update(params_list, grad_list, opt)
         sum_bc = sum_swarm = sum_total = 0.0
         for size, bc, swarm in zip(sizes, bc_sums.tolist(), swarm_sums.tolist()):
             breakdown = _breakdown(ens, scale, bc, swarm, size)

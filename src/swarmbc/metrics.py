@@ -21,6 +21,7 @@ trajectory copies out its first ``length`` rows.
 from __future__ import annotations
 
 import csv
+import functools
 import io
 from dataclasses import astuple, dataclass
 from typing import Optional
@@ -57,13 +58,17 @@ def mean_action_difference(actions) -> float:
 def action_differences(actions: np.ndarray) -> np.ndarray:
     """d for every leading index of an ``(..., N, action_dim)`` array, e.g.
     the per-timestep trace of an episode's ``(T, N, action_dim)`` outputs."""
-    n = actions.shape[-2]
-    diffs = actions[..., :, None, :] - actions[..., None, :, :]
-    dists = np.sqrt(np.sum(diffs * diffs, axis=-1))
-    iu = np.triu_indices(n, k=1)
-    # each row of pair distances is summed as one contiguous vector, the way
-    # a single state's pair vector is
-    return np.ascontiguousarray(dists[..., iu[0], iu[1]]).mean(axis=-1)
+    i, j = _pairs(actions.shape[-2])
+    diffs = actions[..., i, :] - actions[..., j, :]
+    # fancy indexing puts the pair axis first in memory; each row of pair
+    # distances is summed as one contiguous vector, the way a single state's is
+    return np.ascontiguousarray(np.sqrt(np.sum(diffs * diffs, axis=-1))).mean(axis=-1)
+
+
+@functools.cache
+def _pairs(n: int):
+    """The (i, j) index arrays of the i < j pairs of ``n`` members."""
+    return np.triu_indices(n, k=1)
 
 
 @dataclass
@@ -158,7 +163,7 @@ def rollouts(env: DeskEnv, policy, seeds, record_members: bool = False) -> list[
     if record_members:
         records.append(np.empty((horizon, n, policy.n_members, policy.action_dim)))
     lengths = np.full(n, horizon)  # an episode that fails at step t has t + 1 steps
-    live, rows, outputs = np.arange(n), slice(None), None  # rows: the live episodes
+    live, rows, outputs = np.arange(n), None, None  # rows: the live episodes once one failed
     step = rollout_step(policy, n) if is_ensemble else None
     for t in range(horizon):
         obs = env.observe(states)
@@ -167,8 +172,9 @@ def rollouts(env: DeskEnv, policy, seeds, record_members: bool = False) -> list[
         else:
             actions = np.asarray(policy(obs, live))
         states, rewards, failed = env.advance(states, actions)
+        at = t if rows is None else (t, rows)  # a whole row while every episode runs
         for record, column in zip(records, (obs, actions, rewards, outputs)):
-            record[t, rows] = column
+            record[at] = column
         if not np.count_nonzero(failed):  # cheaper than failed.any()
             continue
         lengths[live[failed]] = t + 1
@@ -232,9 +238,12 @@ def scripted_rollouts(env: DeskEnv, baseline=None, datasets=()):
     n_random = len(starts)
 
     def policy(obs, episodes):  # episodes < n_random are random, the rest expert
-        n = np.searchsorted(episodes, n_random)
+        n = episodes.searchsorted(n_random)
         expert = env.expert_action(obs[n:])
-        return np.concatenate([next(draws)[episodes[:n]], expert]) if n_random else expert
+        if not n_random:
+            return expert
+        draw = next(draws)  # whole while every random episode runs
+        return np.concatenate([draw if n == n_random else draw[episodes[:n]], expert])
 
     trajs = iter(rollouts(env, policy, starts + starts + [
         s for n, seed in datasets for s in np.random.SeedSequence(seed).spawn(n)]))

@@ -1,7 +1,7 @@
 """Slow reference versions of engine parts, kept as test oracles: building
-ensembles from single policies, the two-call baseline rollouts, and the
-per-policy forward, backward and Adam step the stacked kernels must match
-bit for bit."""
+ensembles from single policies, the two-call baseline rollouts, the action
+difference over the full N x N distance matrix, and the per-policy forward,
+backward and Adam step the stacked kernels must match bit for bit."""
 
 from dataclasses import dataclass, replace
 
@@ -41,6 +41,24 @@ def baseline_returns(env, n_episodes: int, seed: int):
         float(np.mean([t.episode_return for t in random_eps])),
         float(np.mean([t.episode_return for t in expert_eps])),
     )
+
+
+def bits(a):
+    """The bit patterns of ``a`` with every NaN as ``np.nan``: which of two NaNs an
+    add or a max keeps depends on its operand order, which IEEE 754 leaves open."""
+    return np.where(np.isnan(a), np.nan, a).view(np.int64)
+
+
+def action_differences(actions: np.ndarray) -> np.ndarray:
+    """``metrics.action_differences`` from every ordered pair's distance, of
+    which the i < j entries are averaged."""
+    n = actions.shape[-2]
+    diffs = actions[..., :, None, :] - actions[..., None, :, :]
+    dists = np.sqrt(np.sum(diffs * diffs, axis=-1))
+    iu = np.triu_indices(n, k=1)
+    # each row of pair distances is summed as one contiguous vector, the way
+    # a single state's pair vector is
+    return np.ascontiguousarray(dists[..., iu[0], iu[1]]).mean(axis=-1)
 
 
 @dataclass

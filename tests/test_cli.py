@@ -874,6 +874,31 @@ def test_a_closed_stdout_ends_the_progress_log_not_the_sweep(tmp_path):
     assert _tree(tmp_path / "out") == _tree(tmp_path / "clean")
 
 
+def test_a_diverging_train_exits_2_with_one_line(tmp_path, small_dataset):
+    proc = subprocess.run([sys.executable, "-m", "swarmbc.cli", "train", "--data",
+                           small_dataset, "--method", "swarm", "--tau", "0.5", "--n", "4",
+                           "--learning-rate", "1e300", "--out", tmp_path / "m.json"],
+                          env=_child_env(), capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 2
+    assert proc.stderr.splitlines() == ["numerical failure: non-finite loss in epoch 0"]
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_a_diverging_sweep_logs_its_failures_without_numpy_warnings(tmp_path, workers):
+    cfg_path = tmp_path / "sweep.cfg"
+    cfg_path.write_text(TINY_SWEEP.replace("n_seeds = 1", "n_seeds = 2")
+                        + "learning_rate = 1e300\n")
+    proc = subprocess.run([sys.executable, "-m", "swarmbc.cli", "sweep", "--config", cfg_path,
+                           "--out", tmp_path / "out", "--workers", str(workers)],
+                          env=_child_env(), capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert "RuntimeWarning" not in proc.stderr
+    assert proc.stdout.count("  FAILED ") == 2
+    rows = (tmp_path / "out" / "failures.csv").read_text().splitlines()
+    assert rows[1:] == [f"point_reach,bc,1,0.0,1,{seed},TrainingDivergedError: non-finite "
+                        "loss in epoch 0" for seed in (0, 1)]
+
+
 @pytest.mark.parametrize("argv", [
     ("train", "--data", "{data}", "--method", "bc", "--epochs", "1", "--out", "{tmp}/m.json",
      "--history", "{tmp}/nodir/h.csv"),

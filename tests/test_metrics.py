@@ -1,14 +1,17 @@
 import math
+from itertools import product
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+import reference
 from reference import ensemble_of
 
 from swarmbc.envs import make_env
 from swarmbc.errors import ConfigError, DegenerateBaselineError
 from swarmbc.metrics import (
+    action_differences,
     baseline_returns,
     mean_action_difference,
     rollout,
@@ -60,6 +63,26 @@ def test_matches_double_loop_oracle_on_random_inputs():
         assert mean_action_difference(actions) == pytest.approx(
             pairwise_oracle(actions), abs=1e-12
         )
+
+
+SPECIAL_VALUES = [0.0, -0.0, np.inf, -np.inf, np.nan, 1e300, -1e300, 1e-300, 5e-324, -5e-324]
+
+
+@pytest.mark.parametrize("n", range(2, 21))
+def test_action_differences_equal_the_full_matrix_form_bitwise(n):
+    """The i < j pairs alone against every ordered pair's distance: random
+    ``(T, N, A)`` traces and single ``(N, A)`` states, some with special values."""
+    rng = np.random.default_rng(n)
+    for a, trial in product(range(1, 5), range(24)):
+        shape = (n, a) if trial % 4 == 0 else (int(rng.integers(1, 64)), n, a)
+        x = rng.choice([-1.0, 1.0], size=shape) * 10.0 ** rng.uniform(-8, 8, size=shape)
+        if trial % 2:
+            special = rng.random(shape) < 0.1
+            x[special] = rng.choice(SPECIAL_VALUES, size=special.sum())
+        with np.errstate(over="ignore", invalid="ignore"):
+            got, want = action_differences(x), reference.action_differences(x)
+        assert np.array_equal(reference.bits(got), reference.bits(want)), \
+            f"trial {trial} of shape {shape}, numpy {np.__version__}"
 
 
 @given(

@@ -264,12 +264,6 @@ def _extreme_values(rng, shape, special_share):
     return x
 
 
-def _bits(a):
-    """The bit patterns of ``a`` with every NaN as ``np.nan``: which of two NaNs an
-    add or a max keeps depends on its operand order, which IEEE 754 leaves open."""
-    return np.where(np.isnan(a), np.nan, a).view(np.int64)
-
-
 @pytest.mark.parametrize("n", [1, 2, 3, 4, 8])
 def test_bias_gradient_reduction_equals_dz_sum_bitwise(n):
     rng = np.random.default_rng(n)
@@ -283,7 +277,7 @@ def test_bias_gradient_reduction_equals_dz_sum_bitwise(n):
                                     dz.copy(), None, [np.empty((n, 1, w))], [dbias],
                                     "identity", [])
                 want = dz.sum(axis=1)
-            assert np.array_equal(_bits(dbias), _bits(want)), \
+            assert np.array_equal(reference.bits(dbias), reference.bits(want)), \
                 f"dz of shape {dz.shape}, numpy {np.__version__}"
 
 
@@ -300,7 +294,7 @@ def test_softmax_equals_the_row_max_form_bitwise(k):
             got = nn._softmax(z)
             in_place = nn._softmax(z, out=z)
         for result in (got, in_place):
-            assert np.array_equal(_bits(result), _bits(want)), \
+            assert np.array_equal(reference.bits(result), reference.bits(want)), \
                 f"z of shape {shape}, numpy {np.__version__}"
 
 

@@ -168,7 +168,8 @@ def test_batched_predict_members_rows_equal_single_state_calls(n_members):
 @pytest.mark.parametrize("env_id", ENV_IDS)
 def test_rollout_step_equals_predict_members_and_deployed_action(env_id, n_members, n_episodes):
     """One step built for E episodes, called on every live size E..1 as
-    ``rollouts`` calls it after failures, against the per-call reference.
+    ``rollouts`` calls it after failures, then on sizes E, 1, E, 2 (a size may
+    follow any other), against the per-call reference.
     Continuous cases alternate states whose mean action is clipped with
     states whose mean is inside the bounds; every call sees a clipped one."""
     env = make_env(env_id)
@@ -189,7 +190,7 @@ def test_rollout_step_equals_predict_members_and_deployed_action(env_id, n_membe
     else:
         obs = obs[:n_episodes]
     step = rollout_step(ens, n_episodes)
-    for live in range(n_episodes, 0, -1):
+    for live in [*range(n_episodes, 0, -1), n_episodes, 1, n_episodes, min(2, n_episodes)]:
         rows = obs[n_episodes - live:]
         outputs, actions = step(rows)
         want_outputs = ens.predict_members(rows)
