@@ -1,8 +1,8 @@
 """Command-line interface.
 
 Subcommands: gen-data, train, eval, sweep, mode-demo, grad-check.
-Exit codes: 0 success, 1 usage/config error, 2 numerical failure, 130
-interrupted (SIGINT).
+Exit codes: 0 success, 1 usage/config error or a sweep with a failed cell,
+2 numerical failure, 130 interrupted (SIGINT).
 """
 
 from __future__ import annotations
@@ -204,10 +204,15 @@ def cmd_sweep(args) -> int:
         if args.config
         else harness.ExperimentConfig()
     )
-    store = harness.run_sweep(
-        cfg, args.out, workers=args.workers, force=args.force, log=_echo
-    )
-    _echo(f"{len(store.records)} records in {Path(args.out) / 'results.csv'}")
+    out = Path(args.out)
+    store = harness.run_sweep(cfg, out, workers=args.workers, force=args.force, log=_echo)
+    _echo(f"{len(store.records)} records in {out / 'results.csv'}")
+    # the run cleared failures.csv before its first cell, so its rows are this run's
+    failed = len(harness.read_table(out / "failures.csv", harness.FAILURE_COLUMNS, tuple))
+    if failed:
+        print(f"error: {failed} cells failed; see {out / 'failures.csv'} (a rerun retries them)",
+              file=sys.stderr)
+        return USAGE_EXIT
     return 0
 
 

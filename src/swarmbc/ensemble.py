@@ -218,16 +218,11 @@ def swarm_loss(ensemble: Ensemble, s, a) -> LossBreakdown:
     return LossBreakdown(bc_term=bc, swarm_term=swarm, total=bc + ensemble.tau * swarm)
 
 
-def deployed_action(ensemble: Ensemble, outputs):
+def _deploy(outputs, n_members, action_kind: str, low=None, high=None):
     """The action for member outputs of shape (..., N, action_dim): the
     componentwise member mean clipped to the env bounds for continuous
-    heads, the argmax of the mean probability vector for discrete."""
-    return _deploy(outputs, outputs.shape[-2], ensemble.action_kind, ensemble.action_low,
-                   ensemble.action_high)
-
-
-def _deploy(outputs, n_members, action_kind: str, low=None, high=None):
-    """``deployed_action``'s rule, dividing the member sum by ``n_members``."""
+    heads, the argmax of the mean probability vector for discrete. The
+    member sum is divided by ``n_members``."""
     # outputs.mean(axis=-2) and np.clip, bit for bit, minus their Python overhead
     mean = np.add.reduce(outputs, axis=-2) / n_members
     if action_kind == "discrete":
@@ -239,7 +234,7 @@ def _deploy(outputs, n_members, action_kind: str, low=None, high=None):
 
 def rollout_step(ensemble: Ensemble, n: int):
     """``step(obs) -> (outputs, actions)`` on a batch of up to ``n`` states:
-    ``predict_members(obs)`` and its ``deployed_action``, bit for bit.
+    ``predict_members(obs)`` and its ``_deploy`` action, bit for bit.
 
     The normalisation, the bias rows and the action bounds are copied once,
     broadcast to ``n`` leading rows, and sliced once per batch size; N is a

@@ -94,10 +94,6 @@ class DeskEnv:
         self._done = False
         return self._observe()
 
-    @property
-    def steps(self) -> int:
-        return self._steps
-
     def step(self, action):
         if self._state is None:
             raise EpisodeDoneError(f"{self.spec.env_id}: step() before reset()")

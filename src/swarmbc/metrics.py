@@ -194,14 +194,8 @@ def _trajectory(records, episode: int, length: int) -> Trajectory:
 
 
 def rollout(env: DeskEnv, policy, seed, record_members: bool = False) -> Trajectory:
-    """Run one full episode: ``rollouts`` with one seed.
-
-    ``policy`` is either a plain callable obs -> action on one observation
-    or an Ensemble.
-    """
-    if isinstance(policy, Ensemble):
-        return rollouts(env, policy, [seed], record_members)[0]
-    return rollouts(env, lambda obs, _: [policy(obs[0])], [seed], record_members)[0]
+    """Run one full episode: ``rollouts`` with one seed."""
+    return rollouts(env, policy, [seed], record_members)[0]
 
 
 def scaled_return(episode_return, r_random, r_expert) -> float:

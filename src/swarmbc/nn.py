@@ -70,24 +70,8 @@ class MlpPolicy:
                 )
 
     @property
-    def obs_dim(self) -> int:
-        return self.layer_dims[0]
-
-    @property
-    def action_dim(self) -> int:
-        return self.layer_dims[-1]
-
-    @property
     def n_hidden_layers(self) -> int:
         return len(self.layer_dims) - 2
-
-    def copy(self) -> "MlpPolicy":
-        return replace(
-            self,
-            layer_dims=list(self.layer_dims),
-            weights=[w.copy() for w in self.weights],
-            biases=[b.copy() for b in self.biases],
-        )
 
 
 @dataclass
@@ -107,14 +91,6 @@ def init_members(weights, biases, rngs) -> None:
             bound = 1.0 / np.sqrt(w.shape[1])
             w[i] = rng.uniform(-bound, bound, size=w.shape[1:])
             b[i] = rng.uniform(-bound, bound, size=b.shape[1:])
-
-
-def init_policy(layer_dims, rng, output_activation="identity") -> MlpPolicy:
-    """One freshly drawn policy: ``init_members`` at N = 1."""
-    _, weights, biases = stacked_buffer(layer_dims, 1)
-    init_members(weights, biases, [rng])
-    return MlpPolicy(list(layer_dims), [w[0] for w in weights], [b[0] for b in biases],
-                     output_activation)
 
 
 def _softmax(z: np.ndarray, out=None) -> np.ndarray:

@@ -17,9 +17,8 @@ import tempfile
 from pathlib import Path
 
 import numpy as np
-from reference import ensemble_of
+from reference import ensemble_of, init_policy, per_state
 
-from swarmbc import nn
 from swarmbc.cli import main as cli_main
 from swarmbc.ensemble import Ensemble, save_ensemble
 from swarmbc.envs import ENV_IDS, generate_dataset, make_env, random_action
@@ -41,7 +40,7 @@ def golden_ensemble(env_id, n_members) -> Ensemble:
     discrete = spec.action_kind == "discrete"
     rng = np.random.default_rng([ENV_IDS.index(env_id), n_members])
     members = [
-        nn.init_policy(
+        init_policy(
             [spec.obs_dim, 8, 8, spec.action_dim],
             np.random.default_rng(rng.integers(2**63)),
             output_activation="softmax" if discrete else "identity",
@@ -185,7 +184,7 @@ def record() -> dict:
                 trajectory_record(rollout(env, ens, s, record_members=True)) for s in seeds
             ]
         golden["mixed"][env_id] = [
-            trajectory_record(rollout(env, mixed_policy(env, i), s))
+            trajectory_record(rollout(env, per_state(mixed_policy(env, i)), s))
             for i, s in enumerate(seeds)
         ]
         golden["baselines"][env_id] = [repr(r) for r in baseline_returns(env, 6, seed=5)]

@@ -1,7 +1,8 @@
 """Slow reference versions of engine parts, kept as test oracles: building
-ensembles from single policies, the two-call baseline rollouts, the action
-difference over the full N x N distance matrix, and the per-policy forward,
-backward and Adam step the stacked kernels must match bit for bit."""
+ensembles from single policies, single-state policies in rollouts, the
+two-call baseline rollouts, the deployed action, the action difference over
+the full N x N distance matrix, and the per-policy forward, backward and
+Adam step the stacked kernels must match bit for bit."""
 
 from dataclasses import dataclass, replace
 
@@ -24,6 +25,32 @@ def ensemble_of(members, **fields) -> Ensemble:
         for w, b, mw, mb in zip(weights, biases, m.weights, m.biases):
             w[i], b[i] = mw, mb
     return Ensemble(layer_dims=layer_dims, params=params, **fields)
+
+
+def init_policy(layer_dims, rng, output_activation="identity") -> MlpPolicy:
+    """One freshly drawn policy: ``nn.init_members`` at N = 1."""
+    _, weights, biases = nn.stacked_buffer(layer_dims, 1)
+    nn.init_members(weights, biases, [rng])
+    return MlpPolicy(list(layer_dims), [w[0] for w in weights], [b[0] for b in biases],
+                     output_activation)
+
+
+def per_state(policy):
+    """A ``rollouts`` policy that calls the single-state ``policy`` on each
+    live observation in turn."""
+    return lambda obs, episodes: [policy(o) for o in obs]
+
+
+def deployed_action(ensemble: Ensemble, outputs):
+    """The action for member outputs of shape (..., N, action_dim): the
+    member mean clipped to the action bounds, or the argmax of the mean
+    probabilities for a discrete head."""
+    mean = outputs.mean(axis=-2)
+    if ensemble.action_kind == "discrete":
+        return mean.argmax(axis=-1)
+    if ensemble.action_low is None:
+        return mean
+    return np.clip(mean, ensemble.action_low, ensemble.action_high)
 
 
 def baseline_returns(env, n_episodes: int, seed: int):
@@ -84,9 +111,9 @@ def forward(policy: MlpPolicy, s: np.ndarray) -> ForwardTrace:
     s = np.asarray(s, dtype=np.float64)
     single = s.ndim == 1
     x = np.atleast_2d(s)
-    if x.shape[1] != policy.obs_dim:
+    if x.shape[1] != policy.layer_dims[0]:
         raise DimensionMismatchError(
-            f"input layer: state dim {x.shape[1]}, expected {policy.obs_dim}"
+            f"input layer: state dim {x.shape[1]}, expected {policy.layer_dims[0]}"
         )
     pre, hiddens = [], []
     a = x

@@ -888,15 +888,36 @@ def test_a_diverging_sweep_logs_its_failures_without_numpy_warnings(tmp_path, wo
     cfg_path = tmp_path / "sweep.cfg"
     cfg_path.write_text(TINY_SWEEP.replace("n_seeds = 1", "n_seeds = 2")
                         + "learning_rate = 1e300\n")
-    proc = subprocess.run([sys.executable, "-m", "swarmbc.cli", "sweep", "--config", cfg_path,
-                           "--out", tmp_path / "out", "--workers", str(workers)],
-                          env=_child_env(), capture_output=True, text=True, timeout=120)
-    assert proc.returncode == 0, proc.stderr
-    assert "RuntimeWarning" not in proc.stderr
-    assert proc.stdout.count("  FAILED ") == 2
+    proc = _sweep_with_failures(tmp_path, cfg_path, workers, 2)
+    assert proc.stdout.splitlines()[-1] == f"0 records in {tmp_path / 'out' / 'results.csv'}"
     rows = (tmp_path / "out" / "failures.csv").read_text().splitlines()
     assert rows[1:] == [f"point_reach,bc,1,0.0,1,{seed},TrainingDivergedError: non-finite "
                         "loss in epoch 0" for seed in (0, 1)]
+
+
+def _sweep_with_failures(tmp_path, cfg_path, workers, n_failed):
+    """``swarmbc sweep`` of ``cfg_path`` into ``tmp_path/out``, checked to log
+    ``n_failed`` failed cells and exit 1 with one stderr line, no numpy warning."""
+    out = tmp_path / "out"
+    proc = subprocess.run([sys.executable, "-m", "swarmbc.cli", "sweep", "--config", cfg_path,
+                           "--out", out, "--workers", str(workers)],
+                          env=_child_env(), capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 1, proc.stderr
+    assert proc.stderr.splitlines() == [
+        f"error: {n_failed} cells failed; see {out / 'failures.csv'} (a rerun retries them)"]
+    assert proc.stdout.count("  FAILED ") == n_failed
+    return proc
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_a_sweep_with_some_failed_cells_keeps_the_others_and_exits_1(tmp_path, workers):
+    # tau = 1e308 makes the swarm loss inf in epoch 0; bc has no swarm term
+    cfg_path = tmp_path / "sweep.cfg"
+    cfg_path.write_text(TINY_SWEEP.replace("methods = bc", "methods = bc, swarm")
+                        .replace("n_seeds = 1", "n_seeds = 2") + "tau = 1e308\n")
+    proc = _sweep_with_failures(tmp_path, cfg_path, workers, 2)
+    assert proc.stdout.splitlines()[-1] == f"2 records in {tmp_path / 'out' / 'results.csv'}"
+    assert [r.method for r in read_results(tmp_path / "out" / "results.csv")] == ["bc", "bc"]
 
 
 @pytest.mark.parametrize("argv", [

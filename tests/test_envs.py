@@ -3,6 +3,7 @@ import math
 
 import numpy as np
 import pytest
+from reference import per_state
 
 from swarmbc.data import load_dataset, save_dataset
 from swarmbc.envs import (
@@ -34,12 +35,15 @@ def test_reset_same_seed_same_observation(env_id):
 
 @pytest.mark.parametrize("env_id", ENV_IDS)
 def test_reset_zeroes_step_counter(env_id):
+    # a reset mid-episode starts a whole episode: the expert runs to the horizon
     env = make_env(env_id)
     env.reset(0)
     env.step(random_action(env.spec, np.random.default_rng(0)))
-    assert env.steps == 1
-    env.reset(1)
-    assert env.steps == 0
+    obs, done, steps = env.reset(1), False, 0
+    while not done:
+        obs, _, done = env.step(env.expert_action(obs))
+        steps += 1
+    assert steps == env.spec.max_steps
 
 
 @pytest.mark.parametrize("env_id", ENV_IDS)
@@ -175,7 +179,7 @@ def test_cart_expert_alternates_from_exact_upright_and_survives():
 def test_cart_expert_survives_full_horizon_from_seeded_starts():
     env = make_env("cart_balance")
     for seed in range(200):
-        traj = rollout(env, env.expert_action, seed)
+        traj = rollout(env, per_state(env.expert_action), seed)
         assert len(traj) == env.spec.max_steps
         assert traj.episode_return == env.spec.max_steps
 
@@ -210,9 +214,9 @@ def test_expert_beats_random_with_margin(env_id):
     random_rets, expert_rets = [], []
     for i in range(20):
         rng = np.random.default_rng(root[2 * i + 1])
-        traj = rollout(env, lambda obs: random_action(env.spec, rng), root[2 * i])
+        traj = rollout(env, per_state(lambda obs: random_action(env.spec, rng)), root[2 * i])
         random_rets.append(traj.episode_return)
-        traj = rollout(env, env.expert_action, root[2 * i])
+        traj = rollout(env, per_state(env.expert_action), root[2 * i])
         expert_rets.append(traj.episode_return)
     gap = np.mean(expert_rets) - np.mean(random_rets)
     spread = max(np.std(random_rets), np.std(expert_rets), 1e-9)

