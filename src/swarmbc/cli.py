@@ -15,7 +15,7 @@ from pathlib import Path
 
 from . import harness, theory
 from .data import load_dataset, replace_file, save_dataset
-from .ensemble import TrainConfig, load_ensemble, save_ensemble, train
+from .ensemble import METHODS, TrainConfig, load_ensemble, save_ensemble, train
 from .ensemble import gradient_max_rel_error
 from .envs import ENV_IDS, generate_dataset, make_env
 from .errors import (
@@ -33,8 +33,7 @@ NUMERICAL_EXIT = 2
 INTERRUPT_EXIT = 130  # 128 + SIGINT, as a shell reports it
 # ``swarmbc eval``'s log: a sweep's results row, but for the --seed master seed
 EVAL_SCHEMA = "swarmbc.eval.v1"
-EVAL_COLUMNS = ("env", "method", "n_expert_episodes", "tau", "n_members", "master_seed",
-                "scaled_return", "action_diff")
+EVAL_COLUMNS = tuple("master_seed" if c == "seed" else c for c in harness.RESULTS_COLUMNS)
 
 
 class _Parser(argparse.ArgumentParser):
@@ -267,7 +266,7 @@ def build_parser() -> _Parser:
 
     p = sub.add_parser("train", help="train bc/ensemble/swarm on a dataset")
     p.add_argument("--data", required=True)
-    p.add_argument("--method", required=True, choices=("bc", "ensemble", "swarm"))
+    p.add_argument("--method", required=True, choices=METHODS)
     p.add_argument("--tau", type=float, default=None)
     p.add_argument("--n", type=int, default=None)
     p.add_argument("--seed", type=int, default=0)

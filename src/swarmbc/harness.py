@@ -35,16 +35,7 @@ RESULTS_SCHEMA = "swarmbc.results.v1"
 BASELINES_SCHEMA = "swarmbc.baselines.v1"
 CONFIG_FILE = "config.cfg"
 LOCK_FILE = "sweep.lock"
-RESULTS_COLUMNS = (
-    "env",
-    "method",
-    "n_expert_episodes",
-    "tau",
-    "n_members",
-    "seed",
-    "scaled_return",
-    "action_diff",
-)
+RESULTS_COLUMNS = tuple(f.name for f in fields(RunRecord))
 BASELINES_COLUMNS = ("env", "n_episodes", "seed", "r_random", "r_expert")
 FAILURE_COLUMNS = ("env", "method", "n_episodes", "tau", "n_members", "seed", "error")
 TRACE_COLUMNS = ("t", "d_mean")

@@ -8,6 +8,11 @@ from dataclasses import dataclass
 from typing import Optional, Sequence
 
 PALETTE = ("#1f77b4", "#d62728", "#2ca02c", "#ff7f0e", "#9467bd", "#8c564b")
+WIDTH, HEIGHT = 640, 420
+MARGIN_L, MARGIN_T = 64, 34
+PLOT_W = WIDTH - MARGIN_L - 16  # right margin 16
+PLOT_H = HEIGHT - MARGIN_T - 46  # bottom margin 46
+N_TICKS = 5
 
 
 @dataclass
@@ -19,25 +24,27 @@ class Series:
     hi: Optional[Sequence[float]] = None
 
 
-def _ticks(lo, hi, n=5):
+def _ticks(lo, hi):
     if hi <= lo:
         hi = lo + 1.0
-    step = (hi - lo) / (n - 1)
-    return [lo + i * step for i in range(n)]
+    step = (hi - lo) / (N_TICKS - 1)
+    return [lo + i * step for i in range(N_TICKS)]
 
 
-def _fmt(v):
-    return f"{v:.4g}"
+def _line(x1, y1, x2, y2, stroke="black", tail=""):
+    return f'<line x1="{x1}" y1="{y1}" x2="{x2}" y2="{y2}" stroke="{stroke}"{tail}/>'
 
 
-def line_chart(series, title="", x_label="", y_label="",
-               width=640, height=420):
+def _text(x, y, body, size, anchor="middle", tail=""):
+    """A ``<text>`` element; ``anchor=""`` leaves the anchor out."""
+    anchor = f' text-anchor="{anchor}"' if anchor else ""
+    return (f'<text x="{x}" y="{y}"{anchor} font-family="sans-serif" '
+            f'font-size="{size}"{tail}>{body}</text>')
+
+
+def line_chart(series, title="", x_label="", y_label=""):
     if not series:
         raise ValueError("need at least one series")
-    margin_l, margin_r, margin_t, margin_b = 64, 16, 34, 46
-    plot_w = width - margin_l - margin_r
-    plot_h = height - margin_t - margin_b
-
     xs_all = [x for s in series for x in s.xs]
     ys_all = [y for s in series for y in s.ys]
     for s in series:
@@ -54,91 +61,44 @@ def line_chart(series, title="", x_label="", y_label="",
     y_min, y_max = y_min - pad, y_max + pad
 
     def px(x):
-        return margin_l + (x - x_min) / (x_max - x_min) * plot_w
+        return f"{MARGIN_L + (x - x_min) / (x_max - x_min) * PLOT_W:.1f}"
 
-    def py(y):
-        return margin_t + (y_max - y) / (y_max - y_min) * plot_h
+    def py(y, dy=0):
+        return f"{MARGIN_T + (y_max - y) / (y_max - y_min) * PLOT_H + dy:.1f}"
 
-    out = []
-    out.append(
-        f'<svg xmlns="http://www.w3.org/2000/svg" width="{width}" '
-        f'height="{height}" viewBox="0 0 {width} {height}">'
-    )
-    out.append(f'<rect width="{width}" height="{height}" fill="white"/>')
+    out = [f'<svg xmlns="http://www.w3.org/2000/svg" width="{WIDTH}" '
+           f'height="{HEIGHT}" viewBox="0 0 {WIDTH} {HEIGHT}">',
+           f'<rect width="{WIDTH}" height="{HEIGHT}" fill="white"/>']
     if title:
-        out.append(
-            f'<text x="{width / 2:.1f}" y="20" text-anchor="middle" '
-            f'font-family="sans-serif" font-size="14">{title}</text>'
-        )
+        out.append(_text(f"{WIDTH / 2:.1f}", 20, title, 14))
 
     # axes and ticks
-    x0, y0 = margin_l, margin_t + plot_h
-    out.append(
-        f'<line x1="{x0}" y1="{y0}" x2="{x0 + plot_w}" y2="{y0}" stroke="black"/>'
-    )
-    out.append(
-        f'<line x1="{x0}" y1="{margin_t}" x2="{x0}" y2="{y0}" stroke="black"/>'
-    )
+    x0, y0 = MARGIN_L, MARGIN_T + PLOT_H
+    out += [_line(x0, y0, x0 + PLOT_W, y0), _line(x0, MARGIN_T, x0, y0)]
     for tx in _ticks(x_min, x_max):
-        out.append(
-            f'<line x1="{px(tx):.1f}" y1="{y0}" x2="{px(tx):.1f}" '
-            f'y2="{y0 + 4}" stroke="black"/>'
-        )
-        out.append(
-            f'<text x="{px(tx):.1f}" y="{y0 + 17}" text-anchor="middle" '
-            f'font-family="sans-serif" font-size="11">{_fmt(tx)}</text>'
-        )
+        out += [_line(px(tx), y0, px(tx), y0 + 4), _text(px(tx), y0 + 17, f"{tx:.4g}", 11)]
     for ty in _ticks(y_min, y_max):
-        out.append(
-            f'<line x1="{x0 - 4}" y1="{py(ty):.1f}" x2="{x0}" '
-            f'y2="{py(ty):.1f}" stroke="black"/>'
-        )
-        out.append(
-            f'<text x="{x0 - 7}" y="{py(ty) + 4:.1f}" text-anchor="end" '
-            f'font-family="sans-serif" font-size="11">{_fmt(ty)}</text>'
-        )
+        out += [_line(x0 - 4, py(ty), x0, py(ty)),
+                _text(x0 - 7, py(ty, 4), f"{ty:.4g}", 11, anchor="end")]
     if x_label:
-        out.append(
-            f'<text x="{margin_l + plot_w / 2:.1f}" y="{height - 10}" '
-            f'text-anchor="middle" font-family="sans-serif" font-size="12">'
-            f"{x_label}</text>"
-        )
+        out.append(_text(f"{MARGIN_L + PLOT_W / 2:.1f}", HEIGHT - 10, x_label, 12))
     if y_label:
-        cx, cy = 16, margin_t + plot_h / 2
-        out.append(
-            f'<text x="{cx}" y="{cy:.1f}" text-anchor="middle" '
-            f'font-family="sans-serif" font-size="12" '
-            f'transform="rotate(-90 {cx} {cy:.1f})">{y_label}</text>'
-        )
+        cy = f"{MARGIN_T + PLOT_H / 2:.1f}"
+        out.append(_text(16, cy, y_label, 12, tail=f' transform="rotate(-90 16 {cy})"'))
 
     for idx, s in enumerate(series):
         color = PALETTE[idx % len(PALETTE)]
         if s.lo is not None and len(s.lo):
-            band = [f"{px(x):.1f},{py(y):.1f}" for x, y in zip(s.xs, s.hi)]
-            band += [
-                f"{px(x):.1f},{py(y):.1f}"
-                for x, y in zip(reversed(list(s.xs)), reversed(list(s.lo)))
-            ]
-            out.append(
-                f'<polygon points="{" ".join(band)}" fill="{color}" '
-                f'fill-opacity="0.15" stroke="none"/>'
-            )
-        pts = " ".join(f"{px(x):.1f},{py(y):.1f}" for x, y in zip(s.xs, s.ys))
-        out.append(
-            f'<polyline points="{pts}" fill="none" stroke="{color}" '
-            f'stroke-width="1.8"/>'
-        )
+            band = [f"{px(x)},{py(y)}" for x, y in zip(s.xs, s.hi)]
+            band += [f"{px(x)},{py(y)}" for x, y in zip(reversed(list(s.xs)), reversed(list(s.lo)))]
+            out.append(f'<polygon points="{" ".join(band)}" fill="{color}" '
+                       f'fill-opacity="0.15" stroke="none"/>')
+        pts = " ".join(f"{px(x)},{py(y)}" for x, y in zip(s.xs, s.ys))
+        out.append(f'<polyline points="{pts}" fill="none" stroke="{color}" stroke-width="1.8"/>')
         # legend entry
-        ly = margin_t + 14 + 16 * idx
-        lx = margin_l + plot_w - 130
-        out.append(
-            f'<line x1="{lx}" y1="{ly - 4}" x2="{lx + 22}" y2="{ly - 4}" '
-            f'stroke="{color}" stroke-width="2"/>'
-        )
-        out.append(
-            f'<text x="{lx + 27}" y="{ly}" font-family="sans-serif" '
-            f'font-size="11">{s.label}</text>'
-        )
+        ly, lx = MARGIN_T + 14 + 16 * idx, MARGIN_L + PLOT_W - 130
+        out += [_line(lx, ly - 4, lx + 22, ly - 4, color, ' stroke-width="2"'),
+                _text(lx + 27, ly, s.label, 11, anchor="")]
 
     out.append("</svg>")
     return "\n".join(out) + "\n"

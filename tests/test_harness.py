@@ -928,8 +928,20 @@ def test_read_table_drops_a_torn_row_cut_after_a_quoted_newline(tmp_path):
     assert read_table(path, ("key", "text"), list) == rows[:1]
 
 
-@pytest.mark.skipif(multiprocessing.get_start_method() != "fork",
-                    reason="the patched run_cell reaches the workers only under fork")
+@pytest.fixture
+def fork_default():
+    """Make fork the default start method for the test, whatever the platform's
+    default: a run_cell patched in this process reaches pool workers only as a
+    forked copy. Skips where fork is missing."""
+    if "fork" not in multiprocessing.get_all_start_methods():
+        pytest.skip("the patched run_cell reaches the workers only under fork")
+    previous = multiprocessing.get_start_method(allow_none=True)
+    multiprocessing.set_start_method("fork", force=True)
+    yield
+    multiprocessing.set_start_method(previous, force=True)
+
+
+@pytest.mark.usefixtures("fork_default")
 def test_dead_worker_fails_only_its_cell(tmp_path, monkeypatch):
     cfg = tiny_config()
     reference = run_sweep(cfg, tmp_path / "reference")
@@ -1104,9 +1116,9 @@ def test_a_pool_starts_no_more_processes_than_cells_to_run(tmp_path, monkeypatch
 
 
 @pytest.mark.parametrize("workers", [1, 2])
-def test_only_the_parent_holds_the_lock(tmp_path, monkeypatch, workers):
-    if workers > 1 and multiprocessing.get_start_method() != "fork":
-        pytest.skip("the patched run_cell reaches the workers only under fork")
+def test_only_the_parent_holds_the_lock(tmp_path, monkeypatch, request, workers):
+    if workers > 1:
+        request.getfixturevalue("fork_default")
     out, parent = tmp_path / "out", str(os.getpid())
     real_run_cell = harness.run_cell
 
