@@ -62,11 +62,14 @@ TRAINING_FLAGS = {key: "--" + key.replace("_", "-")
 
 
 def _load(loader, path):
-    """``loader(path)``, with a missing or malformed file as a ConfigError (the
-    loaders index into whatever JSON the file holds)."""
+    """``loader(path)``, with a missing, malformed or inconsistent file as a
+    ConfigError that names it once (the loaders index into whatever JSON the
+    file holds, and the constructors they call check its values)."""
     try:
         return loader(path)
-    except (OSError, ValueError, KeyError, TypeError, AttributeError) as exc:
+    except OSError as exc:  # its text repeats the path
+        raise ConfigError(f"cannot load {path}: {exc.strerror or exc}") from None
+    except (ValueError, KeyError, TypeError, AttributeError, SwarmBCError) as exc:
         raise ConfigError(f"cannot load {path}: {exc}") from None
 
 
@@ -132,6 +135,8 @@ def cmd_train(args) -> int:
 
 
 def cmd_eval(args) -> int:
+    if args.episodes < 1:
+        raise ConfigError(f"--episodes must be >= 1, got {args.episodes}")
     ens = None
     if args.model:
         ens = _load(load_ensemble, args.model)
@@ -168,6 +173,8 @@ def cmd_eval(args) -> int:
         env, policy, harness.fan_out_seed(args.seed, "eval", env_id), args.episodes,
         baselines[env_id],
     )
+    for old in out_dir.glob("traj_ep*.csv"):  # an earlier run's, maybe of more episodes
+        old.unlink()
     for i, traj in enumerate(trajs):
         write_trajectory_csv(traj, out_dir / f"traj_ep{i:03d}.csv")
 

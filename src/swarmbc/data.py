@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import json
 import os
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass, fields
 from pathlib import Path
 
 import numpy as np
@@ -75,6 +75,9 @@ class Dataset:
             )
         if self.meta.action_kind not in ACTION_KINDS:
             raise ConfigError(f"unknown action_kind {self.meta.action_kind!r}")
+        for name in ("states", "actions"):
+            if not np.isfinite(getattr(self, name)).all():
+                raise ConfigError(f"{name} hold a non-finite number")
         if self.obs_mean is None:
             self.obs_mean = self.states.mean(axis=0)
             self.obs_std = np.maximum(self.states.std(axis=0), STD_FLOOR)
@@ -98,47 +101,31 @@ def replace_file(path, text: str):
 
 
 def save_dataset(dataset: Dataset, path) -> None:
-    m = dataset.meta
-    header = {
-        "env": m.env,
-        "episodes": m.episodes,
-        "seed": m.seed,
-        "obs_dim": m.obs_dim,
-        "action_dim": m.action_dim,
-        "action_kind": m.action_kind,
-    }
-    lines = [json.dumps(header)]
+    lines = [json.dumps(asdict(dataset.meta))]
     lines += [json.dumps({"s": s.tolist(), "a": a.tolist()})
               for s, a in zip(dataset.states, dataset.actions)]
     replace_file(path, "\n".join(lines) + "\n")
 
 
 def load_dataset(path) -> Dataset:
-    path = Path(path)
     with open(path) as f:
         lines = [line for line in f if line.strip()]
     if not lines:
-        raise ConfigError(f"{path}: empty dataset file")
+        raise ConfigError("empty dataset file")
     header = json.loads(lines[0])
-    required = {"env", "episodes", "seed", "obs_dim", "action_dim", "action_kind"}
-    missing = required - header.keys()
+    keys = fields(DatasetMeta)  # each f.type is its annotation as text
+    missing = {f.name for f in keys} - header.keys()
     if missing:
-        raise ConfigError(f"{path}: header missing keys {sorted(missing)}")
-    meta = DatasetMeta(
-        env=header["env"],
-        episodes=int(header["episodes"]),
-        seed=int(header["seed"]),
-        obs_dim=int(header["obs_dim"]),
-        action_dim=int(header["action_dim"]),
-        action_kind=header["action_kind"],
-    )
+        raise ConfigError(f"header missing keys {sorted(missing)}")
+    meta = DatasetMeta(**{f.name: int(header[f.name]) if f.type == "int" else header[f.name]
+                          for f in keys})
     states, actions = [], []
     for line in lines[1:]:
         rec = json.loads(line)
         states.append(rec["s"])
         actions.append(rec["a"])
     if not states:
-        raise ConfigError(f"{path}: no samples after header")
+        raise ConfigError("no samples after header")
     return Dataset(
         states=np.array(states, dtype=np.float64),
         actions=np.array(actions, dtype=np.float64),

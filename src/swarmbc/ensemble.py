@@ -31,8 +31,8 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from . import nn
-from .data import Dataset, replace_file
-from .envs import ENV_IDS, env_spec
+from .data import ACTION_KINDS, Dataset, replace_file
+from .envs import ENV_IDS, make_env
 from .errors import ConfigError, DimensionMismatchError, TrainingDivergedError
 
 METHODS = ("bc", "ensemble", "swarm")
@@ -83,7 +83,7 @@ class Ensemble:
 
     def __post_init__(self):
         self.tau = check_tau(self.tau)
-        if self.action_kind not in ("continuous", "discrete"):
+        if self.action_kind not in ACTION_KINDS:
             raise ConfigError(f"unknown action_kind {self.action_kind!r}")
         dims = self.layer_dims
         if len(dims) < 3 or min(dims) < 1:
@@ -409,8 +409,8 @@ def train(
 
     low = high = None
     if dataset.meta.action_kind != "discrete" and dataset.meta.env in ENV_IDS:
-        spec = env_spec(dataset.meta.env)
-        low, high = spec.action_low, spec.action_high
+        spec = make_env(dataset.meta.env).spec
+        low, high = spec.action_low.copy(), spec.action_high.copy()
 
     ens = Ensemble(
         layer_dims=layer_dims,
@@ -530,10 +530,10 @@ def load_ensemble(path) -> Ensemble:
     with open(path) as f:
         doc = json.load(f)
     if doc.get("format") != "swarmbc-ensemble-v1":
-        raise ConfigError(f"{path}: not a swarmbc ensemble file")
+        raise ConfigError("not a swarmbc ensemble file")
     layer_dims = list(doc["layer_dims"])
     if doc["n_members"] != len(doc["members"]):
-        raise ConfigError(f"{path}: n_members is {doc['n_members']} but the file holds "
+        raise ConfigError(f"n_members is {doc['n_members']} but the file holds "
                           f"{len(doc['members'])} members")
     params, weights, biases = nn.stacked_buffer(layer_dims, len(doc["members"]))
     for i, rec in enumerate(doc["members"]):
@@ -541,7 +541,7 @@ def load_ensemble(path) -> Ensemble:
             arrays = [np.array(a, dtype=np.float64) for a in rec[name]]
             shapes, want = [a.shape for a in arrays], [v.shape[1:] for v in views]
             if shapes != want:
-                raise ConfigError(f"{path}: member {i} {name} shapes {shapes}, expected {want}")
+                raise ConfigError(f"member {i} {name} shapes {shapes}, expected {want}")
             for view, a in zip(views, arrays):
                 view[i] = a
     ens = Ensemble(
@@ -558,7 +558,7 @@ def load_ensemble(path) -> Ensemble:
     )
     activations = doc["hidden_activation"], doc["output_activation"]
     if activations != ("tanh", ens.head):
-        raise ConfigError(f"{path}: activations {activations} do not fit action_kind "
+        raise ConfigError(f"activations {activations} do not fit action_kind "
                           f"{ens.action_kind!r}, which takes ('tanh', {ens.head!r})")
     return ens
 

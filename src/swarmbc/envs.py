@@ -71,10 +71,11 @@ class EnvSpec:
 class DeskEnv:
     """The batched physics hooks, plus reset/step bookkeeping for one episode.
 
-    Subclasses implement ``_sample_start`` (one start state from a
-    generator), ``observe(states)``, ``advance(states, actions)`` and
-    ``expert_action(obs)``. Batched actions are ``(E, action_dim)`` floats
-    or ``(E,)`` integer indices for discrete envs.
+    Subclasses set the class attribute ``spec`` and implement
+    ``_sample_start`` (one start state from a generator), ``advance(states,
+    actions)`` and ``expert_action(obs)``; ``observe(states)`` is optional
+    and defaults to the states themselves. Batched actions are ``(E,
+    action_dim)`` floats or ``(E,)`` integer indices for discrete envs.
     """
 
     spec: EnvSpec
@@ -114,7 +115,7 @@ class DeskEnv:
         raise NotImplementedError
 
     def observe(self, states) -> np.ndarray:
-        raise NotImplementedError
+        return states.copy()
 
     def advance(self, states, actions):
         raise NotImplementedError
@@ -141,28 +142,14 @@ class PointReach(DeskEnv):
     START_VEL = 0.1
     _arena, _vmax, _neg_vmax = _c(ARENA), _c(VMAX), _c(-VMAX)
     _neg_kp, _kd = _c(-KP), _c(KD)
-
-    def __init__(self):
-        super().__init__()
-        self.spec = EnvSpec(
-            env_id="point_reach",
-            obs_dim=4,
-            action_kind="continuous",
-            action_dim=2,
-            action_low=np.array([-1.0, -1.0]),
-            action_high=np.array([1.0, 1.0]),
-            max_steps=200,
-            reward_min=-self.ARENA * math.sqrt(8.0),
-            reward_max=0.0,
-        )
+    spec = EnvSpec(env_id="point_reach", obs_dim=4, action_kind="continuous", action_dim=2,
+                   action_low=np.array([-1.0, -1.0]), action_high=np.array([1.0, 1.0]),
+                   max_steps=200, reward_min=-ARENA * math.sqrt(8.0), reward_max=0.0)
 
     def _sample_start(self, rng):
         pos = rng.uniform(-self.START_POS, self.START_POS, size=2)
         vel = rng.uniform(-self.START_VEL, self.START_VEL, size=2)
         return np.concatenate([pos, vel])
-
-    def observe(self, states):
-        return states.copy()
 
     def advance(self, states, actions):
         u = _clip(np.asarray(actions, dtype=np.float64), _NEG_ONE, _ONE)
@@ -210,21 +197,10 @@ class PendulumSwing(DeskEnv):
     _half_ml2, _mgl = _c(0.5 * MASS * LENGTH**2), _c(MASS * GRAVITY * LENGTH)
     _neg_k_energy, _neg_kp, _kd = _c(-K_ENERGY), _c(-KP), _c(KD)
     _rest_omega, _catch_angle, _catch_omega = _c(0.05), _c(CATCH_ANGLE), _c(CATCH_OMEGA)
-
-    def __init__(self):
-        super().__init__()
-        wmax = self.OMEGA_MAX
-        self.spec = EnvSpec(
-            env_id="pendulum_swing",
-            obs_dim=3,
-            action_kind="continuous",
-            action_dim=1,
-            action_low=np.array([-self.U_MAX]),
-            action_high=np.array([self.U_MAX]),
-            max_steps=300,
-            reward_min=-(math.pi**2 + 0.1 * wmax**2 + 0.001 * self.U_MAX**2),
-            reward_max=0.0,
-        )
+    spec = EnvSpec(env_id="pendulum_swing", obs_dim=3, action_kind="continuous", action_dim=1,
+                   action_low=np.array([-U_MAX]), action_high=np.array([U_MAX]), max_steps=300,
+                   reward_min=-(math.pi**2 + 0.1 * OMEGA_MAX**2 + 0.001 * U_MAX**2),
+                   reward_max=0.0)
 
     def _sample_start(self, rng):
         theta = math.pi + rng.uniform(-1.0, 1.0)
@@ -291,28 +267,13 @@ class CartBalance(DeskEnv):
     # effective pole length in the linearized angular dynamics
     _l_eff = _c(POLE_HALF * (4.0 / 3.0 - M_POLE / (M_CART + M_POLE)))
     _lever = _c(M_POLE * POLE_HALF / (M_CART + M_POLE))
-
-    def __init__(self):
-        super().__init__()
-        self.spec = EnvSpec(
-            env_id="cart_balance",
-            obs_dim=4,
-            action_kind="discrete",
-            action_dim=2,
-            action_low=None,
-            action_high=None,
-            max_steps=200,
-            reward_min=0.0,
-            reward_max=1.0,
-        )
-        total = self.M_CART + self.M_POLE
-        self._push = np.array([-self.FORCE, self.FORCE]) / total  # by action
+    _push = np.array([-FORCE, FORCE]) / (M_CART + M_POLE)  # by action
+    spec = EnvSpec(env_id="cart_balance", obs_dim=4, action_kind="discrete", action_dim=2,
+                   action_low=None, action_high=None, max_steps=200,
+                   reward_min=0.0, reward_max=1.0)
 
     def _sample_start(self, rng):
         return rng.uniform(-self.START, self.START, size=4)
-
-    def observe(self, states):
-        return states.copy()
 
     def advance(self, states, actions):
         a = np.asarray(actions).reshape(len(states))
@@ -335,13 +296,8 @@ class CartBalance(DeskEnv):
         return (obs[..., 2] + self._blend * obs[..., 3] > _ZERO).astype(np.int64)
 
 
-ENV_IDS = ("point_reach", "pendulum_swing", "cart_balance")
-
-_ENV_CLASSES = {
-    "point_reach": PointReach,
-    "pendulum_swing": PendulumSwing,
-    "cart_balance": CartBalance,
-}
+_ENV_CLASSES = {cls.spec.env_id: cls for cls in (PointReach, PendulumSwing, CartBalance)}
+ENV_IDS = tuple(_ENV_CLASSES)
 
 
 def make_env(env_id: str) -> DeskEnv:
@@ -351,10 +307,6 @@ def make_env(env_id: str) -> DeskEnv:
         raise ConfigError(
             f"unknown env {env_id!r}; choose from {', '.join(ENV_IDS)}"
         ) from None
-
-
-def env_spec(env_id: str) -> EnvSpec:
-    return make_env(env_id).spec
 
 
 def random_action(spec: EnvSpec, rng, steps=None):

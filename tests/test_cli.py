@@ -3,6 +3,7 @@ import csv
 import fcntl
 import hashlib
 import json
+import multiprocessing
 import os
 import random
 import re
@@ -268,6 +269,25 @@ def test_eval_rejects_env_mismatch(small_dataset, tmp_path):
     run_cli("train", "--data", small_dataset, "--method", "bc",
             "--out", model, "--epochs", 2, "--hidden-dims", "6")
     assert run_cli("eval", "--model", model, "--env", "cart_balance") == 1
+
+
+def test_eval_leaves_only_its_own_trajectories(tmp_path, capsys):
+    out, fresh = tmp_path / "ev", tmp_path / "fresh"
+    assert run_cli("eval", "--expert", "--env", "point_reach", "--episodes", 3,
+                   "--out", out) == 0
+    second = ("eval", "--expert", "--env", "cart_balance", "--episodes", 1, "--seed", 2)
+    assert run_cli(*second, "--out", out) == 0
+    assert run_cli(*second, "--out", fresh) == 0
+    assert sorted(p.name for p in out.glob("traj_ep*.csv")) == ["traj_ep000.csv"]
+    assert (out / "traj_ep000.csv").read_bytes() == (fresh / "traj_ep000.csv").read_bytes()
+    assert len((out / "eval_results.csv").read_text().splitlines()) == 4  # a log of both
+
+
+def test_eval_names_the_episodes_flag_below_one(tmp_path, capsys):
+    assert run_cli("eval", "--expert", "--env", "point_reach", "--episodes", 0,
+                   "--out", tmp_path / "ev") == 1
+    assert capsys.readouterr().err == "error: --episodes must be >= 1, got 0\n"
+    assert not (tmp_path / "ev").exists()
 
 
 def test_mode_demo_gaussian_monotone(tmp_path, capsys):
@@ -660,6 +680,16 @@ MODEL_EDITS = {
 }
 
 
+# edits that make a recorded point_reach dataset file invalid, keyed by the
+# file they write; each edits the parsed sample records in place
+DATA_EDITS = {
+    "nan_action.jsonl": lambda recs: recs[5]["a"].__setitem__(0, float("nan")),
+    "inf_action.jsonl": lambda recs: recs[5]["a"].__setitem__(1, float("inf")),
+    "nan_state.jsonl": lambda recs: recs[0]["s"].__setitem__(2, float("nan")),
+    "narrow_state.jsonl": lambda recs: [rec["s"].pop() for rec in recs],  # 3 wide, obs_dim 4
+}
+
+
 @pytest.fixture(scope="module")
 def model_docs(tmp_path_factory):
     """A trained swarm model file per env, as parsed JSON."""
@@ -695,12 +725,15 @@ def model_docs(tmp_path_factory):
     ("grad-check", "--seed", "-1"),
     *(("eval", "--model", "{tmp}/" + name, "--episodes", "1", "--out", "{tmp}/ev")
       for name in MODEL_EDITS),
+    *(("train", "--data", "{tmp}/" + name, "--method", "bc", "--out", "{tmp}/m.json")
+      for name in DATA_EDITS),
 ], ids=["n_list", "nan_window", "inf_window", "zero_cells", "negative_std",
         "grad_step", "nan_grad_step", "inf_grad_step", "grad_trials",
         "missing_data", "missing_model", "invalid_data", "invalid_model",
         "non_object_data", "non_object_model", "train_inf_tau",
         "gen_data_negative_seed", "train_negative_seed", "grad_check_negative_seed",
-        *(name.removesuffix(".json") + "_model" for name in MODEL_EDITS)])
+        *(name.removesuffix(".json") + "_model" for name in MODEL_EDITS),
+        *(name.removesuffix(".jsonl") + "_data" for name in DATA_EDITS)])
 def test_bad_arguments_and_files_exit_1_without_traceback(tmp_path, capsys, small_dataset,
                                                           model_docs, argv):
     (tmp_path / "bad.json").write_text('{"env": "point_reach", \n')
@@ -709,9 +742,18 @@ def test_bad_arguments_and_files_exit_1_without_traceback(tmp_path, capsys, smal
         doc = json.loads(json.dumps(model_docs[env]))
         edit(doc)
         (tmp_path / name).write_text(json.dumps(doc))
+    header, *samples = small_dataset.read_text().splitlines()
+    for name, edit in DATA_EDITS.items():
+        recs = [json.loads(line) for line in samples]
+        edit(recs)
+        (tmp_path / name).write_text("\n".join([header, *map(json.dumps, recs)]) + "\n")
     assert run_cli(*(a.format(tmp=tmp_path, data=small_dataset) for a in argv)) == 1
     err = capsys.readouterr().err
     assert err.startswith("error:") and err.count("\n") == 1
+    # a bad --data or --model file is named once
+    for flag, value in zip(argv, argv[1:]):
+        if flag in ("--data", "--model") and value.startswith("{tmp}/"):
+            assert err.count(value.format(tmp=tmp_path)) == 1, err
     assert not (tmp_path / "m.json").exists()
     assert not (tmp_path / "ev" / "eval_results.csv").exists()
 
@@ -1029,6 +1071,39 @@ def test_a_serial_sweep_never_loads_the_process_pool_machinery(tmp_path):
     assert proc.returncode == 0, proc.stderr
     assert len(read_results(tmp_path / "out" / "results.csv")) == 1
     assert proc.stdout.splitlines()[-1] == "loaded:"
+
+
+# four cells: bc and ensemble, two seeds each
+POOL_SWEEP = TINY_SWEEP.replace("methods = bc", "methods = bc, ensemble").replace(
+    "n_seeds = 1", "n_seeds = 2") + "hidden_dims = 4\n"
+
+
+@pytest.fixture(scope="module")
+def serial_pool_sweep(tmp_path_factory):
+    """The files of POOL_SWEEP run serially, and its config file."""
+    tmp = tmp_path_factory.mktemp("serial")
+    (tmp / "sweep.cfg").write_text(POOL_SWEEP)
+    assert run_cli("sweep", "--config", tmp / "sweep.cfg", "--out", tmp / "out",
+                   "--workers", 1) == 0
+    return _tree(tmp / "out"), tmp / "sweep.cfg"
+
+
+@pytest.mark.parametrize("method", ["fork", "forkserver", "spawn"])
+def test_a_pool_sweep_writes_the_serial_bytes_under_each_start_method(tmp_path, method,
+                                                                      serial_pool_sweep):
+    if method not in multiprocessing.get_all_start_methods():
+        pytest.skip(f"no {method} start method on this platform")
+    files, cfg_path = serial_pool_sweep
+    script = ("import multiprocessing, sys\n"
+              "from swarmbc.cli import main\n"
+              "multiprocessing.set_start_method(sys.argv[1], force=True)\n"
+              "sys.exit(main(sys.argv[2:]))\n")
+    proc = subprocess.run([sys.executable, "-c", script, method, "sweep", "--config", cfg_path,
+                           "--out", tmp_path / "out", "--workers", "2"],
+                          env=_child_env(), capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    assert len(files) > 1 and _tree(tmp_path / "out") == files
+    assert not (tmp_path / "out" / "sweep.lock").exists()
 
 
 @contextlib.contextmanager

@@ -575,6 +575,19 @@ def test_replace_returns_an_independent_buffer():
     assert np.array_equal(ens.params, before)
 
 
+@pytest.mark.parametrize("env_id", ["point_reach", "pendulum_swing"])
+def test_a_trained_ensemble_owns_its_action_bounds(env_id):
+    spec = make_env(env_id).spec  # one EnvSpec per env class, shared by its instances
+    low, high = spec.action_low.copy(), spec.action_high.copy()
+    ens, _ = train(generate_dataset(make_env(env_id), 1, seed=0), 2, 0.25,
+                   TrainConfig(epochs=1, hidden_dims=(3,)), seed=0)
+    assert np.array_equal(ens.action_low, low) and np.array_equal(ens.action_high, high)
+    ens.action_low[:] = 5.0
+    ens.action_high[:] = 6.0
+    assert np.array_equal(spec.action_low, low) and np.array_equal(spec.action_high, high)
+    assert np.array_equal(make_env(env_id).spec.action_low, low)
+
+
 @pytest.mark.parametrize("discrete", [False, True])
 def test_train_matches_single_policy_reference_loop(discrete):
     dataset = _toy_dataset(n=50, discrete=discrete, action_dim=3)
