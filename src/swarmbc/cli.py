@@ -73,15 +73,17 @@ def _load(loader, path):
         raise ConfigError(f"cannot load {path}: {exc}") from None
 
 
-def _check_seed(seed: int):
-    """gen-data, train and grad-check seed numpy with ``--seed`` itself; eval
+def _check_flags(args, **lowest):
+    """A ConfigError for the first flag named in ``lowest`` below its floor.
+    gen-data, train and grad-check seed numpy with ``--seed`` itself; eval
     and sweep hash theirs with ``harness.fan_out_seed``, which takes any int."""
-    if seed < 0:
-        raise ConfigError(f"--seed must be >= 0, got {seed}")
+    for name, low in lowest.items():
+        if (value := getattr(args, name)) < low:
+            raise ConfigError(f"--{name} must be >= {low}, got {value}")
 
 
 def cmd_gen_data(args) -> int:
-    _check_seed(args.seed)
+    _check_flags(args, seed=0, episodes=1)
     out = Path(args.out)
     if out.exists() and not args.force:
         raise ConfigError(f"{out} exists; rerun with --force to overwrite")
@@ -100,7 +102,7 @@ def _resolve_method_params(method, tau, n):
 
 
 def cmd_train(args) -> int:
-    _check_seed(args.seed)
+    _check_flags(args, seed=0)
     tau, n = _resolve_method_params(args.method, args.tau, args.n)
     harness.check_method_params(args.method, tau, n)
     config = TrainConfig(**{key: harness.parse_setting(key, getattr(args, key), flag)
@@ -135,9 +137,7 @@ def cmd_train(args) -> int:
 
 
 def cmd_eval(args) -> int:
-    if args.episodes < 1:
-        raise ConfigError(f"--episodes must be >= 1, got {args.episodes}")
-    ens = None
+    _check_flags(args, episodes=1)
     if args.model:
         ens = _load(load_ensemble, args.model)
         env_id = args.env or ens.meta.get("env")
@@ -147,17 +147,20 @@ def cmd_eval(args) -> int:
             raise ConfigError(
                 f"model was trained on {ens.meta['env']!r}, not {args.env!r}"
             )
-    else:
-        if not args.env:
-            raise ConfigError("--expert needs --env")
-        env_id = args.env
-    env = make_env(env_id)
-    if ens is not None:
+        env = make_env(env_id)
         model = (ens.obs_dim, ens.action_kind, ens.action_dim)
         spec = (env.spec.obs_dim, env.spec.action_kind, env.spec.action_dim)
         if model != spec:
             raise DimensionMismatchError(f"model has (obs_dim, action_kind, action_dim) "
                                          f"{model}, env {env_id} has {spec}")
+        policy, method = ens, ens.meta.get("method", "ensemble")
+        tau, n, n_ep = ens.tau, ens.n_members, int(ens.meta.get("n_expert_episodes", 0))
+    elif not args.env:
+        raise ConfigError("--expert needs --env")
+    else:
+        env_id, env = args.env, make_env(args.env)
+        policy = lambda obs, _: env.expert_action(obs)
+        method, tau, n, n_ep = "expert", 0.0, 1, 0
 
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -168,7 +171,6 @@ def cmd_eval(args) -> int:
         envs=(env_id,), eval_episodes=args.episodes, master_seed=args.seed
     )
     baselines = harness.load_or_compute_baselines(cfg, out_dir)
-    policy = ens if ens is not None else (lambda obs, _: env.expert_action(obs))
     trajs, mean_return, mean_diff = harness.evaluate(
         env, policy, harness.fan_out_seed(args.seed, "eval", env_id), args.episodes,
         baselines[env_id],
@@ -177,13 +179,6 @@ def cmd_eval(args) -> int:
         old.unlink()
     for i, traj in enumerate(trajs):
         write_trajectory_csv(traj, out_dir / f"traj_ep{i:03d}.csv")
-
-    if ens is None:
-        method, tau, n, n_ep = "expert", 0.0, 1, 0
-    else:
-        method = ens.meta.get("method", "ensemble")
-        tau, n = ens.tau, ens.n_members
-        n_ep = int(ens.meta.get("n_expert_episodes", 0))
 
     record = RunRecord(env_id, method, n_ep, tau, n, args.seed, mean_return, mean_diff)
     harness.append_row(results, record.row(), EVAL_COLUMNS, EVAL_SCHEMA)
@@ -198,6 +193,7 @@ def cmd_eval(args) -> int:
 
 
 def cmd_sweep(args) -> int:
+    _check_flags(args, workers=1)
     if args.write_config:
         path = Path(args.write_config)
         if path.exists() and not args.force:
@@ -223,6 +219,7 @@ def cmd_sweep(args) -> int:
 
 
 def cmd_mode_demo(args) -> int:
+    _check_flags(args, cells=3)
     try:
         n_list = harness.CONFIG_KEYS["n_grid"](args.n_list)
     except ValueError as exc:
@@ -245,9 +242,9 @@ def cmd_mode_demo(args) -> int:
 
 
 def cmd_grad_check(args) -> int:
-    _check_seed(args.seed)
-    if args.trials < 1 or not 0 < args.step < math.inf:
-        raise ConfigError("grad-check needs --trials >= 1 and --step in (0, inf)")
+    _check_flags(args, seed=0, trials=1)
+    if not 0 < args.step < math.inf:
+        raise ConfigError(f"--step must be in (0, inf), got {args.step}")
     worst = gradient_max_rel_error(
         n_trials=args.trials, seed=args.seed, step=args.step
     )

@@ -20,7 +20,7 @@ import numpy as np
 import pytest
 from golden_cases import golden_ensemble
 
-import swarmbc
+from swarmbc import errors
 from swarmbc.cli import _resolve_method_params, build_parser, main
 from swarmbc.data import load_dataset, save_dataset
 from swarmbc.ensemble import METHODS, TrainConfig, save_ensemble, train
@@ -90,7 +90,7 @@ EXITS = {
     "OSError": (1, "error: boom\n"),
     "KeyboardInterrupt": (130, "interrupted; rerun the same command to resume\n"),
 }
-ERROR_CLASSES = [cls for cls in vars(swarmbc.errors).values()
+ERROR_CLASSES = [cls for cls in vars(errors).values()
                  if isinstance(cls, type) and issubclass(cls, Exception)]
 
 
@@ -99,7 +99,7 @@ ERROR_CLASSES = [cls for cls in vars(swarmbc.errors).values()
 def test_each_exception_a_command_raises_exits_with_its_code_and_one_line(monkeypatch, capsys,
                                                                           cls):
     def command(args):
-        raise cls("boom", 0) if cls is swarmbc.errors.TrainingDivergedError else cls("boom")
+        raise cls("boom", 0) if cls is errors.TrainingDivergedError else cls("boom")
 
     monkeypatch.setattr("swarmbc.cli.cmd_grad_check", command)
     code, err = EXITS[cls.__name__]
@@ -758,6 +758,22 @@ def test_bad_arguments_and_files_exit_1_without_traceback(tmp_path, capsys, smal
     assert not (tmp_path / "ev" / "eval_results.csv").exists()
 
 
+@pytest.mark.parametrize("argv, line", [
+    (("gen-data", "--env", "point_reach", "--episodes", "0", "--out", "{tmp}/d.jsonl"),
+     "error: --episodes must be >= 1, got 0"),
+    (("sweep", "--workers", "0", "--out", "{tmp}/out"), "error: --workers must be >= 1, got 0"),
+    (("mode-demo", "--cells", "2", "--out", "{tmp}/demo.csv"),
+     "error: --cells must be >= 3, got 2"),
+    (("grad-check", "--trials", "0"), "error: --trials must be >= 1, got 0"),
+    (("grad-check", "--step", "0"), "error: --step must be in (0, inf), got 0.0"),
+], ids=["gen_data_episodes", "sweep_workers", "mode_demo_cells", "grad_check_trials",
+        "grad_check_step"])
+def test_a_numeric_flag_below_its_floor_exits_1_naming_the_flag(tmp_path, capsys, argv, line):
+    assert run_cli(*(a.format(tmp=tmp_path) for a in argv)) == 1
+    assert capsys.readouterr().err.splitlines() == [line]
+    assert list(tmp_path.iterdir()) == []
+
+
 @pytest.mark.parametrize("case", ["own_config", "user_config", "changed_config"])
 def test_a_config_error_exits_1_in_one_line_naming_its_file(tmp_path, capsys, case):
     cfg_path, out_dir = _swept(tmp_path)
@@ -840,7 +856,7 @@ def _tree(out):
 
 def _child_env():
     return dict(os.environ, PYTHONUNBUFFERED="1",
-                PYTHONPATH=str(Path(swarmbc.__file__).resolve().parents[1]))
+                PYTHONPATH=str(Path(errors.__file__).resolve().parents[1]))
 
 
 def _cli(*argv, **kwargs):
@@ -1071,6 +1087,17 @@ def test_a_serial_sweep_never_loads_the_process_pool_machinery(tmp_path):
     assert proc.returncode == 0, proc.stderr
     assert len(read_results(tmp_path / "out" / "results.csv")) == 1
     assert proc.stdout.splitlines()[-1] == "loaded:"
+
+
+def test_the_package_loads_only_the_modules_it_is_asked_for():
+    script = ("import sys\n"
+              "before = set(sys.modules)\n"
+              "exec(sys.argv[1])\n"
+              "print(*sorted(m for m in set(sys.modules) - before if m.startswith('swarmbc')))\n")
+    loaded = [subprocess.run([sys.executable, "-c", script, statement], env=_child_env(),
+                             capture_output=True, text=True, timeout=120, check=True).stdout
+              for statement in ("import swarmbc", "import swarmbc.nn")]
+    assert loaded == ["swarmbc\n", "swarmbc swarmbc.errors swarmbc.nn\n"]
 
 
 # four cells: bc and ensemble, two seeds each

@@ -928,47 +928,70 @@ def test_read_table_drops_a_torn_row_cut_after_a_quoted_newline(tmp_path):
     assert read_table(path, ("key", "text"), list) == rows[:1]
 
 
-@pytest.fixture
-def fork_default():
-    """Make fork the default start method for the test, whatever the platform's
-    default: a run_cell patched in this process reaches pool workers only as a
-    forked copy. Skips where fork is missing."""
-    if "fork" not in multiprocessing.get_all_start_methods():
-        pytest.skip("the patched run_cell reaches the workers only under fork")
-    previous = multiprocessing.get_start_method(allow_none=True)
-    multiprocessing.set_start_method("fork", force=True)
-    yield
-    multiprocessing.set_start_method(previous, force=True)
+# A sweep in a child interpreter: sys.argv is the start method, the config
+# file, the output directory and the worker count.
+CHILD_SWEEP = """
+import multiprocessing, sys
+from pathlib import Path
+from swarmbc import harness
+multiprocessing.set_start_method(sys.argv[1], force=True)
+harness.run_sweep(harness.parse_config_file(sys.argv[2]), Path(sys.argv[3]),
+                  workers=int(sys.argv[4]))
+"""
 
 
-@pytest.mark.usefixtures("fork_default")
-def test_dead_worker_fails_only_its_cell(tmp_path, monkeypatch):
+def _sweep_in_child(tmp_path, cfg, out, workers, method, hook=None):
+    """Run ``run_sweep(cfg, out, workers=workers)`` in a child interpreter whose
+    pool starts its workers by ``method``; returns the child's pid. ``hook``,
+    the source of a ``sitecustomize.py``, runs at the start of every process
+    Python starts for the sweep, so that it patches the pool workers too,
+    whatever the start method."""
+    (tmp_path / "sweep.cfg").write_text(config_text(cfg))
+    path = [str(Path(harness.__file__).resolve().parents[1])]
+    if hook is not None:
+        (tmp_path / "hook").mkdir(exist_ok=True)
+        (tmp_path / "hook" / "sitecustomize.py").write_text(hook)
+        path.insert(0, str(tmp_path / "hook"))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(path))
+    proc = subprocess.Popen([sys.executable, "-c", CHILD_SWEEP, method, tmp_path / "sweep.cfg",
+                             out, str(workers)], env=env, stderr=subprocess.PIPE, text=True)
+    _, err = proc.communicate(timeout=300)
+    assert proc.returncode == 0, (method, err)
+    return proc.pid
+
+
+# the worker that runs the ensemble cell of seed 1 dies without a Python exception
+DYING_RUN_CELL = """
+import os
+from swarmbc import harness
+real_run_cell = harness.run_cell
+
+def dying(cfg, cell, inputs):
+    if (cell.method, cell.seed) == ("ensemble", 1):
+        os._exit(7)
+    return real_run_cell(cfg, cell, inputs)
+
+harness.run_cell = dying
+"""
+
+
+def test_dead_worker_fails_only_its_cell(tmp_path):
     cfg = tiny_config()
     reference = run_sweep(cfg, tmp_path / "reference")
-    victim = Cell("point_reach", "ensemble", 1, 0.0, 4, 1)
-    real_run_cell = harness.run_cell
+    expected = [r for r in reference.records if (r.method, r.seed) != ("ensemble", 1)]
+    for method in multiprocessing.get_all_start_methods():
+        out = tmp_path / method
+        _sweep_in_child(tmp_path, cfg, out, 2, method, DYING_RUN_CELL)
+        assert ResultsStore(out / "results.csv").records == expected, method
+        failures = (out / "failures.csv").read_text().splitlines()
+        assert len(failures) == 2, method
+        assert failures[1].startswith("point_reach,ensemble,1,0.0,4,1,"), method
+        assert (out / "returns_point_reach.csv").exists()
 
-    def dying(cfg, cell, baselines):
-        if cell == victim:
-            os._exit(7)  # the worker process dies without a Python exception
-        return real_run_cell(cfg, cell, baselines)
-
-    monkeypatch.setattr(harness, "run_cell", dying)
-    out = tmp_path / "run"
-    store = run_sweep(cfg, out, workers=2)
-    expected = [r for r in reference.records
-                if (r.method, r.seed) != (victim.method, victim.seed)]
-    assert store.records == expected
-    assert ResultsStore(out / "results.csv").records == expected
-    failures = (out / "failures.csv").read_text().splitlines()
-    assert len(failures) == 2
-    assert failures[1].startswith("point_reach,ensemble,1,0.0,4,1,")
-    assert (out / "returns_point_reach.csv").exists()
-
-    monkeypatch.undo()
-    store = run_sweep(cfg, out, workers=2)
-    assert sorted(store.records, key=repr) == sorted(reference.records, key=repr)
-    assert not (out / "failures.csv").exists()
+        _sweep_in_child(tmp_path, cfg, out, 2, method)  # the rerun, no worker dies
+        records = ResultsStore(out / "results.csv").records
+        assert sorted(records, key=repr) == sorted(reference.records, key=repr), method
+        assert not (out / "failures.csv").exists()
 
 
 def _held_sweep(cfg, out, ready, go):
@@ -1115,25 +1138,39 @@ def test_a_pool_starts_no_more_processes_than_cells_to_run(tmp_path, monkeypatch
     assert sizes == [2]
 
 
+# each cell's process and the pid the sweep's lock file names, one line a cell
+LOCK_HOLDER_RUN_CELL = """
+import os
+from pathlib import Path
+from swarmbc import harness
+real_run_cell = harness.run_cell
+
+def recording(cfg, cell, inputs):
+    holder = (Path({out!r}) / harness.LOCK_FILE).read_text().split()[0]
+    with open({calls!r}, "a") as f:
+        f.write(f"{{os.getpid()}} {{holder}}\\n")
+    return real_run_cell(cfg, cell, inputs)
+
+harness.run_cell = recording
+"""
+
+
 @pytest.mark.parametrize("workers", [1, 2])
-def test_only_the_parent_holds_the_lock(tmp_path, monkeypatch, request, workers):
-    if workers > 1:
-        request.getfixturevalue("fork_default")
-    out, parent = tmp_path / "out", str(os.getpid())
-    real_run_cell = harness.run_cell
-
-    def checking(cfg, cell, baselines):
-        holder = (out / harness.LOCK_FILE).read_text().split()[0]
-        if holder != parent:
-            raise RuntimeError(f"the lock names pid {holder}")
-        return real_run_cell(cfg, cell, baselines)
-
-    monkeypatch.setattr(harness, "run_cell", checking)
-    cfg = tiny_config(n_seeds=1)
-    store = run_sweep(cfg, out, workers=workers)
-    assert len(store.records) == len(enumerate_cells(cfg))
-    assert not (out / "failures.csv").exists()
-    assert not (out / harness.LOCK_FILE).exists()
+def test_only_the_parent_holds_the_lock(tmp_path, workers):
+    cfg, methods = tiny_config(n_seeds=1), multiprocessing.get_all_start_methods()
+    # a serial sweep starts no process, so one start method tells all
+    for method in methods if workers > 1 else methods[:1]:
+        out, calls = tmp_path / method, tmp_path / f"{method}.calls"
+        hook = LOCK_HOLDER_RUN_CELL.format(out=str(out), calls=str(calls))
+        parent = _sweep_in_child(tmp_path, cfg, out, workers, method, hook)
+        runs = [line.split() for line in calls.read_text().splitlines()]
+        assert len(runs) == len(enumerate_cells(cfg)), method
+        assert all(holder == str(parent) for _, holder in runs), (method, runs)
+        # the cells ran in the workers, which the hook reached
+        assert all((pid == str(parent)) == (workers == 1) for pid, _ in runs), (method, runs)
+        assert len(ResultsStore(out / "results.csv").records) == len(runs)
+        assert not (out / "failures.csv").exists()
+        assert not (out / harness.LOCK_FILE).exists()
 
 
 @pytest.mark.skipif(not hasattr(os, "fork"), reason="the pool's parent is a forked process")
