@@ -25,6 +25,7 @@ from .errors import (
     SwarmBCError,
     TiedModeError,
     TrainingDivergedError,
+    check_range,
 )
 from .metrics import RunRecord, write_trajectory_csv
 
@@ -73,13 +74,21 @@ def _load(loader, path):
         raise ConfigError(f"cannot load {path}: {exc}") from None
 
 
+def _load_model(path):
+    """The ensemble in ``path`` and its meta's dataset size, an int >= 0 (0 if absent)."""
+    ens = load_ensemble(path)
+    n_ep = ens.meta.get("n_expert_episodes", 0)
+    if type(n_ep) is not int:  # not a bool, float or text either
+        raise ConfigError(f"meta.n_expert_episodes must be an int, got {n_ep!r}")
+    return ens, check_range("meta.n_expert_episodes", n_ep, 0)
+
+
 def _check_flags(args, **lowest):
     """A ConfigError for the first flag named in ``lowest`` below its floor.
     gen-data, train and grad-check seed numpy with ``--seed`` itself; eval
     and sweep hash theirs with ``harness.fan_out_seed``, which takes any int."""
     for name, low in lowest.items():
-        if (value := getattr(args, name)) < low:
-            raise ConfigError(f"--{name} must be >= {low}, got {value}")
+        check_range(f"--{name}", getattr(args, name), low)
 
 
 def cmd_gen_data(args) -> int:
@@ -139,7 +148,7 @@ def cmd_train(args) -> int:
 def cmd_eval(args) -> int:
     _check_flags(args, episodes=1)
     if args.model:
-        ens = _load(load_ensemble, args.model)
+        ens, n_ep = _load(_load_model, args.model)
         env_id = args.env or ens.meta.get("env")
         if env_id is None:
             raise ConfigError("model has no env metadata; pass --env")
@@ -154,7 +163,7 @@ def cmd_eval(args) -> int:
             raise DimensionMismatchError(f"model has (obs_dim, action_kind, action_dim) "
                                          f"{model}, env {env_id} has {spec}")
         policy, method = ens, ens.meta.get("method", "ensemble")
-        tau, n, n_ep = ens.tau, ens.n_members, int(ens.meta.get("n_expert_episodes", 0))
+        tau, n = ens.tau, ens.n_members
     elif not args.env:
         raise ConfigError("--expert needs --env")
     else:
@@ -209,8 +218,8 @@ def cmd_sweep(args) -> int:
     out = Path(args.out)
     store = harness.run_sweep(cfg, out, workers=args.workers, force=args.force, log=_echo)
     _echo(f"{len(store.records)} records in {out / 'results.csv'}")
-    # the run cleared failures.csv before its first cell, so its rows are this run's
-    failed = len(harness.read_table(out / "failures.csv", harness.FAILURE_COLUMNS, tuple))
+    # the run attempted every cell without a record, and logged each that failed
+    failed = sum(not store.has(cell) for cell in harness.enumerate_cells(cfg))
     if failed:
         print(f"error: {failed} cells failed; see {out / 'failures.csv'} (a rerun retries them)",
               file=sys.stderr)
@@ -243,8 +252,7 @@ def cmd_mode_demo(args) -> int:
 
 def cmd_grad_check(args) -> int:
     _check_flags(args, seed=0, trials=1)
-    if not 0 < args.step < math.inf:
-        raise ConfigError(f"--step must be in (0, inf), got {args.step}")
+    check_range("--step", args.step, 0, math.inf, above=True)
     worst = gradient_max_rel_error(
         n_trials=args.trials, seed=args.seed, step=args.step
     )

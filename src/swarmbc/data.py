@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import json
 import os
-from dataclasses import asdict, dataclass, fields
+from dataclasses import asdict, dataclass, field, fields
 from pathlib import Path
 
 import numpy as np
@@ -52,8 +52,8 @@ class Dataset:
     states: np.ndarray
     actions: np.ndarray
     meta: DatasetMeta
-    obs_mean: np.ndarray = None
-    obs_std: np.ndarray = None
+    obs_mean: np.ndarray = field(init=False)
+    obs_std: np.ndarray = field(init=False)
 
     def __post_init__(self):
         self.states = np.asarray(self.states, dtype=np.float64)
@@ -78,9 +78,8 @@ class Dataset:
         for name in ("states", "actions"):
             if not np.isfinite(getattr(self, name)).all():
                 raise ConfigError(f"{name} hold a non-finite number")
-        if self.obs_mean is None:
-            self.obs_mean = self.states.mean(axis=0)
-            self.obs_std = np.maximum(self.states.std(axis=0), STD_FLOOR)
+        self.obs_mean = self.states.mean(axis=0)
+        self.obs_std = np.maximum(self.states.std(axis=0), STD_FLOOR)
 
     def __len__(self) -> int:
         return len(self.states)

@@ -309,14 +309,12 @@ def make_env(env_id: str) -> DeskEnv:
         ) from None
 
 
-def random_action(spec: EnvSpec, rng, steps=None):
-    """Uniform action in the env's action space; with ``steps``, that many
-    in one draw, as rows (the same stream as ``steps`` single draws)."""
+def random_action(spec: EnvSpec, rng, steps: int):
+    """``steps`` uniform actions in the env's action space, as rows, in one
+    draw (the same stream as ``steps`` single draws)."""
     if spec.action_kind == "discrete":
-        draw = rng.integers(spec.action_dim, size=steps)
-        return int(draw) if steps is None else draw
-    shape = None if steps is None else (steps, spec.action_dim)
-    return rng.uniform(spec.action_low, spec.action_high, size=shape)
+        return rng.integers(spec.action_dim, size=steps)
+    return rng.uniform(spec.action_low, spec.action_high, size=(steps, spec.action_dim))
 
 
 def generate_dataset(env: DeskEnv, n_episodes: int, seed: int) -> Dataset:

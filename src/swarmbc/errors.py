@@ -17,6 +17,19 @@ class ConfigError(SwarmBCError):
     """Invalid configuration, CLI arguments, or file contents."""
 
 
+def check_range(name, value, low, high=None, above=False):
+    """``value`` if it is at least ``low`` (above it with ``above``) and, with
+    ``high``, below ``high``; else a ConfigError naming ``name``, the range
+    and the value. NaN lies in no range."""
+    if (low < value if above else low <= value) and (high is None or value < high):
+        return value
+    if high is None:
+        rule = f"{'>' if above else '>='} {low}"
+    else:
+        rule = f"in {'(' if above else '['}{low}, {high})"
+    raise ConfigError(f"{name} must be {rule}, got {value}")
+
+
 class EpisodeDoneError(SwarmBCError):
     """step() was called on an episode that already terminated."""
 

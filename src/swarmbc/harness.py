@@ -28,7 +28,7 @@ from . import svg
 from .data import replace_file
 from .ensemble import METHODS, Ensemble, TrainConfig, check_tau, train
 from .envs import ENV_IDS, make_env
-from .errors import ConfigError
+from .errors import ConfigError, check_range
 from .metrics import Cell, RunRecord, rollouts, scaled_return, scripted_rollouts
 
 RESULTS_SCHEMA = "swarmbc.results.v1"
@@ -69,15 +69,13 @@ class ExperimentConfig:
         for m in self.methods:
             if m not in METHODS:
                 raise ConfigError(f"unknown method {m!r}")
-        if self.n_seeds < 1 or self.eval_episodes < 1:
-            raise ConfigError("n_seeds and eval_episodes must be >= 1")
-        if self.n_members < 1:
-            raise ConfigError("n_members must be >= 1")
+        for name in ("n_seeds", "eval_episodes", "n_members"):
+            check_range(name, getattr(self, name), 1)
         self.tau, self.tau_grid = check_tau(self.tau), tuple(map(check_tau, self.tau_grid))
-        if any(n < 2 for n in self.n_grid):
-            raise ConfigError("n_grid values must be >= 2")
-        if any(e < 1 for e in self.episode_counts):
-            raise ConfigError("episode_counts must be >= 1")
+        for n in self.n_grid:
+            check_range("n_grid value", n, 2)
+        for n_ep in self.episode_counts:
+            check_range("episode_counts value", n_ep, 1)
         for _, (_, method, _, tau, n_members) in _cell_groups(self):  # ablations included
             check_method_params(method, tau, n_members)
 
@@ -452,8 +450,7 @@ def run_sweep(cfg: ExperimentConfig, out_dir, workers: int = 1,
     each, and the cell that kills its process is recorded as failed.
     ``failures.csv`` lists the cells that failed in this run, one row each.
     """
-    if workers < 1:
-        raise ConfigError(f"workers must be >= 1, got {workers}")
+    check_range("workers", workers, 1)
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     with sweep_lock(out_dir) as lock:

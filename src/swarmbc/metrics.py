@@ -31,7 +31,7 @@ import numpy as np
 from .data import Dataset, DatasetMeta, replace_file
 from .ensemble import Ensemble, rollout_step
 from .envs import DeskEnv, random_action
-from .errors import ConfigError, DegenerateBaselineError, DimensionMismatchError
+from .errors import ConfigError, DegenerateBaselineError, DimensionMismatchError, check_range
 
 # |R_expert - R_random| below this is too degenerate to scale against.
 BASELINE_EPSILON = 1e-6
@@ -220,8 +220,7 @@ def scripted_rollouts(env: DeskEnv, baseline=None, datasets=()):
     discrete actions one-hot.
     """
     for n_episodes, _ in filter(None, (baseline, *datasets)):
-        if n_episodes < 1:
-            raise ConfigError(f"n_episodes must be >= 1, got {n_episodes}")
+        check_range("n_episodes", n_episodes, 1)
     spec = env.spec
     starts = []
     if baseline:  # one (E_random, ...) block per step

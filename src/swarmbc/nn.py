@@ -22,7 +22,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .errors import DimensionMismatchError
+from .errors import DimensionMismatchError, check_range
 
 OUTPUT_ACTIVATIONS = ("identity", "softmax")
 # Adam's moment decay rates and denominator guard: fixed, the learning rate
@@ -295,8 +295,7 @@ def finite_diff_grad(loss_fn, params, step=1e-5):
     The test oracle for the analytic backward pass: it only ever calls the
     loss as a black box.
     """
-    if not 0 < step < np.inf:
-        raise ValueError(f"step must be in (0, inf), got {step}")
+    check_range("step", step, 0, np.inf, above=True)
     grads = []
     work = [p.astype(np.float64).copy() for p in params]
     for i, p in enumerate(work):

@@ -15,9 +15,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError, TiedModeError
+from .errors import ConfigError, TiedModeError, check_range
 
 NORMALIZATION_TOL = 1e-12
+LOW, HIGH = -1.0, 1.0  # the domain of the built-in grid densities
 
 
 @dataclass
@@ -35,8 +36,7 @@ class GridDensity:
         self.values = np.asarray(self.values, dtype=np.float64)
         if self.values.ndim not in (1, 2):
             raise ConfigError("grid densities must be 1-D or 2-D")
-        if self.edge <= 0:
-            raise ConfigError(f"cell edge must be positive, got {self.edge}")
+        check_range("cell edge", self.edge, 0, above=True)
         if np.any(self.values < 0):
             raise ConfigError("density values must be non-negative")
         if not np.any(self.values > 0):
@@ -64,8 +64,7 @@ class GridDensity:
 def power_density(p: GridDensity, n: int) -> GridDensity:
     """Elementwise N-th power, renormalized. Computed in the log domain so
     large N cannot underflow away the mode."""
-    if n < 1:
-        raise ConfigError(f"power must be >= 1, got {n}")
+    check_range("power", n, 1)
     if n == 1:
         return GridDensity(p.values.copy(), p.edge)
     with np.errstate(divide="ignore"):
@@ -91,10 +90,7 @@ def _mode_index(p: GridDensity):
 def mode_mass(p: GridDensity, tau: float) -> float:
     """Probability mass inside the hypercube window of edge ``tau`` centered
     on the unique argmax cell."""
-    if not p.edge <= tau < math.inf:
-        raise ConfigError(
-            f"window edge must be finite and at least one cell edge {p.edge}, got {tau}"
-        )
+    check_range("window edge", tau, p.edge, math.inf)
     mode = _mode_index(p)
     # cells whose centers fall inside the window: |i - i_mode| * edge <= tau/2
     radius = int(np.floor(tau / (2.0 * p.edge) + 1e-9))
@@ -107,36 +103,26 @@ def mode_mass(p: GridDensity, tau: float) -> float:
 
 def concentration_report(p: GridDensity, tau: float, n_list):
     """Sweep the power and report ``[(N, mode_mass), ...]``."""
-    n_list = [int(n) for n in n_list]
+    n_list = [check_range("power", int(n), 1) for n in n_list]
     if not n_list:
         raise ConfigError("n_list must be non-empty")
-    if any(n < 1 for n in n_list):
-        raise ConfigError("all powers must be >= 1")
     return [(n, mode_mass(power_density(p, n), tau)) for n in n_list]
 
 
-def _grid_edge(n_cells: int, low: float, high: float) -> float:
-    """The cell edge of a grid of ``n_cells`` cells on [low, high]."""
-    if n_cells < 3:
-        raise ConfigError(f"need at least 3 cells, got {n_cells}")
-    return (high - low) / n_cells
+def _grid_edge(n_cells: int) -> float:
+    """The cell edge of a grid of ``n_cells`` cells on [LOW, HIGH]."""
+    check_range("n_cells", n_cells, 3)
+    return (HIGH - LOW) / n_cells
 
 
-def gaussian_grid_density(
-    n_cells: int = 101,
-    low: float = -1.0,
-    high: float = 1.0,
-    mean: float = 0.15,
-    std: float = 0.25,
-) -> GridDensity:
-    """Truncated-Gaussian grid density with a single interior mode; the
-    built-in example for the concentration demo."""
-    edge = _grid_edge(n_cells, low, high)
-    if not low < mean < high:
-        raise ConfigError("mean must lie strictly inside the domain")
-    if not 0 < std < math.inf:
-        raise ConfigError(f"std must be in (0, inf), got {std}")
-    dist = np.abs(low + edge * (np.arange(n_cells) + 0.5) - mean)
+def gaussian_grid_density(n_cells: int = 101, mean: float = 0.15,
+                          std: float = 0.25) -> GridDensity:
+    """Truncated-Gaussian grid density on [LOW, HIGH] with a single interior
+    mode; the built-in example for the concentration demo."""
+    edge = _grid_edge(n_cells)
+    check_range("mean", mean, LOW, HIGH, above=True)
+    check_range("std", std, 0, math.inf, above=True)
+    dist = np.abs(LOW + edge * (np.arange(n_cells) + 0.5) - mean)
     near = dist.min()
     # (dist**2 - near**2) / std**2, factored and taken left to right so that the
     # nearest cell's exponent is exactly 0 (never 0 * inf) and a tiny std
@@ -146,9 +132,8 @@ def gaussian_grid_density(
     return GridDensity.from_unnormalized(values, edge)
 
 
-def uniform_grid_density(
-    n_cells: int = 101, low: float = -1.0, high: float = 1.0
-) -> GridDensity:
-    """All cells equal: powering changes nothing, and every maximum ties."""
-    edge = _grid_edge(n_cells, low, high)
+def uniform_grid_density(n_cells: int = 101) -> GridDensity:
+    """All cells equal on [LOW, HIGH]: powering changes nothing, and every
+    maximum ties."""
+    edge = _grid_edge(n_cells)
     return GridDensity.from_unnormalized(np.ones(n_cells), edge)

@@ -17,11 +17,11 @@ import tempfile
 from pathlib import Path
 
 import numpy as np
-from reference import ensemble_of, init_policy, per_state
+from reference import ensemble_of, init_policy, per_state, random_action
 
 from swarmbc.cli import main as cli_main
 from swarmbc.ensemble import Ensemble, save_ensemble
-from swarmbc.envs import ENV_IDS, generate_dataset, make_env, random_action
+from swarmbc.envs import ENV_IDS, generate_dataset, make_env
 from swarmbc.metrics import baseline_returns, rollout
 
 GOLDEN_PATH = Path(__file__).with_name("golden_rollouts.json")

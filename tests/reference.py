@@ -1,8 +1,8 @@
 """Slow reference versions of engine parts, kept as test oracles: building
-ensembles from single policies, single-state policies in rollouts, the
-two-call baseline rollouts, the deployed action, the action difference over
-the full N x N distance matrix, and the per-policy forward, backward and
-Adam step the stacked kernels must match bit for bit."""
+ensembles from single policies, single-state policies in rollouts, single
+random actions, the two-call baseline rollouts, the deployed action, the
+action difference over the full N x N distance matrix, and the per-policy
+forward, backward and Adam step the stacked kernels must match bit for bit."""
 
 from dataclasses import dataclass, replace
 
@@ -10,7 +10,6 @@ import numpy as np
 
 from swarmbc import nn
 from swarmbc.ensemble import Ensemble
-from swarmbc.envs import random_action
 from swarmbc.errors import DimensionMismatchError
 from swarmbc.metrics import rollouts
 from swarmbc.nn import BETA1, BETA2, EPS, AdamState, MlpPolicy
@@ -51,6 +50,14 @@ def deployed_action(ensemble: Ensemble, outputs):
     if ensemble.action_low is None:
         return mean
     return np.clip(mean, ensemble.action_low, ensemble.action_high)
+
+
+def random_action(spec, rng):
+    """One uniform action in the env's action space: a step of
+    ``envs.random_action``'s block draw."""
+    if spec.action_kind == "discrete":
+        return int(rng.integers(spec.action_dim))
+    return rng.uniform(spec.action_low, spec.action_high)
 
 
 def baseline_returns(env, n_episodes: int, seed: int):

@@ -677,6 +677,10 @@ MODEL_EDITS = {
     "zero_std.json": ("point_reach", lambda doc: doc["obs_std"].__setitem__(0, 0.0)),
     "swapped_bounds.json": ("point_reach", lambda doc: doc.update(
         action_low=doc["action_high"], action_high=doc["action_low"])),
+    "meta_episodes_text.json": ("point_reach",
+                                lambda doc: doc["meta"].update(n_expert_episodes="two")),
+    "meta_episodes_negative.json": ("point_reach",
+                                    lambda doc: doc["meta"].update(n_expert_episodes=-3)),
 }
 
 

@@ -3,7 +3,7 @@ import math
 
 import numpy as np
 import pytest
-from reference import per_state
+from reference import per_state, random_action
 
 from swarmbc.data import load_dataset, save_dataset
 from swarmbc.envs import (
@@ -11,7 +11,6 @@ from swarmbc.envs import (
     PointReach,
     generate_dataset,
     make_env,
-    random_action,
     wrap_angle,
 )
 from swarmbc.errors import ConfigError, EpisodeDoneError

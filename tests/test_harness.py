@@ -342,6 +342,7 @@ def test_parse_config_rejects_bad_values(text, match):
     dict(learning_rate=-0.1),
     dict(learning_rate=float("inf")),
     dict(patience=-3),
+    dict(patience=float("nan")),
     dict(min_improvement=-0.5),
     dict(min_improvement=float("nan")),
     dict(min_improvement=float("inf")),

@@ -128,7 +128,7 @@ def test_block_random_draw_equals_single_draws(env_id):
     for seed in range(1000):
         block = random_action(spec, np.random.default_rng(seed), steps)
         rng = np.random.default_rng(seed)
-        singles = np.array([random_action(spec, rng) for _ in range(steps)])
+        singles = np.array([reference.random_action(spec, rng) for _ in range(steps)])
         assert np.array_equal(block, singles) and block.dtype == singles.dtype, seed
 
 

@@ -1,3 +1,4 @@
+import re
 import warnings
 
 import numpy as np
@@ -20,6 +21,11 @@ def test_density_must_normalize():
     with pytest.raises(ConfigError):
         GridDensity(np.array([1.0, 1.0]), edge=1.0)  # integrates to 2
     GridDensity(np.array([0.5, 0.5]), edge=1.0)  # ok
+
+
+def test_density_rejects_a_cell_edge_of_nan():
+    with pytest.raises(ConfigError, match="cell edge must be > 0, got nan"):
+        GridDensity(np.array([0.5, 0.5]), edge=float("nan"))
 
 
 def test_from_unnormalized_normalizes():
@@ -66,7 +72,7 @@ def test_power_preserves_argmax():
 def test_mode_mass_whole_grid_is_one():
     # odd cell count with the mode at the center: a window spanning the
     # grid length covers every cell
-    p = gaussian_grid_density(n_cells=101, low=-1.0, high=1.0, mean=0.0)
+    p = gaussian_grid_density(n_cells=101, mean=0.0)
     assert mode_mass(p, tau=2.0) == pytest.approx(1.0, abs=1e-12)
 
 
@@ -96,14 +102,16 @@ def test_mode_mass_rejects_subcell_window():
 
 @pytest.mark.parametrize("tau", [np.nan, np.inf])
 def test_mode_mass_rejects_a_window_that_is_not_finite(tau):
-    with pytest.raises(ConfigError, match="finite"):
-        mode_mass(gaussian_grid_density(), tau)
+    p = gaussian_grid_density()
+    text = f"window edge must be in [{p.edge}, inf), got {tau}"
+    with pytest.raises(ConfigError, match=re.escape(text)):
+        mode_mass(p, tau)
 
 
 @pytest.mark.parametrize("build", [uniform_grid_density, gaussian_grid_density])
 @pytest.mark.parametrize("n_cells", [-1, 0, 2])
 def test_grid_builders_need_three_cells(build, n_cells):
-    with pytest.raises(ConfigError, match="at least 3 cells"):
+    with pytest.raises(ConfigError, match=f"n_cells must be >= 3, got {n_cells}"):
         build(n_cells=n_cells)
 
 
