@@ -15,8 +15,8 @@ from pathlib import Path
 
 from . import harness, theory
 from .data import load_dataset, replace_file, save_dataset
-from .ensemble import METHODS, TrainConfig, load_ensemble, save_ensemble, train
-from .ensemble import gradient_max_rel_error
+from .ensemble import (METHODS, TrainConfig, check_method_params, gradient_max_rel_error,
+                       load_ensemble, method_of, save_ensemble, train)
 from .envs import ENV_IDS, generate_dataset, make_env
 from .errors import (
     ConfigError,
@@ -70,17 +70,9 @@ def _load(loader, path):
         return loader(path)
     except OSError as exc:  # its text repeats the path
         raise ConfigError(f"cannot load {path}: {exc.strerror or exc}") from None
-    except (ValueError, KeyError, TypeError, AttributeError, SwarmBCError) as exc:
+    except (ValueError, KeyError, TypeError, AttributeError, OverflowError, RecursionError,
+            SwarmBCError) as exc:
         raise ConfigError(f"cannot load {path}: {exc}") from None
-
-
-def _load_model(path):
-    """The ensemble in ``path`` and its meta's dataset size, an int >= 0 (0 if absent)."""
-    ens = load_ensemble(path)
-    n_ep = ens.meta.get("n_expert_episodes", 0)
-    if type(n_ep) is not int:  # not a bool, float or text either
-        raise ConfigError(f"meta.n_expert_episodes must be an int, got {n_ep!r}")
-    return ens, check_range("meta.n_expert_episodes", n_ep, 0)
 
 
 def _check_flags(args, **lowest):
@@ -113,7 +105,7 @@ def _resolve_method_params(method, tau, n):
 def cmd_train(args) -> int:
     _check_flags(args, seed=0)
     tau, n = _resolve_method_params(args.method, args.tau, args.n)
-    harness.check_method_params(args.method, tau, n)
+    check_method_params(args.method, tau, n)
     config = TrainConfig(**{key: harness.parse_setting(key, getattr(args, key), flag)
                             for key, flag in TRAINING_FLAGS.items()
                             if getattr(args, key) is not None})
@@ -148,7 +140,9 @@ def cmd_train(args) -> int:
 def cmd_eval(args) -> int:
     _check_flags(args, episodes=1)
     if args.model:
-        ens, n_ep = _load(_load_model, args.model)
+        ens = _load(load_ensemble, args.model)
+        tau, n = ens.tau, ens.n_members
+        method = method_of(tau, n)
         env_id = args.env or ens.meta.get("env")
         if env_id is None:
             raise ConfigError("model has no env metadata; pass --env")
@@ -162,8 +156,7 @@ def cmd_eval(args) -> int:
         if model != spec:
             raise DimensionMismatchError(f"model has (obs_dim, action_kind, action_dim) "
                                          f"{model}, env {env_id} has {spec}")
-        policy, method = ens, ens.meta.get("method", "ensemble")
-        tau, n = ens.tau, ens.n_members
+        policy, n_ep = ens, ens.meta.get("n_expert_episodes", 0)
     elif not args.env:
         raise ConfigError("--expert needs --env")
     else:

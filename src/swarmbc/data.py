@@ -22,7 +22,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import ConfigError, DimensionMismatchError
+from .errors import ConfigError, DimensionMismatchError, check_range
 
 ACTION_KINDS = ("continuous", "discrete")
 
@@ -32,12 +32,23 @@ STD_FLOOR = 1e-8
 
 @dataclass
 class DatasetMeta:
+    """A dataset file's header, checked on construction."""
+
     env: str
     episodes: int
     seed: int
     obs_dim: int
     action_dim: int
     action_kind: str
+
+    def __post_init__(self):
+        for name, low in (("episodes", 1), ("seed", 0), ("obs_dim", 1), ("action_dim", 1)):
+            value = getattr(self, name)
+            if type(value) is not int:  # not a bool or a float either
+                raise ConfigError(f"{name} must be an int, got {value!r}")
+            check_range(name, value, low)
+        if self.action_kind not in ACTION_KINDS:
+            raise ConfigError(f"unknown action_kind {self.action_kind!r}")
 
 
 @dataclass
@@ -64,17 +75,11 @@ class Dataset:
             raise DimensionMismatchError(
                 f"{len(self.states)} states vs {len(self.actions)} actions"
             )
-        if self.states.shape[1] != self.meta.obs_dim:
-            raise DimensionMismatchError(
-                f"state dim {self.states.shape[1]} != meta obs_dim {self.meta.obs_dim}"
-            )
-        if self.actions.shape[1] != self.meta.action_dim:
-            raise DimensionMismatchError(
-                f"action dim {self.actions.shape[1]} != meta action_dim "
-                f"{self.meta.action_dim}"
-            )
-        if self.meta.action_kind not in ACTION_KINDS:
-            raise ConfigError(f"unknown action_kind {self.meta.action_kind!r}")
+        for name, array, dim in (("state", self.states, "obs_dim"),
+                                 ("action", self.actions, "action_dim")):
+            if array.shape[1] != getattr(self.meta, dim):
+                raise DimensionMismatchError(
+                    f"{name} dim {array.shape[1]} != meta {dim} {getattr(self.meta, dim)}")
         for name in ("states", "actions"):
             if not np.isfinite(getattr(self, name)).all():
                 raise ConfigError(f"{name} hold a non-finite number")
@@ -112,21 +117,13 @@ def load_dataset(path) -> Dataset:
     if not lines:
         raise ConfigError("empty dataset file")
     header = json.loads(lines[0])
-    keys = fields(DatasetMeta)  # each f.type is its annotation as text
-    missing = {f.name for f in keys} - header.keys()
+    keys = [f.name for f in fields(DatasetMeta)]
+    missing = set(keys) - header.keys()
     if missing:
         raise ConfigError(f"header missing keys {sorted(missing)}")
-    meta = DatasetMeta(**{f.name: int(header[f.name]) if f.type == "int" else header[f.name]
-                          for f in keys})
-    states, actions = [], []
-    for line in lines[1:]:
-        rec = json.loads(line)
-        states.append(rec["s"])
-        actions.append(rec["a"])
-    if not states:
+    meta = DatasetMeta(**{key: header[key] for key in keys})
+    recs = [json.loads(line) for line in lines[1:]]
+    if not recs:
         raise ConfigError("no samples after header")
-    return Dataset(
-        states=np.array(states, dtype=np.float64),
-        actions=np.array(actions, dtype=np.float64),
-        meta=meta,
-    )
+    return Dataset(states=np.array([rec["s"] for rec in recs], dtype=np.float64),
+                   actions=np.array([rec["a"] for rec in recs], dtype=np.float64), meta=meta)

@@ -36,11 +36,28 @@ from .envs import ENV_IDS, make_env
 from .errors import ConfigError, DimensionMismatchError, TrainingDivergedError, check_range
 
 METHODS = ("bc", "ensemble", "swarm")
+METHOD_RULE = ("bc is one policy with tau = 0, ensemble N >= 2 policies with tau = 0, "
+               "swarm N >= 2 policies with tau > 0")
 
 
 def check_tau(tau: float) -> float:
     """``tau + 0.0`` if ``tau`` is a regularizer strength, in [0, inf): -0.0 is 0.0."""
     return check_range("tau", tau, 0, math.inf) + 0.0
+
+
+def method_of(tau: float, n_members: int) -> str:
+    """The method of N = ``n_members`` policies trained at strength ``tau``,
+    by ``METHOD_RULE``; a single policy at tau > 0 is no method."""
+    tau, n_members = check_tau(tau), check_range("n_members", n_members, 1)
+    if n_members == 1 and tau > 0:
+        raise ConfigError(f"tau = {tau} with N = 1 is no method: {METHOD_RULE}")
+    return "bc" if n_members == 1 else "swarm" if tau > 0 else "ensemble"
+
+
+def check_method_params(method: str, tau: float, n_members: int):
+    """A ConfigError unless ``method`` is ``method_of(tau, n_members)``."""
+    if method_of(tau, n_members) != method:
+        raise ConfigError(f"{method} with tau = {tau} and N = {n_members}: {METHOD_RULE}")
 
 
 @dataclass
@@ -550,6 +567,10 @@ def load_ensemble(path) -> Ensemble:
         normalize_swarm=bool(doc.get("normalize_swarm", False)),
         meta=doc.get("meta", {}),
     )
+    n_ep = ens.meta.get("n_expert_episodes", 0)
+    if type(n_ep) is not int:  # not a bool, float or text either
+        raise ConfigError(f"meta.n_expert_episodes must be an int, got {n_ep!r}")
+    check_range("meta.n_expert_episodes", n_ep, 0)
     activations = doc["hidden_activation"], doc["output_activation"]
     if activations != ("tanh", ens.head):
         raise ConfigError(f"activations {activations} do not fit action_kind "

@@ -303,7 +303,7 @@ ENV_IDS = tuple(_ENV_CLASSES)
 def make_env(env_id: str) -> DeskEnv:
     try:
         return _ENV_CLASSES[env_id]()
-    except KeyError:
+    except (KeyError, TypeError):  # TypeError: an unhashable id, such as a list
         raise ConfigError(
             f"unknown env {env_id!r}; choose from {', '.join(ENV_IDS)}"
         ) from None

@@ -26,7 +26,8 @@ import numpy as np
 
 from . import svg
 from .data import replace_file
-from .ensemble import METHODS, Ensemble, TrainConfig, check_tau, train
+from .ensemble import (METHODS, Ensemble, TrainConfig, check_method_params, check_tau,
+                       method_of, train)
 from .envs import ENV_IDS, make_env
 from .errors import ConfigError, check_range
 from .metrics import Cell, RunRecord, rollouts, scaled_return, scripted_rollouts
@@ -78,6 +79,8 @@ class ExperimentConfig:
             check_range("episode_counts value", n_ep, 1)
         for _, (_, method, _, tau, n_members) in _cell_groups(self):  # ablations included
             check_method_params(method, tau, n_members)
+        if self.ablations and self.n_members < 2:  # the tau ablation trains ensembles
+            raise ConfigError(f"ablations need N >= 2, got n_members = {self.n_members}")
 
 
 def fan_out_seed(master_seed: int, *parts) -> int:
@@ -100,31 +103,10 @@ def cell_seeds(cfg: ExperimentConfig, cell: Cell):
     return data, tr, ev
 
 
-def tau_method(tau: float) -> str:
-    """The method of an ensemble trained with regularizer strength ``tau``."""
-    return "swarm" if tau > 0 else "ensemble"
-
-
-def check_method_params(method: str, tau: float, n_members: int):
-    """The one rule for (method, tau, N): bc is a single policy and ensemble
-    N >= 2 policies, both with tau = 0; swarm is N >= 2 policies with tau > 0."""
-    check_tau(tau)
-    if not (n_members == 1 if method == "bc" else n_members >= 2):
-        raise ConfigError(f"{method} with N = {n_members}: bc trains a single policy, "
-                          "ensemble and swarm need N >= 2")
-    if not (tau > 0 if method == "swarm" else tau == 0):
-        raise ConfigError(f"{method} with tau = {tau}: bc and ensemble take tau = 0, "
-                          "swarm needs tau > 0")
-
-
 def method_params(cfg: ExperimentConfig, method: str):
-    if method == "bc":
-        return 0.0, 1
-    if method == "ensemble":
-        return 0.0, cfg.n_members
-    if method == "swarm":
-        return cfg.tau, cfg.n_members
-    raise ConfigError(f"unknown method {method!r}")
+    """The (tau, N) of ``method``'s cells: bc at N = 1, the others at ``cfg.n_members``."""
+    return {"bc": (0.0, 1), "ensemble": (0.0, cfg.n_members),
+            "swarm": (cfg.tau, cfg.n_members)}[method]
 
 
 def _cell_groups(cfg: ExperimentConfig):
@@ -139,7 +121,7 @@ def _cell_groups(cfg: ExperimentConfig):
     if cfg.ablations:
         env, n_ep = cfg.envs[0], max(cfg.episode_counts)
         for tau in cfg.tau_grid:
-            yield "ablation_tau", (env, tau_method(tau), n_ep, tau, cfg.n_members)
+            yield "ablation_tau", (env, method_of(tau, cfg.n_members), n_ep, tau, cfg.n_members)
         for n in cfg.n_grid:
             yield "ablation_n", (env, "swarm", n_ep, cfg.tau, n)
 
@@ -674,6 +656,11 @@ CONFIG_KEYS = {
 TRAIN_KEYS = tuple(f.name for f in fields(TrainConfig))
 
 
+def _cut(text: str, limit: int = 120) -> str:
+    """``text``, or its first ``limit`` characters and how many more it had."""
+    return text if len(text) <= limit else f"{text[:limit]}... ({len(text) - limit} more)"
+
+
 def parse_setting(key: str, text: str, where: str):
     """The value of ``key`` = ``text``, parsed by ``CONFIG_KEYS``; a training
     value is checked by TrainConfig. A bad value is a ``ConfigError`` naming
@@ -683,7 +670,7 @@ def parse_setting(key: str, text: str, where: str):
         if key in TRAIN_KEYS:
             TrainConfig(**{key: value})
     except (ValueError, ConfigError) as exc:
-        raise ConfigError(f"{where}: bad value for {key!r}: {exc}") from None
+        raise ConfigError(f"{where}: bad value for {key!r}: {_cut(str(exc))}") from None
     return value
 
 
@@ -694,11 +681,11 @@ def parse_config_text(text: str) -> ExperimentConfig:
         if not line:
             continue
         if "=" not in line:
-            raise ConfigError(f"line {lineno}: expected 'key = value', got {raw!r}")
+            raise ConfigError(f"line {lineno}: expected 'key = value', got {_cut(repr(raw))}")
         key, val = (part.strip() for part in line.split("=", 1))
         if key not in CONFIG_KEYS:
             raise ConfigError(
-                f"line {lineno}: unknown key {key!r} "
+                f"line {lineno}: unknown key {_cut(repr(key))} "
                 f"(known: {', '.join(sorted(CONFIG_KEYS))})"
             )
         if key in settings:

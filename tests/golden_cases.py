@@ -20,7 +20,7 @@ import numpy as np
 from reference import ensemble_of, init_policy, per_state, random_action
 
 from swarmbc.cli import main as cli_main
-from swarmbc.ensemble import Ensemble, save_ensemble
+from swarmbc.ensemble import Ensemble, method_of, save_ensemble
 from swarmbc.envs import ENV_IDS, generate_dataset, make_env
 from swarmbc.metrics import baseline_returns, rollout
 
@@ -65,7 +65,7 @@ def golden_ensemble(env_id, n_members) -> Ensemble:
         obs_std=obs_std,
         action_low=spec.action_low,
         action_high=spec.action_high,
-        meta={"env": env_id, "method": "ensemble", "n_expert_episodes": 1},
+        meta={"env": env_id, "method": method_of(0.0, n_members), "n_expert_episodes": 1},
     )
 
 

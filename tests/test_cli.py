@@ -23,7 +23,7 @@ from golden_cases import golden_ensemble
 from swarmbc import errors
 from swarmbc.cli import _resolve_method_params, build_parser, main
 from swarmbc.data import load_dataset, save_dataset
-from swarmbc.ensemble import METHODS, TrainConfig, save_ensemble, train
+from swarmbc.ensemble import METHOD_RULE, METHODS, TrainConfig, save_ensemble, train
 from swarmbc.envs import generate_dataset, make_env
 from swarmbc.errors import ConfigError
 from swarmbc.harness import (CONFIG_KEYS, TRAIN_KEYS, ExperimentConfig, ResultsStore,
@@ -681,16 +681,27 @@ MODEL_EDITS = {
                                 lambda doc: doc["meta"].update(n_expert_episodes="two")),
     "meta_episodes_negative.json": ("point_reach",
                                     lambda doc: doc["meta"].update(n_expert_episodes=-3)),
+    "deep.json": ("point_reach", lambda doc: "[" * 200_000),  # the file's whole text
+    "huge_tau.json": ("point_reach", lambda doc: doc.update(tau=10**400)),  # no float holds it
 }
 
 
 # edits that make a recorded point_reach dataset file invalid, keyed by the
-# file they write; each edits the parsed sample records in place
+# file they write; each edits the parsed header and sample records in place,
+# or returns the file's whole text
 DATA_EDITS = {
-    "nan_action.jsonl": lambda recs: recs[5]["a"].__setitem__(0, float("nan")),
-    "inf_action.jsonl": lambda recs: recs[5]["a"].__setitem__(1, float("inf")),
-    "nan_state.jsonl": lambda recs: recs[0]["s"].__setitem__(2, float("nan")),
-    "narrow_state.jsonl": lambda recs: [rec["s"].pop() for rec in recs],  # 3 wide, obs_dim 4
+    "nan_action.jsonl": lambda _, recs: recs[5]["a"].__setitem__(0, float("nan")),
+    "inf_action.jsonl": lambda _, recs: recs[5]["a"].__setitem__(1, float("inf")),
+    "nan_state.jsonl": lambda _, recs: recs[0]["s"].__setitem__(2, float("nan")),
+    "narrow_state.jsonl": lambda _, recs: [rec["s"].pop() for rec in recs],  # obs_dim is 4
+    "negative_episodes.jsonl": lambda header, _: header.update(episodes=-3),
+    "fractional_episodes.jsonl": lambda header, _: header.update(episodes=2.7),
+    "true_episodes.jsonl": lambda header, _: header.update(episodes=True),
+    "negative_seed.jsonl": lambda header, _: header.update(seed=-1),
+    "unknown_action_kind.jsonl": lambda header, _: header.update(action_kind="binary"),
+    "missing_key.jsonl": lambda header, _: header.pop("obs_dim"),
+    "deep.jsonl": lambda header, _: "[" * 200_000,
+    "huge_state.jsonl": lambda _, recs: recs[0]["s"].__setitem__(0, 10**400),
 }
 
 
@@ -744,13 +755,14 @@ def test_bad_arguments_and_files_exit_1_without_traceback(tmp_path, capsys, smal
     (tmp_path / "list.json").write_text("[1, 2]\n")
     for name, (env, edit) in MODEL_EDITS.items():
         doc = json.loads(json.dumps(model_docs[env]))
-        edit(doc)
-        (tmp_path / name).write_text(json.dumps(doc))
-    header, *samples = small_dataset.read_text().splitlines()
+        text = edit(doc)
+        (tmp_path / name).write_text(text if isinstance(text, str) else json.dumps(doc))
     for name, edit in DATA_EDITS.items():
-        recs = [json.loads(line) for line in samples]
-        edit(recs)
-        (tmp_path / name).write_text("\n".join([header, *map(json.dumps, recs)]) + "\n")
+        header, *recs = map(json.loads, small_dataset.read_text().splitlines())
+        text = edit(header, recs)
+        if not isinstance(text, str):
+            text = "\n".join(map(json.dumps, [header, *recs])) + "\n"
+        (tmp_path / name).write_text(text)
     assert run_cli(*(a.format(tmp=tmp_path, data=small_dataset) for a in argv)) == 1
     err = capsys.readouterr().err
     assert err.startswith("error:") and err.count("\n") == 1
@@ -760,6 +772,60 @@ def test_bad_arguments_and_files_exit_1_without_traceback(tmp_path, capsys, smal
             assert err.count(value.format(tmp=tmp_path)) == 1, err
     assert not (tmp_path / "m.json").exists()
     assert not (tmp_path / "ev" / "eval_results.csv").exists()
+
+
+def test_eval_of_a_model_whose_env_is_a_list_exits_1_in_one_line(tmp_path, capsys, model_docs):
+    doc = json.loads(json.dumps(model_docs["point_reach"]))
+    doc["meta"]["env"] = ["point_reach"]
+    (tmp_path / "m.json").write_text(json.dumps(doc))
+    assert run_cli("eval", "--model", tmp_path / "m.json", "--out", tmp_path / "ev") == 1
+    assert capsys.readouterr().err == ("error: unknown env ['point_reach']; choose from "
+                                       "point_reach, pendulum_swing, cart_balance\n")
+    assert not (tmp_path / "ev").exists()
+
+
+@pytest.mark.parametrize("n, tau, label, method", [
+    (4, 0.25, "bc", "swarm"),
+    (4, 0.25, "bog,us\nx", "swarm"),
+    (1, 0.0, None, "bc"),
+    (4, 0.5, None, "swarm"),
+    (4, 0.0, "swarm", "ensemble"),
+    (1, 0.5, None, None),  # a single policy at tau > 0 is no method
+], ids=["swarm_labelled_bc", "label_with_comma_and_newline", "library_bc", "library_swarm",
+        "ensemble_labelled_swarm", "single_policy_at_tau_above_0"])
+def test_eval_logs_the_method_that_tau_and_n_define(small_dataset, tmp_path, capsys,
+                                                     n, tau, label, method):
+    ens, _ = train(load_dataset(small_dataset), n, tau, TrainConfig(epochs=1, hidden_dims=(3,)))
+    if label is not None:  # ``train`` writes no label; ``swarmbc train`` writes --method
+        ens.meta["method"] = label
+    save_ensemble(ens, tmp_path / "m.json")
+    code = run_cli("eval", "--model", tmp_path / "m.json", "--episodes", 1,
+                   "--out", tmp_path / "ev")
+    out, err = capsys.readouterr()
+    if method is None:
+        assert (code, err) == (1, f"error: tau = {tau} with N = {n} is no method: {METHOD_RULE}\n")
+        assert not (tmp_path / "ev").exists()
+        return
+    assert (code, err) == (0, "")
+    _, _, row = (tmp_path / "ev" / "eval_results.csv").read_text().splitlines()
+    assert row.split(",")[:5] == ["point_reach", method, "1", repr(tau), str(n)]
+    assert out.startswith(f"point_reach {method}: ")
+
+
+@pytest.mark.parametrize("line, start", [
+    ("x" * 200_000, "line 8: expected 'key = value', got 'xxx"),
+    ("x" * 200_000 + " = 1", "line 8: unknown key 'xxx"),
+    ("learning_rate = " + "x" * 200_000, "line 8: bad value for 'learning_rate': could not"),
+], ids=["no_equals_sign", "unknown_key", "bad_value"])
+def test_a_config_error_quotes_a_bounded_prefix_of_a_long_line(tmp_path, capsys, line, start):
+    cfg_path = tmp_path / "sweep.cfg"
+    cfg_path.write_text(TINY_SWEEP + line + "\n")
+    assert run_cli("sweep", "--config", cfg_path, "--out", tmp_path / "out") == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {cfg_path}: {start}") and err.count("\n") == 1
+    assert re.search(r"xxx\.\.\. \(\d+ more\)", err)
+    assert len(err) < len(str(cfg_path)) + 600, len(err)
+    assert not (tmp_path / "out").exists()
 
 
 @pytest.mark.parametrize("argv, line", [

@@ -1,4 +1,5 @@
 import math
+import re
 import warnings
 from dataclasses import replace
 from itertools import product
@@ -12,12 +13,16 @@ from reference import ensemble_of, init_policy
 from swarmbc import nn
 from swarmbc.data import Dataset, DatasetMeta
 from swarmbc.ensemble import (
+    METHOD_RULE,
+    METHODS,
     Ensemble,
     TrainConfig,
     _breakdown,
     batch_loss_and_grads,
+    check_method_params,
     gradient_max_rel_error,
     load_ensemble,
+    method_of,
     random_tiny_ensemble,
     rollout_step,
     save_ensemble,
@@ -44,6 +49,29 @@ def deployed(ens, s):
     outputs, actions = rollout_step(ens, 1)(np.asarray(s, dtype=np.float64)[None])
     assert np.array_equal(actions, reference.deployed_action(ens, outputs))
     return actions[0]
+
+
+@pytest.mark.parametrize("tau, n, method", [
+    (0.0, 1, "bc"), (-0.0, 1, "bc"), (0.0, 2, "ensemble"), (0.0, 8, "ensemble"),
+    (0.25, 2, "swarm"), (1e-300, 4, "swarm"), (7.0, 8, "swarm"),
+])
+def test_tau_and_n_name_one_method_and_check_method_params_takes_only_it(tau, n, method):
+    assert method_of(tau, n) == method
+    check_method_params(method, tau, n)
+    for other in set(METHODS) - {method}:
+        with pytest.raises(ConfigError, match=re.escape(METHOD_RULE)):
+            check_method_params(other, tau, n)
+
+
+@pytest.mark.parametrize("tau, n, text", [
+    (0.5, 1, f"tau = 0.5 with N = 1 is no method: {METHOD_RULE}"),
+    (0.25, 0, "n_members must be >= 1, got 0"),
+    (float("nan"), 4, "tau must be in [0, inf), got nan"),
+    (-0.5, 4, "tau must be in [0, inf), got -0.5"),
+])
+def test_method_of_refuses_what_is_no_method(tau, n, text):
+    with pytest.raises(ConfigError, match=f"^{re.escape(text)}$"):
+        method_of(tau, n)
 
 
 def test_standard_loss_zero_when_members_match_target():

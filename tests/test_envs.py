@@ -1,11 +1,12 @@
 import dataclasses
 import math
+import re
 
 import numpy as np
 import pytest
 from reference import per_state, random_action
 
-from swarmbc.data import load_dataset, save_dataset
+from swarmbc.data import DatasetMeta, load_dataset, save_dataset
 from swarmbc.envs import (
     ENV_IDS,
     PointReach,
@@ -246,6 +247,25 @@ def test_generate_dataset_rejects_zero_episodes():
     env = make_env("point_reach")
     with pytest.raises(ConfigError):
         generate_dataset(env, 0, seed=1)
+
+
+@pytest.mark.parametrize("field, value, text", [
+    ("episodes", 0, "episodes must be >= 1, got 0"),
+    ("episodes", -3, "episodes must be >= 1, got -3"),
+    ("episodes", 2.7, "episodes must be an int, got 2.7"),
+    ("episodes", True, "episodes must be an int, got True"),
+    ("seed", -1, "seed must be >= 0, got -1"),
+    ("seed", "3", "seed must be an int, got '3'"),
+    ("obs_dim", 0, "obs_dim must be >= 1, got 0"),
+    ("action_dim", 1.0, "action_dim must be an int, got 1.0"),
+    ("action_kind", "binary", "unknown action_kind 'binary'"),
+])
+def test_a_dataset_header_checks_its_own_fields(field, value, text):
+    fields = dict(env="point_reach", episodes=1, seed=0, obs_dim=4, action_dim=2,
+                  action_kind="continuous")
+    DatasetMeta(**fields)
+    with pytest.raises(ConfigError, match=f"^{re.escape(text)}$"):
+        DatasetMeta(**{**fields, field: value})
 
 
 def test_dataset_file_byte_identical_for_same_seed(tmp_path):

@@ -22,7 +22,7 @@ from hypothesis import example, given
 from hypothesis import strategies as st
 
 from swarmbc import harness, metrics
-from swarmbc.ensemble import METHODS, TrainConfig
+from swarmbc.ensemble import METHODS, TrainConfig, check_method_params
 from swarmbc.errors import ConfigError
 from swarmbc.harness import (
     Cell,
@@ -132,6 +132,7 @@ def test_config_rejects_a_repeated_value(name, values):
     dict(n_members=1),  # ensemble and swarm cells of one member
     dict(methods=("bc",), n_members=1),  # the tau ablation trains ensembles
     dict(methods=("bc", "ensemble"), tau=0.0),  # the N ablation trains swarms
+    dict(methods=("bc",), n_members=1, tau_grid=(0.0,)),  # ... at tau = 0 alone too
 ])
 def test_config_rejects_invalid_method_params(kwargs):
     with pytest.raises(ConfigError, match="N >= 2|tau > 0"):
@@ -159,7 +160,7 @@ def test_config_accepts_single_policy_bc_sweep():
 ])
 def test_check_method_params_rejects(method, tau, n):
     with pytest.raises(ConfigError):
-        harness.check_method_params(method, tau, n)
+        check_method_params(method, tau, n)
 
 
 def test_parse_config_text_roundtrip():
