@@ -26,6 +26,7 @@ from .errors import (
     TiedModeError,
     TrainingDivergedError,
     check_range,
+    cut,
 )
 from .metrics import RunRecord, write_trajectory_csv
 
@@ -58,8 +59,7 @@ def _echo(text: str):
 
 
 # ``swarmbc train``'s flag for each training key of a sweep config, in config order
-TRAINING_FLAGS = {key: "--" + key.replace("_", "-")
-                  for key in harness.CONFIG_KEYS if key in harness.TRAIN_KEYS}
+TRAINING_FLAGS = {key: "--" + key.replace("_", "-") for key in harness.TRAIN_KEYS}
 
 
 def _load(loader, path):
@@ -73,6 +73,17 @@ def _load(loader, path):
     except (ValueError, KeyError, TypeError, AttributeError, OverflowError, RecursionError,
             SwarmBCError) as exc:
         raise ConfigError(f"cannot load {path}: {exc}") from None
+
+
+def _env_of(what: str, env_id, shaped):
+    """``make_env(env_id)``, if ``shaped`` (a model or a dataset header,
+    called ``what``) has its (obs_dim, action_kind, action_dim)."""
+    env = make_env(env_id)
+    dims, spec = ((s.obs_dim, s.action_kind, s.action_dim) for s in (shaped, env.spec))
+    if dims != spec:
+        raise DimensionMismatchError(f"{what} has (obs_dim, action_kind, action_dim) "
+                                     f"{dims}, env {env_id} has {spec}")
+    return env
 
 
 def _check_flags(args, **lowest):
@@ -117,6 +128,8 @@ def cmd_train(args) -> int:
     if history_path.resolve() == out.resolve():
         raise ConfigError(f"--history names the model file {out}; choose another path")
     dataset = _load(load_dataset, args.data)
+    # eval runs the model on the env the header names
+    _load(lambda _: _env_of("header", dataset.meta.env, dataset.meta), args.data)
     ens, history = train(dataset, n, tau, config, seed=args.seed)
     ens.meta["method"] = args.method
 
@@ -147,15 +160,9 @@ def cmd_eval(args) -> int:
         if env_id is None:
             raise ConfigError("model has no env metadata; pass --env")
         if args.env and ens.meta.get("env") and args.env != ens.meta["env"]:
-            raise ConfigError(
-                f"model was trained on {ens.meta['env']!r}, not {args.env!r}"
-            )
-        env = make_env(env_id)
-        model = (ens.obs_dim, ens.action_kind, ens.action_dim)
-        spec = (env.spec.obs_dim, env.spec.action_kind, env.spec.action_dim)
-        if model != spec:
-            raise DimensionMismatchError(f"model has (obs_dim, action_kind, action_dim) "
-                                         f"{model}, env {env_id} has {spec}")
+            trained = cut(repr(ens.meta["env"]))
+            raise ConfigError(f"model was trained on {trained}, not {args.env!r}")
+        env = _env_of("model", env_id, ens)
         policy, n_ep = ens, ens.meta.get("n_expert_episodes", 0)
     elif not args.env:
         raise ConfigError("--expert needs --env")
@@ -173,10 +180,12 @@ def cmd_eval(args) -> int:
         envs=(env_id,), eval_episodes=args.episodes, master_seed=args.seed
     )
     baselines = harness.load_or_compute_baselines(cfg, out_dir)
-    trajs, mean_return, mean_diff = harness.evaluate(
-        env, policy, harness.fan_out_seed(args.seed, "eval", env_id), args.episodes,
-        baselines[env_id],
-    )
+    try:
+        trajs, mean_return, mean_diff = harness.evaluate(
+            env, policy, harness.fan_out_seed(args.seed, "eval", env_id), args.episodes,
+            baselines[env_id])
+    except FloatingPointError as exc:
+        raise ConfigError(f"evaluating {args.model or 'the expert'}: {exc}") from None
     for old in out_dir.glob("traj_ep*.csv"):  # an earlier run's, maybe of more episodes
         old.unlink()
     for i, traj in enumerate(trajs):

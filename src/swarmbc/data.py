@@ -83,8 +83,13 @@ class Dataset:
         for name in ("states", "actions"):
             if not np.isfinite(getattr(self, name)).all():
                 raise ConfigError(f"{name} hold a non-finite number")
-        self.obs_mean = self.states.mean(axis=0)
-        self.obs_std = np.maximum(self.states.std(axis=0), STD_FLOOR)
+        if not len(self.states):  # its statistics would be NaN
+            raise ConfigError("a dataset needs at least one sample")
+        with np.errstate(over="ignore", invalid="ignore"):  # refused below, not warned of
+            self.obs_mean = self.states.mean(axis=0)
+            self.obs_std = np.maximum(self.states.std(axis=0), STD_FLOOR)
+        if not np.isfinite(self.obs_std).all():  # a mean that overflows makes a NaN std
+            raise ConfigError("states are too large: their std overflows a float")
 
     def __len__(self) -> int:
         return len(self.states)

@@ -31,7 +31,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from . import nn
-from .data import ACTION_KINDS, Dataset, replace_file
+from .data import ACTION_KINDS, STD_FLOOR, Dataset, replace_file
 from .envs import ENV_IDS, make_env
 from .errors import ConfigError, DimensionMismatchError, TrainingDivergedError, check_range
 
@@ -125,8 +125,8 @@ class Ensemble:
         for name in ("params", *shapes):
             if not np.isfinite(getattr(self, name)).all():
                 raise ConfigError(f"{name} holds a non-finite number")
-        if not np.all(np.greater(self.obs_std, 0.0)):
-            raise ConfigError(f"obs_std must be > 0, got {self.obs_std}")
+        if not np.all(np.greater_equal(self.obs_std, STD_FLOOR)):  # as a Dataset's is
+            raise ConfigError(f"obs_std must be > 0, at least {STD_FLOOR}, got {self.obs_std}")
         if self.action_low is not None and np.any(self.action_low > self.action_high):
             raise ConfigError(
                 f"action_low {self.action_low} exceeds action_high {self.action_high}")
@@ -369,9 +369,9 @@ class TrainConfig:
     epochs: int = 400
     batch_size: int = 64
     learning_rate: float = 1e-3
-    hidden_dims: tuple = (16, 16)
     patience: int = 50
     min_improvement: float = 1e-4
+    hidden_dims: tuple = (16, 16)
     normalize_swarm: bool = False
 
     def __post_init__(self):
@@ -544,7 +544,7 @@ def load_ensemble(path) -> Ensemble:
         raise ConfigError("not a swarmbc ensemble file")
     layer_dims = list(doc["layer_dims"])
     if doc["n_members"] != len(doc["members"]):
-        raise ConfigError(f"n_members is {doc['n_members']} but the file holds "
+        raise ConfigError(f"n_members is {doc['n_members']!r} but the file holds "
                           f"{len(doc['members'])} members")
     params, weights, biases = nn.stacked_buffer(layer_dims, len(doc["members"]))
     for i, rec in enumerate(doc["members"]):

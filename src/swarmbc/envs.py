@@ -29,7 +29,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .data import Dataset
-from .errors import ConfigError, EpisodeDoneError
+from .errors import ConfigError, EpisodeDoneError, cut
 
 DT = 0.05
 
@@ -304,9 +304,8 @@ def make_env(env_id: str) -> DeskEnv:
     try:
         return _ENV_CLASSES[env_id]()
     except (KeyError, TypeError):  # TypeError: an unhashable id, such as a list
-        raise ConfigError(
-            f"unknown env {env_id!r}; choose from {', '.join(ENV_IDS)}"
-        ) from None
+        raise ConfigError(f"unknown env {cut(repr(env_id))}; "
+                          f"choose from {', '.join(ENV_IDS)}") from None
 
 
 def random_action(spec: EnvSpec, rng, steps: int):

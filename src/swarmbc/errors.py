@@ -30,6 +30,11 @@ def check_range(name, value, low, high=None, above=False):
     raise ConfigError(f"{name} must be {rule}, got {value}")
 
 
+def cut(text: str, limit: int = 120) -> str:
+    """``text``, or its first ``limit`` characters and how many more it had."""
+    return text if len(text) <= limit else f"{text[:limit]}... ({len(text) - limit} more)"
+
+
 class EpisodeDoneError(SwarmBCError):
     """step() was called on an episode that already terminated."""
 

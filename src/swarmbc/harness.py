@@ -29,7 +29,7 @@ from .data import replace_file
 from .ensemble import (METHODS, Ensemble, TrainConfig, check_method_params, check_tau,
                        method_of, train)
 from .envs import ENV_IDS, make_env
-from .errors import ConfigError, check_range
+from .errors import ConfigError, check_range, cut
 from .metrics import Cell, RunRecord, rollouts, scaled_return, scripted_rollouts
 
 RESULTS_SCHEMA = "swarmbc.results.v1"
@@ -63,13 +63,13 @@ class ExperimentConfig:
             if not values:
                 raise ConfigError(f"{name} must be non-empty")
             if len(set(values)) < len(values):
-                raise ConfigError(f"{name} repeats a value: {', '.join(map(str, values))}")
+                raise ConfigError(f"{name} repeats a value: {cut(', '.join(map(str, values)))}")
         for env in self.envs:
             if env not in ENV_IDS:
-                raise ConfigError(f"unknown env {env!r}")
+                raise ConfigError(f"unknown env {cut(repr(env))}")
         for m in self.methods:
             if m not in METHODS:
-                raise ConfigError(f"unknown method {m!r}")
+                raise ConfigError(f"unknown method {cut(repr(m))}")
         for name in ("n_seeds", "eval_episodes", "n_members"):
             check_range(name, getattr(self, name), 1)
         self.tau, self.tau_grid = check_tau(self.tau), tuple(map(check_tau, self.tau_grid))
@@ -145,14 +145,16 @@ def evaluate(env, policy, eval_seed: int, n_episodes: int, baseline):
     """The evaluation loop of sweep cells and ``swarmbc eval``: ``n_episodes``
     seeded episodes in lockstep, recording member outputs when ``policy`` is
     an Ensemble of N >= 2. Returns ``(trajectories, mean scaled return, mean
-    action difference or None)``."""
+    action difference or None)``. A policy of finite but huge numbers
+    that overflows a float raises FloatingPointError."""
     seeds = np.random.SeedSequence(eval_seed).spawn(n_episodes)
     members = isinstance(policy, Ensemble) and policy.n_members >= 2
-    trajs = rollouts(env, policy, seeds, record_members=members)
     r_random, r_expert = baseline
-    returns = [scaled_return(t.episode_return, r_random, r_expert) for t in trajs]
-    diffs = [t.mean_action_difference for t in trajs if t.action_diffs is not None]
-    return trajs, float(np.mean(returns)), float(np.mean(diffs)) if diffs else None
+    with np.errstate(over="raise", invalid="raise"):  # a FloatingPointError, not a warning
+        trajs = rollouts(env, policy, seeds, record_members=members)
+        returns = [scaled_return(t.episode_return, r_random, r_expert) for t in trajs]
+        diffs = [t.mean_action_difference for t in trajs if t.action_diffs is not None]
+        return trajs, float(np.mean(returns)), float(np.mean(diffs)) if diffs else None
 
 
 def run_cell(cfg: ExperimentConfig, cell: Cell, inputs):
@@ -610,16 +612,6 @@ def _write_trace_summaries(cfg: ExperimentConfig, out_dir: Path):
 
 # --- config file -----------------------------------------------------------
 
-def _items(parse):
-    """Parser of a comma list whose items ``parse`` reads; empty items are
-    dropped."""
-    return lambda text: tuple(parse(t) for t in (s.strip() for s in text.split(",")) if t)
-
-
-def _tau(text):
-    return check_tau(float(text))
-
-
 def _as_bool(text):
     t = text.strip().lower()
     if t in ("true", "1", "yes", "on"):
@@ -629,36 +621,26 @@ def _as_bool(text):
     raise ValueError(f"expected true/false, got {text!r}")
 
 
+def _parser(default, scalar=None):
+    """The parser of a key whose default is ``default``: a tuple is a comma
+    list whose items are read as its first item is, with empty items
+    dropped; a bool is read by ``_as_bool``; an int, float or str by its
+    type. ``scalar`` reads the scalars in that type's stead."""
+    if isinstance(default, tuple):
+        item = _parser(default[0], scalar)
+        return lambda text: tuple(item(t) for t in (s.strip() for s in text.split(",")) if t)
+    return scalar or (_as_bool if isinstance(default, bool) else type(default))
+
+
 # Every key of the config file, in ``--write-config`` order, and its value
-# parser. A key is the name of the field it sets: a field of TrainConfig for
-# the ``TRAIN_KEYS``, of ExperimentConfig for the others. README "Sweep
-# configuration" says what each key means.
-CONFIG_KEYS = {
-    "envs": _items(str),
-    "methods": _items(str),
-    "episode_counts": _items(int),
-    "n_seeds": int,
-    "eval_episodes": int,
-    "tau": _tau,
-    "n_members": int,
-    "tau_grid": _items(_tau),
-    "n_grid": _items(int),
-    "ablations": _as_bool,
-    "master_seed": int,
-    "epochs": int,
-    "batch_size": int,
-    "learning_rate": float,
-    "patience": int,
-    "min_improvement": float,
-    "hidden_dims": _items(int),
-    "normalize_swarm": _as_bool,
-}
+# parser: the fields of ExperimentConfig but ``train``, then those of
+# TrainConfig (the ``TRAIN_KEYS``), each read as its default's type. A tau is
+# checked as it is read, so that its refusal names the line and key. README
+# "Sweep configuration" says what each key means.
+CONFIG_KEYS = {f.name: _parser(f.default, (lambda text: check_tau(float(text)))
+                               if f.name in ("tau", "tau_grid") else None)
+               for f in fields(ExperimentConfig) + fields(TrainConfig) if f.name != "train"}
 TRAIN_KEYS = tuple(f.name for f in fields(TrainConfig))
-
-
-def _cut(text: str, limit: int = 120) -> str:
-    """``text``, or its first ``limit`` characters and how many more it had."""
-    return text if len(text) <= limit else f"{text[:limit]}... ({len(text) - limit} more)"
 
 
 def parse_setting(key: str, text: str, where: str):
@@ -670,7 +652,7 @@ def parse_setting(key: str, text: str, where: str):
         if key in TRAIN_KEYS:
             TrainConfig(**{key: value})
     except (ValueError, ConfigError) as exc:
-        raise ConfigError(f"{where}: bad value for {key!r}: {_cut(str(exc))}") from None
+        raise ConfigError(f"{where}: bad value for {key!r}: {cut(str(exc))}") from None
     return value
 
 
@@ -681,13 +663,11 @@ def parse_config_text(text: str) -> ExperimentConfig:
         if not line:
             continue
         if "=" not in line:
-            raise ConfigError(f"line {lineno}: expected 'key = value', got {_cut(repr(raw))}")
+            raise ConfigError(f"line {lineno}: expected 'key = value', got {cut(repr(raw))}")
         key, val = (part.strip() for part in line.split("=", 1))
         if key not in CONFIG_KEYS:
-            raise ConfigError(
-                f"line {lineno}: unknown key {_cut(repr(key))} "
-                f"(known: {', '.join(sorted(CONFIG_KEYS))})"
-            )
+            raise ConfigError(f"line {lineno}: unknown key {cut(repr(key))} "
+                              f"(known: {', '.join(sorted(CONFIG_KEYS))})")
         if key in settings:
             raise ConfigError(f"line {lineno}: duplicate key {key!r}")
         settings[key] = parse_setting(key, val, f"line {lineno}")

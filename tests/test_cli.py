@@ -670,6 +670,7 @@ MODEL_EDITS = {
     "action_low.json": ("point_reach", lambda doc: doc["action_low"].pop()),
     "action_high.json": ("point_reach", lambda doc: doc.update(action_high=None)),
     "n_members.json": ("point_reach", lambda doc: doc.update(n_members=7)),
+    "n_members_text.json": ("point_reach", lambda doc: doc.update(n_members="bog,us\nx")),
     "member_shape.json": ("point_reach", lambda doc: doc["members"][1]["biases"][0].pop()),
     "nan_bias.json": ("point_reach",
                       lambda doc: doc["members"][1]["biases"][0].__setitem__(0, float("nan"))),
@@ -683,6 +684,11 @@ MODEL_EDITS = {
                                     lambda doc: doc["meta"].update(n_expert_episodes=-3)),
     "deep.json": ("point_reach", lambda doc: "[" * 200_000),  # the file's whole text
     "huge_tau.json": ("point_reach", lambda doc: doc.update(tau=10**400)),  # no float holds it
+    # finite numbers that overflow a float in the rollout, or below any dataset's std
+    "huge_weight.json": ("point_reach",
+                         lambda doc: doc["members"][1]["weights"][0][0].__setitem__(0, 1e308)),
+    "huge_mean.json": ("point_reach", lambda doc: doc["obs_mean"].__setitem__(0, 1e308)),
+    "tiny_std.json": ("point_reach", lambda doc: doc["obs_std"].__setitem__(0, 1e-300)),
 }
 
 
@@ -702,6 +708,11 @@ DATA_EDITS = {
     "missing_key.jsonl": lambda header, _: header.pop("obs_dim"),
     "deep.jsonl": lambda header, _: "[" * 200_000,
     "huge_state.jsonl": lambda _, recs: recs[0]["s"].__setitem__(0, 10**400),
+    "huge_finite_state.jsonl": lambda _, recs: recs[0]["s"].__setitem__(0, 1e308),
+    # a header whose env no env is, or one that the samples' dims do not fit
+    "unknown_env.jsonl": lambda header, _: header.update(env="foo"),
+    "other_env.jsonl": lambda header, _: header.update(env="pendulum_swing"),
+    "long_env.jsonl": lambda header, _: header.update(env="x" * 200_000),
 }
 
 
@@ -766,6 +777,7 @@ def test_bad_arguments_and_files_exit_1_without_traceback(tmp_path, capsys, smal
     assert run_cli(*(a.format(tmp=tmp_path, data=small_dataset) for a in argv)) == 1
     err = capsys.readouterr().err
     assert err.startswith("error:") and err.count("\n") == 1
+    assert len(err) < 1000, err[:3000]  # a long value is quoted cut short
     # a bad --data or --model file is named once
     for flag, value in zip(argv, argv[1:]):
         if flag in ("--data", "--model") and value.startswith("{tmp}/"):
@@ -781,6 +793,20 @@ def test_eval_of_a_model_whose_env_is_a_list_exits_1_in_one_line(tmp_path, capsy
     assert run_cli("eval", "--model", tmp_path / "m.json", "--out", tmp_path / "ev") == 1
     assert capsys.readouterr().err == ("error: unknown env ['point_reach']; choose from "
                                        "point_reach, pendulum_swing, cart_balance\n")
+    assert not (tmp_path / "ev").exists()
+
+
+@pytest.mark.parametrize("flags, line", [
+    ((), "unknown env 'xxx... (199882 more); choose from point_reach, pendulum_swing, "
+         "cart_balance"),
+    (("--env", "point_reach"), "model was trained on 'xxx... (199882 more), not 'point_reach'"),
+], ids=["no_env_flag", "env_flag"])
+def test_eval_quotes_a_long_model_env_cut_short(tmp_path, capsys, model_docs, flags, line):
+    doc = json.loads(json.dumps(model_docs["point_reach"]))
+    doc["meta"]["env"] = "x" * 200_000
+    (tmp_path / "m.json").write_text(json.dumps(doc))
+    assert run_cli("eval", "--model", tmp_path / "m.json", *flags, "--out", tmp_path / "ev") == 1
+    assert capsys.readouterr().err == f"error: {line.replace('xxx', 'x' * 119)}\n"
     assert not (tmp_path / "ev").exists()
 
 
@@ -812,14 +838,21 @@ def test_eval_logs_the_method_that_tau_and_n_define(small_dataset, tmp_path, cap
     assert out.startswith(f"point_reach {method}: ")
 
 
-@pytest.mark.parametrize("line, start", [
-    ("x" * 200_000, "line 8: expected 'key = value', got 'xxx"),
-    ("x" * 200_000 + " = 1", "line 8: unknown key 'xxx"),
-    ("learning_rate = " + "x" * 200_000, "line 8: bad value for 'learning_rate': could not"),
-], ids=["no_equals_sign", "unknown_key", "bad_value"])
-def test_a_config_error_quotes_a_bounded_prefix_of_a_long_line(tmp_path, capsys, line, start):
+@pytest.mark.parametrize("old, new, start", [
+    ("", "x" * 200_000, "line 8: expected 'key = value', got 'xxx"),
+    ("", "x" * 200_000 + " = 1", "line 8: unknown key 'xxx"),
+    ("", "learning_rate = " + "x" * 200_000, "line 8: bad value for 'learning_rate': could not"),
+    ("envs = point_reach", "envs = " + "x" * 200_000, "unknown env 'xxx"),
+    ("methods = bc", "methods = " + "x" * 200_000, "unknown method 'xxx"),
+    ("methods = bc", "methods = " + ", ".join(["x" * 200_000] * 2),
+     "methods repeats a value: xxx"),
+], ids=["no_equals_sign", "unknown_key", "bad_value", "unknown_env", "unknown_method",
+        "repeated_value"])
+def test_a_config_error_quotes_a_bounded_prefix_of_a_long_line(tmp_path, capsys,
+                                                               old, new, start):
+    """``new`` in place of the line ``old``, or with no ``old`` after the last line."""
     cfg_path = tmp_path / "sweep.cfg"
-    cfg_path.write_text(TINY_SWEEP + line + "\n")
+    cfg_path.write_text(TINY_SWEEP.replace(old, new) if old else TINY_SWEEP + new + "\n")
     assert run_cli("sweep", "--config", cfg_path, "--out", tmp_path / "out") == 1
     err = capsys.readouterr().err
     assert err.startswith(f"error: {cfg_path}: {start}") and err.count("\n") == 1

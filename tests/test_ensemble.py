@@ -547,6 +547,7 @@ def test_ensemble_rejects_fields_that_disagree_with_layer_dims(field, value):
     ("action_high", 0, np.nan, "action_high holds a non-finite"),
     ("obs_std", 1, 0.0, "obs_std must be > 0"),
     ("obs_std", 0, -1.0, "obs_std must be > 0"),
+    ("obs_std", 0, 0.99e-8, "obs_std must be > 0, at least 1e-08"),  # below data.STD_FLOOR
     ("action_low", 0, 2.0, "action_low .* exceeds action_high"),
 ])
 def test_ensemble_rejects_non_finite_or_degenerate_numbers(field, index, value, message):

@@ -1,12 +1,13 @@
 import dataclasses
 import math
 import re
+import warnings
 
 import numpy as np
 import pytest
 from reference import per_state, random_action
 
-from swarmbc.data import DatasetMeta, load_dataset, save_dataset
+from swarmbc.data import Dataset, DatasetMeta, load_dataset, save_dataset
 from swarmbc.envs import (
     ENV_IDS,
     PointReach,
@@ -266,6 +267,29 @@ def test_a_dataset_header_checks_its_own_fields(field, value, text):
     DatasetMeta(**fields)
     with pytest.raises(ConfigError, match=f"^{re.escape(text)}$"):
         DatasetMeta(**{**fields, field: value})
+
+
+@pytest.mark.parametrize("column", [
+    [1e308, 0.0, 0.0], [1e308, 1e308, 1e308], [-1e308, 0.0, 1e308],
+], ids=["square", "mean", "range"])
+def test_a_dataset_refuses_states_whose_std_overflows_without_a_warning(column):
+    meta = DatasetMeta(env="point_reach", episodes=1, seed=0, obs_dim=2, action_dim=1,
+                       action_kind="continuous")
+    states = np.stack([column, [0.5, 1.0, 2.0]], axis=1)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ConfigError, match="^states are too large: their std overflows"):
+            Dataset(states, np.zeros((3, 1)), meta)
+        assert np.isfinite(Dataset(states / 1e160, np.zeros((3, 1)), meta).obs_std).all()
+
+
+def test_a_dataset_of_no_samples_is_refused_without_a_warning():
+    meta = DatasetMeta(env="point_reach", episodes=1, seed=0, obs_dim=2, action_dim=1,
+                       action_kind="continuous")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ConfigError, match="^a dataset needs at least one sample$"):
+            Dataset(np.zeros((0, 2)), np.zeros((0, 1)), meta)
 
 
 def test_dataset_file_byte_identical_for_same_seed(tmp_path):

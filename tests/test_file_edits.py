@@ -5,8 +5,10 @@ Each run has one of two outcomes: exit 0 with rows whose method is the one
 their tau and N define (``ensemble.method_of``), or exit 1 with exactly one
 stderr line. A traceback, a warning or any other exit fails the test. The
 edits drop keys and lines, swap JSON types, put in huge, negative, zero and
-non-finite numbers, nest deeply, cut the file at a byte and put in a byte
-that is not UTF-8. The examples are drawn the same way on every run.
+non-finite numbers (huge finite ones into the float arrays too), name
+another env in a dataset's header, nest deeply, cut the file at a byte and
+put in a byte that is not UTF-8. The examples are drawn the same way on
+every run.
 """
 
 import contextlib
@@ -36,10 +38,9 @@ def _edits(max_examples):
 DEEP = "[" * 100_000  # deeper than any recursion limit
 # values any JSON value may become: other types, and numbers out of range
 VALUES = [None, True, False, 0, -1, 2, 0.5, -0.0, "", "text", "bog,us\nx", [], {}, [1.0],
-          {"a": 1}, math.nan, math.inf, -math.inf]
-# huge numbers go only into the fields outside the float arrays: a huge
-# weight or sample is not refused, and numpy warns of its overflow
-HUGE = [10**400, -10**400, 1e308, -1e308, 2**63]
+          {"a": 1}, math.nan, math.inf, -math.inf, 10**400, -10**400]
+# finite numbers whose squares, sums or products overflow a float
+HUGE = [1e308, -1e308, 1e300, -1e300, 2**63]
 # the config's keys that size a sweep come first, and are never dropped or
 # cut off: at their defaults a sweep runs for hours
 SIZES = ("episode_counts = 1\nn_seeds = 1\neval_episodes = 1\nablations = false\n"
@@ -106,7 +107,8 @@ def _byte_edit(draw, data: bytes, start: int = 0) -> bytes:
 def edited(draw, doc, fields, render):
     """The bytes of ``render(doc)`` after one or two edits of its values,
     then maybe an edit of its bytes. Two edits in three go into one of the
-    paths in ``fields``, and only those take a huge number."""
+    paths in ``fields``; the others go anywhere, mostly into a float array.
+    One edit in four puts in a huge finite number."""
     doc = json.loads(json.dumps(doc))
     for _ in range(draw(st.integers(1, 2))):
         field = draw(st.sampled_from([True, True, False]))
@@ -118,12 +120,12 @@ def edited(draw, doc, fields, render):
             parent[key]
         except (KeyError, IndexError, TypeError):
             continue  # a field that the first edit removed
-        kind = draw(st.sampled_from(["set"] * 4 + ["drop", "nest"]))
+        kind = draw(st.sampled_from(["set"] * 4 + ["drop", "nest", "huge", "huge"]))
         if kind == "drop":
             del parent[key]
         else:
             parent[key] = "\0deep" if kind == "nest" else draw(
-                st.sampled_from(VALUES + HUGE if field else VALUES))
+                st.sampled_from(HUGE if kind == "huge" else VALUES))
     return _byte_edit(draw, render(doc).replace('"\\u0000deep"', DEEP).encode())
 
 
@@ -146,11 +148,13 @@ def test_eval_of_an_edited_model_logs_its_method_or_exits_1_in_one_line(files, d
 
 
 @_edits(100)
-@given(data=st.data(), method=st.sampled_from(METHODS))
+@given(data=st.data(), method=st.sampled_from(METHODS),
+       env=st.sampled_from(["point_reach"] * 4 + ["pendulum_swing", "cart_balance"]))
 def test_train_on_an_edited_dataset_writes_a_model_of_its_method_or_exits_1_in_one_line(
-        files, data, method):
-    header = [path for path in _paths(files["data"]) if len(path) == 2 and path[0] == 0]
-    dataset = data.draw(edited(files["data"], header,
+        files, data, method, env):
+    recs = [{**files["data"][0], "env": env}, *files["data"][1:]]  # maybe the header of another env
+    header = [path for path in _paths(recs) if len(path) == 2 and path[0] == 0]
+    dataset = data.draw(edited(recs, header,
                                lambda recs: "".join(json.dumps(r) + "\n" for r in recs)))
     with tempfile.TemporaryDirectory() as tmp:
         (Path(tmp) / "d.jsonl").write_bytes(dataset)

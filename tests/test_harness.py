@@ -835,6 +835,25 @@ def test_failures_csv_keeps_only_cells_still_without_result(tmp_path, monkeypatc
     assert not (out / "failures.csv").exists()
 
 
+def test_a_rollout_that_overflows_a_float_is_a_failure_row_without_a_warning(tmp_path,
+                                                                             monkeypatch):
+    real_train = harness.train
+
+    def huge(*args):
+        ens, history = real_train(*args)
+        ens.weights[0][:] = 1e308  # finite, but no rollout of it stays finite
+        return ens, history
+
+    monkeypatch.setattr(harness, "train", huge)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        store = run_sweep(tiny_config(n_seeds=1, methods=("ensemble",)), tmp_path)
+    assert store.records == []
+    header, row = (tmp_path / "failures.csv").read_text().splitlines()
+    assert row == ("point_reach,ensemble,1,0.0,4,0,"
+                   "FloatingPointError: overflow encountered in matmul")
+
+
 def test_a_cell_failing_in_three_runs_has_one_failure_row(tmp_path, monkeypatch):
     cfg = tiny_config(n_seeds=1)
     victim = Cell("point_reach", "ensemble", 1, 0.0, 4, 0)
