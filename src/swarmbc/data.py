@@ -22,7 +22,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import ConfigError, DimensionMismatchError, check_range
+from .errors import ConfigError, DimensionMismatchError, check_keys, check_range
 
 ACTION_KINDS = ("continuous", "discrete")
 
@@ -118,16 +118,13 @@ def save_dataset(dataset: Dataset, path) -> None:
 
 def load_dataset(path) -> Dataset:
     with open(path) as f:
-        lines = [line for line in f if line.strip()]
+        lines = [(n, line) for n, line in enumerate(f, start=1) if line.strip()]
     if not lines:
         raise ConfigError("empty dataset file")
-    header = json.loads(lines[0])
     keys = [f.name for f in fields(DatasetMeta)]
-    missing = set(keys) - header.keys()
-    if missing:
-        raise ConfigError(f"header missing keys {sorted(missing)}")
+    header = check_keys("header", json.loads(lines[0][1]), keys)
     meta = DatasetMeta(**{key: header[key] for key in keys})
-    recs = [json.loads(line) for line in lines[1:]]
+    recs = [check_keys(f"line {n}", json.loads(line), ("s", "a")) for n, line in lines[1:]]
     if not recs:
         raise ConfigError("no samples after header")
     return Dataset(states=np.array([rec["s"] for rec in recs], dtype=np.float64),

@@ -33,7 +33,8 @@ import numpy as np
 from . import nn
 from .data import ACTION_KINDS, STD_FLOOR, Dataset, replace_file
 from .envs import ENV_IDS, make_env
-from .errors import ConfigError, DimensionMismatchError, TrainingDivergedError, check_range
+from .errors import (ConfigError, DimensionMismatchError, TrainingDivergedError, check_keys,
+                     check_range, cut)
 
 METHODS = ("bc", "ensemble", "swarm")
 METHOD_RULE = ("bc is one policy with tau = 0, ensemble N >= 2 policies with tau = 0, "
@@ -540,14 +541,22 @@ def save_ensemble(ensemble: Ensemble, path) -> None:
 def load_ensemble(path) -> Ensemble:
     with open(path) as f:
         doc = json.load(f)
-    if doc.get("format") != "swarmbc-ensemble-v1":
+    if not isinstance(doc, dict) or doc.get("format") != "swarmbc-ensemble-v1":
         raise ConfigError("not a swarmbc ensemble file")
-    layer_dims = list(doc["layer_dims"])
-    if doc["n_members"] != len(doc["members"]):
+    check_keys("model", doc, ("n_members", "tau", "action_kind", "layer_dims",  # not the optional
+                              "hidden_activation", "output_activation", "obs_mean", "obs_std",
+                              "action_low", "action_high", "members"))  # meta, normalize_swarm
+    layer_dims, members = doc["layer_dims"], doc["members"]
+    if not isinstance(layer_dims, list) or any(type(d) is not int for d in layer_dims):
+        raise ConfigError(f"layer_dims must be a list of ints, got {cut(repr(layer_dims))}")
+    if not isinstance(members, list):
+        raise ConfigError(f"members must be a list, got {cut(repr(members))}")
+    if doc["n_members"] != len(members):
         raise ConfigError(f"n_members is {doc['n_members']!r} but the file holds "
-                          f"{len(doc['members'])} members")
-    params, weights, biases = nn.stacked_buffer(layer_dims, len(doc["members"]))
-    for i, rec in enumerate(doc["members"]):
+                          f"{len(members)} members")
+    params, weights, biases = nn.stacked_buffer(layer_dims, len(members))
+    for i, rec in enumerate(members):
+        check_keys(f"member {i}", rec, ("weights", "biases"))
         for name, views in (("weights", weights), ("biases", biases)):
             arrays = [np.array(a, dtype=np.float64) for a in rec[name]]
             shapes, want = [a.shape for a in arrays], [v.shape[1:] for v in views]
@@ -565,7 +574,7 @@ def load_ensemble(path) -> Ensemble:
         action_low=None if doc["action_low"] is None else np.array(doc["action_low"]),
         action_high=None if doc["action_high"] is None else np.array(doc["action_high"]),
         normalize_swarm=bool(doc.get("normalize_swarm", False)),
-        meta=doc.get("meta", {}),
+        meta=check_keys("meta", doc.get("meta", {}), ()),
     )
     n_ep = ens.meta.get("n_expert_episodes", 0)
     if type(n_ep) is not int:  # not a bool, float or text either

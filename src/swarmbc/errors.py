@@ -30,6 +30,17 @@ def check_range(name, value, low, high=None, above=False):
     raise ConfigError(f"{name} must be {rule}, got {value}")
 
 
+def check_keys(name, value, keys):
+    """``value`` if it is a JSON object that holds every key of ``keys``; else
+    a ConfigError naming ``name`` and the value, or the keys it lacks."""
+    if not isinstance(value, dict):
+        raise ConfigError(f"{name} must be an object, got {cut(repr(value))}")
+    missing = set(keys) - value.keys()
+    if missing:
+        raise ConfigError(f"{name} missing keys {sorted(missing)}")
+    return value
+
+
 def cut(text: str, limit: int = 120) -> str:
     """``text``, or its first ``limit`` characters and how many more it had."""
     return text if len(text) <= limit else f"{text[:limit]}... ({len(text) - limit} more)"

@@ -77,7 +77,7 @@ class ExperimentConfig:
             check_range("n_grid value", n, 2)
         for n_ep in self.episode_counts:
             check_range("episode_counts value", n_ep, 1)
-        for _, (_, method, _, tau, n_members) in _cell_groups(self):  # ablations included
+        for _, (_, method, _, tau, n_members), _ in _cell_groups(self):  # ablations included
             check_method_params(method, tau, n_members)
         if self.ablations and self.n_members < 2:  # the tau ablation trains ensembles
             raise ConfigError(f"ablations need N >= 2, got n_members = {self.n_members}")
@@ -109,26 +109,39 @@ def method_params(cfg: ExperimentConfig, method: str):
             "swarm": (cfg.tau, cfg.n_members)}[method]
 
 
+# Each summary kind of ``_cell_groups``: its file name, the column its rows
+# lead with after env and n_expert_episodes, its x label and its title.
+SUMMARIES = {
+    "returns": ("returns_{env}", "method", "expert episodes in dataset",
+                "Scaled return vs expert episodes ({env})"),
+    "ablation_tau": ("ablation_tau", "tau", "tau",
+                     "Regularizer strength ablation ({env}, {n_ep} expert ep)"),
+    "ablation_n": ("ablation_n", "n_members", "ensemble size N",
+                   "Ensemble size ablation ({env}, {n_ep} expert ep)"),
+}
+
+
 def _cell_groups(cfg: ExperimentConfig):
-    """``(summary, (env, method, n_episodes, tau, N))`` of each group of seed
-    cells, in order. ``summary`` names the summary the group is a point of:
-    ``returns_<env>`` for the method x dataset size grid, ``ablation_tau`` and
-    ``ablation_n`` for the ablations, on the first env at the largest size."""
+    """``(kind, (env, method, n_episodes, tau, N), (label, x, value))`` of each
+    group of seed cells, in order: a point of its env's ``SUMMARIES`` kind (the
+    method x dataset size grid per env, the ablations on the first env at the
+    largest size), with its series label, x and value in the kind's column."""
     for env in cfg.envs:
         for method in cfg.methods:
-            for n_ep in cfg.episode_counts:
-                yield f"returns_{env}", (env, method, n_ep, *method_params(cfg, method))
+            for n in cfg.episode_counts:
+                yield "returns", (env, method, n, *method_params(cfg, method)), (method, n, method)
     if cfg.ablations:
         env, n_ep = cfg.envs[0], max(cfg.episode_counts)
         for tau in cfg.tau_grid:
-            yield "ablation_tau", (env, method_of(tau, cfg.n_members), n_ep, tau, cfg.n_members)
+            yield ("ablation_tau", (env, method_of(tau, cfg.n_members), n_ep, tau, cfg.n_members),
+                   ("swarm", tau, repr(float(tau))))
         for n in cfg.n_grid:
-            yield "ablation_n", (env, "swarm", n_ep, cfg.tau, n)
+            yield "ablation_n", (env, "swarm", n_ep, cfg.tau, n), ("swarm", n, n)
 
 
 def enumerate_cells(cfg: ExperimentConfig) -> list:
     """All cells of the sweep in their canonical order, deduplicated."""
-    cells = (Cell(*group, k) for _, group in _cell_groups(cfg) for k in range(cfg.n_seeds))
+    cells = (Cell(*group, k) for _, group, _ in _cell_groups(cfg) for k in range(cfg.n_seeds))
     return list({c.key(): c for c in cells}.values())
 
 
@@ -551,36 +564,17 @@ def _write_summary(path: Path, columns, groups, **chart):
 
 
 def write_summaries(cfg: ExperimentConfig, store: ResultsStore, out_dir):
-    """Summary CSVs and charts: one per summary of ``_cell_groups`` (scaled
-    return vs dataset size per env, the two ablations), and the disagreement
-    traces."""
-    out_dir = Path(out_dir)
-
-    def runs(group):  # in seed order, whatever the order of results.csv
-        found = (store.get(Cell(*group, k)) for k in range(cfg.n_seeds))
-        return [rec for rec in found if rec is not None]
-
-    summaries = {}
-    for summary, group in _cell_groups(cfg):
-        summaries.setdefault(summary, []).append(group)
-    for summary, groups in summaries.items():
-        env, _, n_ep, _, _ = groups[0]
-        if summary == "ablation_tau":
-            column, x_label = "tau", "tau"
-            title = f"Regularizer strength ablation ({env}, {n_ep} expert ep)"
-            points = [("swarm", tau, repr(float(tau))) for _, _, _, tau, _ in groups]
-        elif summary == "ablation_n":
-            column, x_label = "n_members", "ensemble size N"
-            title = f"Ensemble size ablation ({env}, {n_ep} expert ep)"
-            points = [("swarm", n, n) for *_, n in groups]
-        else:
-            column, x_label = "method", "expert episodes in dataset"
-            title = f"Scaled return vs expert episodes ({env})"
-            points = [(method, n, method) for _, method, n, _, _ in groups]
-        _write_summary(out_dir / summary, ["env", "n_expert_episodes", column],
-                       [(label, x, [group[0], group[2], value], runs(group))
-                        for group, (label, x, value) in zip(groups, points)],
-                       title=title, x_label=x_label)
+    """Summary CSVs and charts, one per ``SUMMARIES`` kind and env of
+    ``_cell_groups`` with each group's runs in seed order; then the d traces."""
+    out_dir, summaries = Path(out_dir), {}
+    for kind, group, (label, x, value) in _cell_groups(cfg):
+        runs = (store.get(Cell(*group, k)) for k in range(cfg.n_seeds))
+        summaries.setdefault((kind, group[0]), []).append(
+            (label, x, [group[0], group[2], value], [r for r in runs if r is not None]))
+    for (kind, env), groups in summaries.items():
+        name, column, x_label, title = SUMMARIES[kind]
+        _write_summary(out_dir / name.format(env=env), ["env", "n_expert_episodes", column],
+                       groups, title=title.format(env=env, n_ep=groups[0][2][1]), x_label=x_label)
     _write_trace_summaries(cfg, out_dir)
 
 

@@ -689,6 +689,13 @@ MODEL_EDITS = {
                          lambda doc: doc["members"][1]["weights"][0][0].__setitem__(0, 1e308)),
     "huge_mean.json": ("point_reach", lambda doc: doc["obs_mean"].__setitem__(0, 1e308)),
     "tiny_std.json": ("point_reach", lambda doc: doc["obs_std"].__setitem__(0, 1e-300)),
+    # a key missing, or of the wrong JSON type
+    "no_n_members.json": ("point_reach", lambda doc: doc.pop("n_members")),
+    "member_weights.json": ("point_reach", lambda doc: doc["members"][1].pop("weights")),
+    "null_meta.json": ("point_reach", lambda doc: doc.update(meta=None)),
+    "float_dims.json": ("point_reach", lambda doc: doc.update(layer_dims=1.0)),
+    "float_dim.json": ("point_reach", lambda doc: doc["layer_dims"].__setitem__(1, 3.0)),
+    "int_members.json": ("point_reach", lambda doc: doc.update(members=5)),
 }
 
 
@@ -713,6 +720,24 @@ DATA_EDITS = {
     "unknown_env.jsonl": lambda header, _: header.update(env="foo"),
     "other_env.jsonl": lambda header, _: header.update(env="pendulum_swing"),
     "long_env.jsonl": lambda header, _: header.update(env="x" * 200_000),
+    # a header or sample that is not an object, or a sample without a key
+    "null_header.jsonl": lambda _, recs: "\n".join(map(json.dumps, [None, *recs])) + "\n",
+    "list_sample.jsonl": lambda _, recs: recs.__setitem__(2, [1, 2]),  # line 4
+    "no_action.jsonl": lambda _, recs: recs[2].pop("a"),
+}
+
+# what the error line of an edited file says, for the files whose fault is a
+# key or a line: the key or line it names
+FAULTS = {
+    "no_n_members.json": "model missing keys ['n_members']",
+    "member_weights.json": "member 1 missing keys ['weights']",
+    "null_meta.json": "meta must be an object, got None",
+    "float_dims.json": "layer_dims must be a list of ints, got 1.0",
+    "float_dim.json": "layer_dims must be a list of ints, got [4, 3.0, 2]",
+    "int_members.json": "members must be a list, got 5",
+    "null_header.jsonl": "header must be an object, got None",
+    "list_sample.jsonl": "line 4 must be an object, got [1, 2]",
+    "no_action.jsonl": "line 4 missing keys ['a']",
 }
 
 
@@ -782,6 +807,7 @@ def test_bad_arguments_and_files_exit_1_without_traceback(tmp_path, capsys, smal
     for flag, value in zip(argv, argv[1:]):
         if flag in ("--data", "--model") and value.startswith("{tmp}/"):
             assert err.count(value.format(tmp=tmp_path)) == 1, err
+            assert FAULTS.get(value.removeprefix("{tmp}/"), "") in err, err
     assert not (tmp_path / "m.json").exists()
     assert not (tmp_path / "ev" / "eval_results.csv").exists()
 

@@ -603,7 +603,8 @@ def test_sweep_trains_on_datasets_and_baselines_from_one_call_per_env(tmp_path, 
     assert sorted(calls) == sorted(
         (env, 2 * cfg.eval_episodes + sum(n for e, n, _ in keys if e == env)) for env in cfg.envs)
 
-    rows = {row[0]: row[1:] for row in csv.reader((tmp_path / "baselines.csv").open())}
+    with open(tmp_path / "baselines.csv") as f:
+        rows = {row[0]: row[1:] for row in csv.reader(f)}
     for env_id in cfg.envs:
         seed = fan_out_seed(cfg.master_seed, "baseline", env_id)
         want = baseline_returns(make_env(env_id), cfg.eval_episodes, seed)

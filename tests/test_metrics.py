@@ -205,12 +205,6 @@ def test_rollout_discrete_records_probability_vectors():
     assert sums == pytest.approx(np.ones_like(sums))
 
 
-def test_record_members_requires_ensemble():
-    env = make_env("point_reach")
-    with pytest.raises(ConfigError):
-        rollout(env, per_state(env.expert_action), 0, record_members=True)
-
-
 def test_baseline_returns_repeatable_and_ordered():
     for env_id in ("point_reach", "pendulum_swing", "cart_balance"):
         env = make_env(env_id)
